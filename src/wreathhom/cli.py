@@ -24,6 +24,7 @@ from .groups import (
     FiniteGroup,
     GroupSpec,
     GroupTableError,
+    InvariantError,
     SizeCapError,
     UnknownGroupError,
     build_group,
@@ -49,9 +50,11 @@ from .sampling import sample_hom
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_BAD_SPEC = 3
 EXIT_CAP_EXCEEDED = 4
 EXIT_UNKNOWN_BUILTIN = 5
+EXIT_INVARIANT = 6
 
 CAP_ENV_VAR = "WREATHHOM_CAP"
 
@@ -87,10 +90,6 @@ def _parse_n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _frac_str(fr: Fraction) -> str:
-    return str(fr)
-
-
 def _emit(lines: list[dict], out: Optional[str]) -> None:
     text = "".join(json.dumps(line) + "\n" for line in lines)
     if out is None or out == "-":
@@ -119,7 +118,7 @@ def _cmd_pfree(args, cap: Optional[int]) -> int:
         if cap is not None and n > cap:
             raise SizeCapError(f"n={n} exceeds cap {cap}")
         p = fixed_point_free_probability(group, coeffs, n)
-        lines.append({"n": n, "p": _frac_str(p)})
+        lines.append({"n": n, "p": str(p)})
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -150,8 +149,8 @@ def _cmd_weyl(args, cap: Optional[int]) -> int:
             {
                 "n": n,
                 "count": str(count),
-                "ratio": _frac_str(Fraction(count, total)),
-                "limit": _frac_str(limit),
+                "ratio": str(Fraction(count, total)),
+                "limit": str(limit),
             }
         )
     _emit(lines, args.out)
@@ -251,7 +250,7 @@ def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> di
         "slope": fit.slope,
         "intercept": fit.intercept,
         "referenceConstant": constant.reference_value,
-        "conservativeConstant": _frac_str(constant.conservative),
+        "conservativeConstant": str(constant.conservative),
     }
 
 
@@ -323,7 +322,11 @@ def execute(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     cap = args.cap
     if cap is None and os.environ.get(CAP_ENV_VAR):
-        cap = int(os.environ[CAP_ENV_VAR])
+        try:
+            cap = int(os.environ[CAP_ENV_VAR])
+        except ValueError:
+            print(f"error: {CAP_ENV_VAR} must be an integer, got {os.environ[CAP_ENV_VAR]!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args, cap)
     except UnknownGroupError as exc:
@@ -335,7 +338,14 @@ def execute(argv: Optional[Sequence[str]] = None) -> int:
     except (GroupTableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
+    except InvariantError as exc:
+        print(f"error: invariant broken: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def main() -> None:
+    # Exact counts pass Python's default 4300-digit int-to-str limit (3.11+)
+    # long before the recurrence cap; lift it for this process only.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(execute())

@@ -2,11 +2,12 @@
 
 Two independent evaluations of the stratified orbit-type sum: direct
 enumeration of weighted compositions, and a linear recurrence obtained as
-the log-derivative of exp(sum_i a_i x^{k_i}) run in exact rational
-arithmetic.  The same recurrence run in the group algebra of Hom(G, A)
-yields the exact fold-value distribution, fixed-point-free probabilities,
-and the count of homomorphisms with trivial fold (type-D Weyl groups for
-A = C2).
+the log-derivative of exp(sum_k a_k x^k), with the classes merged by orbit
+size k and run in integers over one common denominator.  The same
+recurrence run in the group algebra of Hom(G, A) yields the exact
+fold-value distribution, and without the k = 1 term the fixed-point-free
+counts; the fibers give the count of homomorphisms with trivial fold
+(type-D Weyl groups for A = C2).
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .groups import AbelianGroup, FiniteGroup, SizeCapError, abelianization, subgroup_classes
+from .groups import (
+    AbelianGroup,
+    FiniteGroup,
+    InvariantError,
+    SizeCapError,
+    abelianization,
+    subgroup_classes,
+)
 from .homs import HomGroup, hom_count_abelian, hom_group
 from .orbits import OrbitTypeData, orbit_type_data
 
@@ -42,8 +50,8 @@ class DistributionTable:
     fiber_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert sum(self.probs, Fraction(0)) == 1
-        assert all(p >= 0 for p in self.probs)
+        if sum(self.probs, Fraction(0)) != 1 or any(p < 0 for p in self.probs):
+            raise InvariantError(f"fold probabilities at n={self.n} are not a distribution")
 
     @property
     def total(self) -> int:
@@ -72,8 +80,11 @@ class WreathHomCounter:
 
     ``totals[n]`` is |Hom(G, A wr S_n)|; ``free[n]`` counts the
     homomorphisms whose active permutation image has no fixed point;
-    ``fibers[n]`` refines totals by fold value.  All three satisfy the same
-    recurrence; integrality is asserted at every step.
+    ``fibers[n]`` refines totals by fold value.  Each is n! [x^n] of
+    exp(sum_k a_k x^k), where a_k sums w_i / c_i (or fiber_i / c_i) over
+    the classes of orbit size k, so classes are merged by k once, over the
+    common denominator ``scale`` = lcm(c_i).  Every step checks that its
+    division by ``scale`` is exact, and fibers must sum to the total.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup):
@@ -85,84 +96,92 @@ class WreathHomCounter:
             orbit_type_data(group, coeffs, cls, self.homs, class_id=i)
             for i, cls in enumerate(self.classes)
         )
-        self._full_idx = next(i for i, c in enumerate(self.classes) if c.is_full_group)
         h = self.homs.size
-        self._totals: list[int] = [1]
+        self.scale = math.lcm(*(od.c for od in self.orbit_data))
+        # w_i * scale / c_i per class, in class order: the sampler's stratum weights.
+        self.class_weights = tuple(od.weight * (self.scale // od.c) for od in self.orbit_data)
+        merged = {od.k: [0] * h for od in self.orbit_data}
+        for od in self.orbit_data:
+            for psi, x in enumerate(od.fiber):
+                merged[od.k][psi] += x * (self.scale // od.c)
+        terms = sorted(merged.items())
+        self._total_terms = tuple((k, sum(vec)) for k, vec in terms)  # fibers sum to weights
+        # Only U = G has orbit size 1, so this drops exactly the fixed points.
+        self._free_terms = self._total_terms[1:]
+        self._fiber_terms = tuple((k, [(psi, x) for psi, x in enumerate(vec) if x]) for k, vec in terms)
+        self.totals: list[int] = [1]
         self._free: list[int] = [1]
         self._fibers: list[tuple[int, ...]] = [tuple(1 if i == 0 else 0 for i in range(h))]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
+    def _exact(self, acc: int, s: int, what: str) -> int:
+        value, rest = divmod(acc, self.scale)
+        if rest:
+            raise InvariantError(f"non-integral {what} at n={s}")
+        return value
 
-    def _convolve(self, fiber: tuple[int, ...], dist: tuple[int, ...]) -> list[int]:
-        homs = self.homs
-        out = [0] * homs.size
-        for i, a in enumerate(fiber):
-            if a == 0:
-                continue
-            row = homs.add_table[i]
-            for j, b in enumerate(dist):
-                if b:
-                    out[row[j]] += a * b
-        return out
+    def _scalar_step(self, terms: tuple[tuple[int, int], ...], table: list[int], what: str) -> int:
+        """Next entry by the log-derivative t_s = sum_k k (s-1)_(k-1) a_k t_(s-k)."""
+        s = len(table)
+        acc = 0
+        for k, a in terms:
+            if k > s:
+                break
+            acc += k * math.perm(s - 1, k - 1) * a * table[s - k]
+        return self._exact(acc, s, what)
 
-    def extend_to(self, n: int) -> None:
+    def _fiber_step(self) -> tuple[int, ...]:
+        """The same step with a_k in the group algebra of Hom(G, A)."""
+        s = len(self._fibers)
+        add_table = self.homs.add_table
+        acc = [0] * self.homs.size
+        for k, vec in self._fiber_terms:
+            if k > s:
+                break
+            prev = self._fibers[s - k]
+            step = k * math.perm(s - 1, k - 1)
+            for psi, a in vec:
+                row = add_table[psi]
+                c = step * a
+                for j, b in enumerate(prev):
+                    if b:
+                        acc[row[j]] += c * b
+        fiber = tuple(self._exact(x, s, "fiber") for x in acc)
+        if sum(fiber) != self.totals[s]:
+            raise InvariantError(f"fiber sum mismatch at n={s}")
+        return fiber
+
+    def extend_to(self, n: int, *, free: bool = False, fibers: bool = False) -> None:
+        """Extend ``totals`` to n, and the free and fiber tables if asked."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        h = self.homs.size
-        while len(self._totals) <= n:
-            s = len(self._totals)
-            total = Fraction(0)
-            free = Fraction(0)
-            fiber = [Fraction(0)] * h
-            for i, od in enumerate(self.orbit_data):
-                if od.k > s:
-                    continue
-                falling = 1
-                for t in range(od.k - 1):
-                    falling *= s - 1 - t
-                coef = Fraction(od.k * falling, od.c)
-                total += coef * od.weight * self._totals[s - od.k]
-                if i != self._full_idx:
-                    free += coef * od.weight * self._free[s - od.k]
-                conv = self._convolve(od.fiber, self._fibers[s - od.k])
-                for psi in range(h):
-                    if conv[psi]:
-                        fiber[psi] += coef * conv[psi]
-            assert total.denominator == 1, f"non-integral count at n={s}"
-            assert free.denominator == 1, f"non-integral fixed-point-free count at n={s}"
-            assert all(f.denominator == 1 for f in fiber), f"non-integral fiber at n={s}"
-            fiber_ints = tuple(int(f) for f in fiber)
-            assert sum(fiber_ints) == int(total), f"fiber sum mismatch at n={s}"
-            self._totals.append(int(total))
-            self._free.append(int(free))
-            self._fibers.append(fiber_ints)
+        while len(self.totals) <= n:
+            self.totals.append(self._scalar_step(self._total_terms, self.totals, "count"))
+        while free and len(self._free) <= n:
+            self._free.append(self._scalar_step(self._free_terms, self._free, "fixed-point-free count"))
+        while fibers and len(self._fibers) <= n:
+            self._fibers.append(self._fiber_step())
 
     def count(self, n: int) -> int:
         self.extend_to(n)
-        return self._totals[n]
+        return self.totals[n]
 
     def fixed_point_free_probability(self, n: int) -> Fraction:
-        self.extend_to(n)
-        return Fraction(self._free[n], self._totals[n])
+        self.extend_to(n, free=True)
+        return Fraction(self._free[n], self.totals[n])
 
     def fiber_counts(self, n: int) -> tuple[int, ...]:
-        self.extend_to(n)
+        self.extend_to(n, fibers=True)
         return self._fibers[n]
 
     def delta(self, n: int) -> DistributionTable:
-        self.extend_to(n)
-        total = self._totals[n]
+        self.extend_to(n, fibers=True)
+        total = self.totals[n]
         fibers = self._fibers[n]
         return DistributionTable(
             n=n,
             probs=tuple(Fraction(f, total) for f in fibers),
             fiber_counts=fibers,
         )
-
-    def strata_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(od.weight, od.c) for od in self.orbit_data)
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +232,8 @@ def hom_count_direct(
 
     recurse(0, n, Fraction(1))
     result = total * math.factorial(n)
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise InvariantError(f"non-integral direct count at n={n}")
     return int(result)
 
 
@@ -222,8 +242,8 @@ def count_table(group: FiniteGroup, coeffs: AbelianGroup, n_max: int) -> CountTa
     counter.extend_to(n_max)
     return CountTable(
         n_max=n_max,
-        counts=tuple(counter._totals[: n_max + 1]),
-        strata_coefficients=counter.strata_coefficients(),
+        counts=tuple(counter.totals[: n_max + 1]),
+        strata_coefficients=tuple(Fraction(od.weight, od.c) for od in counter.orbit_data),
     )
 
 
@@ -274,34 +294,15 @@ def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:
 # JSON forms: big integers as decimal strings, rationals as num/den strings
 
 
-def int_to_json(x: int) -> str:
-    return str(x)
-
-
-def int_from_json(s: str) -> int:
-    return int(s)
-
-
 def fraction_to_json(fr: Fraction) -> dict:
     return {"num": str(fr.numerator), "den": str(fr.denominator)}
-
-
-def fraction_from_json(data: dict) -> Fraction:
-    return Fraction(int(data["num"]), int(data["den"]))
 
 
 def distribution_to_json(table: DistributionTable) -> dict:
     return {
         "n": table.n,
-        "fibers": [int_to_json(f) for f in table.fiber_counts],
+        "fibers": [str(f) for f in table.fiber_counts],
         "probs": [fraction_to_json(p) for p in table.probs],
         "supDistance": fraction_to_json(table.sup_distance_to_uniform()),
     }
 
-
-def count_table_to_json(table: CountTable) -> dict:
-    return {
-        "nMax": table.n_max,
-        "counts": [int_to_json(c) for c in table.counts],
-        "strata": [fraction_to_json(a) for a in table.strata_coefficients],
-    }

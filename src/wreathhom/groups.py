@@ -33,6 +33,10 @@ class SizeCapError(RuntimeError):
     """A computation would exceed its configured size cap."""
 
 
+class InvariantError(RuntimeError):
+    """An exact identity the algorithms guarantee failed to hold."""
+
+
 class FiniteGroup:
     """A finite group on elements 0..order-1, identity 0, given by tables.
 
@@ -73,10 +77,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self.inv_table[a]
-
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.mul_table[self.mul_table[g][x]][self.inv_table[g]]
 
     def power(self, a: int, m: int) -> int:
         if m < 0:
@@ -603,16 +603,6 @@ def coset_action(group: FiniteGroup, cls: SubgroupClass) -> PermutationAction:
         tuple(point_of[group.mul(g, t)] for t in transversal) for g in range(group.order)
     )
     return PermutationAction(degree=k, perms=perms, transversal=tuple(transversal))
-
-
-def coset_point_map(group: FiniteGroup, cls: SubgroupClass) -> dict[int, int]:
-    """Element -> coset point, matching the canonical coset_action numbering."""
-    action = coset_action(group, cls)
-    point_of: dict[int, int] = {}
-    for j, t in enumerate(action.transversal):
-        for u in cls.elements:
-            point_of[group.mul(t, u)] = j
-    return point_of
 
 
 # ---------------------------------------------------------------------------

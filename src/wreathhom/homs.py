@@ -69,12 +69,6 @@ class AbelianHom:
     def __getitem__(self, g: int) -> int:
         return self.values[g]
 
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def to_json_vectors(self, coeffs: AbelianGroup) -> list[list[int]]:
-        return [list(coeffs.vector_of(v)) for v in self.values]
-
 
 class HomGroup:
     """Hom(G, A) as an abelian group under pointwise addition.

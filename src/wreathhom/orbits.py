@@ -16,10 +16,10 @@ from typing import Sequence
 from .groups import (
     AbelianGroup,
     FiniteGroup,
+    InvariantError,
     SubgroupClass,
     abelianization,
     coset_action,
-    coset_point_map,
 )
 from .homs import HomGroup, abelian_homs, evaluate_abelian_hom, hom_count_abelian
 
@@ -56,10 +56,9 @@ def transfer_values_for_transversal(
     """
     action = coset_action(group, cls)
     ab = abelianization(group, cls)
-    point_of = coset_point_map(group, cls)
     members = set(cls.elements)
     for j, t in enumerate(transversal):
-        if point_of[t] != j:
+        if group.mul(group.inv(action.transversal[j]), t) not in members:
             raise ValueError(f"transversal element {t} does not represent coset {j}")
     values = []
     for g in range(group.order):
@@ -111,7 +110,8 @@ def orbit_type_data(
         )
         fiber[homs.index_of(values)] += base
     weight = base * hom_count_abelian(ab.group, coeffs)
-    assert sum(fiber) == weight
+    if sum(fiber) != weight:
+        raise InvariantError(f"orbit fibers of class {class_id} do not sum to its weight")
     return OrbitTypeData(
         class_id=class_id,
         k=k,

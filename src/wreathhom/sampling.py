@@ -19,6 +19,7 @@ from .counting import counter_for
 from .groups import (
     AbelianGroup,
     FiniteGroup,
+    InvariantError,
     abelian_index_tables,
     abelianization,
     coset_action,
@@ -94,33 +95,26 @@ def sample_orbit_type(
 ) -> tuple[int, ...]:
     """Orbit-type multiset (m_1..m_l) with its exact stratum probability.
 
-    Backward walk on the recurrence: at size s, class i is chosen with
-    probability k_i a_i h_{s-k_i} / (s h_s), realized by integer draws over
-    a common denominator.
+    Backward walk on the counting table: at size s, class i is chosen with
+    probability k_i (s-1)_(k_i-1) (w_i / c_i) t_(s-k_i) / t_s, realized by
+    integer draws over the counter's common denominator.
     """
     counter = counter_for(group, coeffs)
     counter.extend_to(n)
-    data = counter.orbit_data
-    denom = math.lcm(*(od.c for od in data))
-    m = [0] * len(data)
+    table = counter.totals
+    terms = [(od.k, a) for od, a in zip(counter.orbit_data, counter.class_weights)]
+    m = [0] * len(terms)
     s = n
     while s > 0:
-        weights = []
-        for od in data:
-            if od.k > s:
-                weights.append(0)
-                continue
-            falling = 1
-            for t in range(od.k - 1):
-                falling *= s - 1 - t
-            weights.append(od.k * od.weight * falling * counter.count(s - od.k) * (denom // od.c))
-        total = counter.count(s) * denom
-        assert sum(weights) == total
+        weights = [k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0 for k, a in terms]
+        total = table[s] * counter.scale
+        if sum(weights) != total:
+            raise InvariantError(f"stratum weights do not sum to the count at n={s}")
         r = rng.randrange(total)
         for i, w in enumerate(weights):
             if r < w:
                 m[i] += 1
-                s -= data[i].k
+                s -= terms[i][0]
                 break
             r -= w
     return tuple(m)

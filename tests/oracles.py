@@ -2,13 +2,14 @@
 
 These deliberately avoid the package's own algorithms: subgroups by subset
 enumeration, abelian invariants by order counting, hom counts by direct
-solution counting.
+solution counting, and the counting recurrence class by class in Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def brute_subgroups(group) -> set[frozenset[int]]:
@@ -110,3 +111,39 @@ def brute_hom_count_abelian(source, coeffs) -> int:
 def compose(p, q):
     """Permutation composition, q first."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+def reference_tables(orbit_data, add_table, n):
+    """Totals, fixed-point-free counts and fold fibers for 0..n, per class.
+
+    The recurrence t_s = sum_i (k_i w_i / c_i) (s-1)_(k_i-1) t_(s-k_i) in
+    Fraction, one term per subgroup class (no merging by orbit size), with
+    a group-algebra convolution per class per step for the fibers and the
+    U = G class (the only one with k = 1) left out of the free sequence.
+    """
+    h = len(add_table)
+    totals, free, fibers = [1], [1], [tuple(1 if i == 0 else 0 for i in range(h))]
+    for s in range(1, n + 1):
+        total = free_s = Fraction(0)
+        fiber = [Fraction(0)] * h
+        for od in orbit_data:
+            if od.k > s:
+                continue
+            coef = Fraction(od.k * math.perm(s - 1, od.k - 1), od.c)
+            total += coef * od.weight * totals[s - od.k]
+            if od.k != 1:
+                free_s += coef * od.weight * free[s - od.k]
+            conv = [0] * h
+            for i, a in enumerate(od.fiber):
+                for j, b in enumerate(fibers[s - od.k]):
+                    if a and b:
+                        conv[add_table[i][j]] += a * b
+            for psi, x in enumerate(conv):
+                if x:
+                    fiber[psi] += coef * x
+        assert total.denominator == free_s.denominator == 1
+        assert all(f.denominator == 1 for f in fiber)
+        totals.append(int(total))
+        free.append(int(free_s))
+        fibers.append(tuple(int(f) for f in fiber))
+    return totals, free, fibers

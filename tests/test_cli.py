@@ -1,16 +1,31 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from wreathhom import cli
 from wreathhom.cli import (
     EXIT_BAD_SPEC,
     EXIT_CAP_EXCEEDED,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_UNKNOWN_BUILTIN,
+    EXIT_USAGE,
     execute,
     fit_decay,
 )
-from wreathhom import AbelianGroup, builtin_group
+from wreathhom import AbelianGroup, InvariantError, builtin_group, hom_count_wreath
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "wreathhom", *args], env=env, capture_output=True, text=True)
 
 
 def run_lines(capsys, argv):
@@ -133,3 +148,51 @@ def test_trivial_coeffs_flag(capsys):
     code, lines = run_lines(capsys, ["count", "--group", "C2", "--A", "1", "--n", "4"])
     assert code == EXIT_OK
     assert lines == [{"n": 4, "count": "10"}]
+
+
+def test_sample_bytes_pinned(tmp_path):
+    # sha256 of this exact output from the original Fraction-recurrence
+    # sampler: any change in the backward walk's draw order breaks it
+    out = tmp_path / "draws.jsonl"
+    argv = ["sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7"]
+    assert execute(argv + ["--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8bbe581e77fa0b684c4d38d2ff0870ab1a733eb51d3352ddc0f2056743ea6524"
+
+
+def test_cap_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("WREATHHOM_CAP", "abc")
+    assert execute(["count", "--group", "C2", "--A", "2", "--n", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: WREATHHOM_CAP") and err.count("\n") == 1
+
+
+def test_invariant_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("non-integral count at n=1")
+
+    monkeypatch.setattr(cli, "hom_count_wreath", broken)
+    assert execute(["count", "--group", "C2", "--A", "2", "--n", "1"]) == EXIT_INVARIANT
+    assert "invariant" in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    proc = run_module("count", "--group", "C2", "--A", "2", "--n", "3")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == '{"n": 3, "count": "20"}\n'
+
+
+def test_counts_beyond_str_digit_limit():
+    # 1700 is past the 4300-digit default int-to-str limit of Python 3.11+
+    proc = run_module("count", "--group", "S3", "--A", "2", "--n", "1700")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digits = json.loads(proc.stdout)["count"]
+    assert len(digits) > 4300
+    count = hom_count_wreath(builtin_group("S3"), AbelianGroup((2,)), 1700)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)  # no limit before 3.11
+    set_limit(0)
+    try:
+        assert digits == str(count)
+    finally:
+        set_limit(limit)

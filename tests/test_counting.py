@@ -1,29 +1,30 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oracles import reference_tables
 from wreathhom import (
     AbelianGroup,
+    InvariantError,
     SizeCapError,
+    WreathHomCounter,
     builtin_group,
     count_table,
     decay_constant,
     delta_distribution,
     fixed_point_free_probability,
+    group_from_permutations,
     hom_count_direct,
     hom_count_wreath,
     weyl_hom_count,
     weyl_limit_ratio,
 )
-from wreathhom.counting import (
-    count_table_to_json,
-    distribution_to_json,
-    fraction_from_json,
-    fraction_to_json,
-    int_from_json,
-    int_to_json,
-)
+from wreathhom.counting import DistributionTable, distribution_to_json, fraction_to_json
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
@@ -171,8 +172,11 @@ def test_decay_conservative_below_paper():
         assert float(dc.conservative) < dc.reference_value
 
 
+def fraction_from_json(data: dict) -> Fraction:
+    return Fraction(int(data["num"]), int(data["den"]))
+
+
 def test_json_roundtrips():
-    assert int_from_json(int_to_json(2**200)) == 2**200
     fr = Fraction(10, 21)
     assert fraction_from_json(fraction_to_json(fr)) == fr
     table = delta_distribution(builtin_group("C2"), C2, 2)
@@ -180,8 +184,6 @@ def test_json_roundtrips():
     assert data["fibers"] == ["4", "2"]
     assert fraction_from_json(data["probs"][0]) == Fraction(2, 3)
     assert fraction_from_json(data["supDistance"]) == table.sup_distance_to_uniform()
-    ct = count_table_to_json(count_table(builtin_group("C2"), C2, 3))
-    assert ct["counts"] == ["1", "2", "6", "20"]
 
 
 def test_negative_n_rejected():
@@ -189,3 +191,59 @@ def test_negative_n_rejected():
         hom_count_wreath(builtin_group("C2"), C2, -1)
     with pytest.raises(ValueError):
         hom_count_direct(builtin_group("C2"), C2, -1)
+
+
+def _check_against_reference(group, coeffs, n):
+    counter = WreathHomCounter(group, coeffs)
+    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    for s in range(n + 1):
+        assert counter.count(s) == totals[s], s
+        assert counter.fixed_point_free_probability(s) == Fraction(free[s], totals[s]), s
+        assert counter.fiber_counts(s) == fibers[s], s
+
+
+@pytest.mark.parametrize("name", ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
+@pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=str)
+def test_kernel_matches_reference_recurrence(name, coeffs):
+    _check_against_reference(builtin_group(name), coeffs, 40)
+
+
+def test_kernel_matches_reference_recurrence_c2_4():
+    # 67 classes but 5 distinct orbit sizes: merging by k does the most work here
+    transpositions = [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+                      [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
+    group = group_from_permutations(transpositions, name="C2^4")
+    assert group.order == 16
+    _check_against_reference(group, C2, 120)
+
+
+def test_kernel_inexact_division_raises():
+    counter = WreathHomCounter(builtin_group("C2"), C2)
+    counter._total_terms = ((1, 1),)  # a_1 = 1 / scale is not integral at n = 1
+    with pytest.raises(InvariantError, match="non-integral count at n=1"):
+        counter.count(1)
+
+
+def test_distribution_table_rejects_non_distribution():
+    with pytest.raises(InvariantError):
+        DistributionTable(n=1, probs=(Fraction(2),), fiber_counts=(1,))
+    with pytest.raises(InvariantError):
+        DistributionTable(n=1, probs=(Fraction(3, 2), Fraction(-1, 2)), fiber_counts=(1, 0))
+
+
+def test_invariants_hold_under_optimize():
+    # assert statements vanish under -O; the invariant checks must not
+    script = (
+        "from fractions import Fraction\n"
+        "from wreathhom import DistributionTable, InvariantError\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    DistributionTable(n=1, probs=(Fraction(2),), fiber_counts=(1,))\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
