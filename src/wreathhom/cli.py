@@ -31,6 +31,7 @@ from .groups import (
     builtin_group,
 )
 from .counting import (
+    DEFAULT_RECURRENCE_CAP,
     decay_constant,
     delta_distribution,
     distribution_to_json,
@@ -59,13 +60,17 @@ EXIT_INVARIANT = 6
 CAP_ENV_VAR = "WREATHHOM_CAP"
 
 
-def _load_group(spec: str, cap: Optional[int]) -> FiniteGroup:
+class UsageError(Exception):
+    """Arguments that parse but would be ignored or ask for nothing meaningful."""
+
+
+def _load_group(spec: str) -> FiniteGroup:
     if spec.upper() in BUILTIN_GROUP_NAMES:
         return builtin_group(spec)
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         try:
-            gspec = GroupSpec.from_path(path, size_cap=cap or 20000)
+            gspec = GroupSpec.from_path(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise GroupTableError(f"cannot read group spec {spec!r}: {exc}") from exc
         return build_group(gspec)
@@ -79,7 +84,8 @@ def _parse_coeffs(text: str) -> AbelianGroup:
     return AbelianGroup(tuple(e for e in factors if e != 1))
 
 
-def _parse_n_range(text: str) -> range:
+def _parse_n_range(text: str, cap: int) -> range:
+    """The n of ``--n`` (n or lo:hi), refused past ``cap`` before any work."""
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -87,6 +93,8 @@ def _parse_n_range(text: str) -> range:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty n range {text!r}")
+    if hi > cap:
+        raise SizeCapError(f"n={hi} exceeds cap {cap}")
     return range(lo, hi + 1)
 
 
@@ -99,104 +107,71 @@ def _emit(lines: list[dict], out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _cmd_count(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
+def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+    return {"n": n, "count": str(hom_count_wreath(group, coeffs, n, cap=cap))}
+
+
+def _pfree_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+    return {"n": n, "p": str(fixed_point_free_probability(group, coeffs, n))}
+
+
+def _delta_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+    return distribution_to_json(delta_distribution(group, coeffs, n))
+
+
+def _weyl_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+    count = weyl_hom_count(group, n)
+    total = hom_count_wreath(group, coeffs, n, cap=cap)
+    return {
+        "n": n,
+        "count": str(count),
+        "ratio": str(Fraction(count, total)),
+        "limit": str(weyl_limit_ratio(group)),
+    }
+
+
+def _cmd_table(args, ns: range, cap: int) -> int:
+    """One JSON line per n from the subcommand's row function."""
+    group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    lines = []
-    for n in _parse_n_range(args.n):
-        count = hom_count_wreath(group, coeffs, n, cap=cap or 10**5)
-        lines.append({"n": n, "count": str(count)})
-    _emit(lines, args.out)
+    _emit([args.row(group, coeffs, n, cap) for n in ns], args.out)
     return EXIT_OK
 
 
-def _cmd_pfree(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
-    coeffs = _parse_coeffs(args.A)
-    lines = []
-    for n in _parse_n_range(args.n):
-        if cap is not None and n > cap:
-            raise SizeCapError(f"n={n} exceeds cap {cap}")
-        p = fixed_point_free_probability(group, coeffs, n)
-        lines.append({"n": n, "p": str(p)})
-    _emit(lines, args.out)
-    return EXIT_OK
-
-
-def _cmd_delta(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
-    coeffs = _parse_coeffs(args.A)
-    lines = []
-    for n in _parse_n_range(args.n):
-        if cap is not None and n > cap:
-            raise SizeCapError(f"n={n} exceeds cap {cap}")
-        lines.append(distribution_to_json(delta_distribution(group, coeffs, n)))
-    _emit(lines, args.out)
-    return EXIT_OK
-
-
-def _cmd_weyl(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
-    c2 = AbelianGroup((2,))
-    limit = weyl_limit_ratio(group)
-    lines = []
-    for n in _parse_n_range(args.n):
-        if cap is not None and n > cap:
-            raise SizeCapError(f"n={n} exceeds cap {cap}")
-        count = weyl_hom_count(group, n)
-        total = hom_count_wreath(group, c2, n, cap=cap or 10**5)
-        lines.append(
-            {
-                "n": n,
-                "count": str(count),
-                "ratio": str(Fraction(count, total)),
-                "limit": str(limit),
-            }
-        )
-    _emit(lines, args.out)
-    return EXIT_OK
-
-
-def _cmd_sample(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
-    coeffs = _parse_coeffs(args.A)
-    rng = random.Random(args.seed)
-    ns = _parse_n_range(args.n)
+def _cmd_sample(args, ns: range, cap: int) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if len(ns) != 1:
         raise ValueError("sample takes a single n, not a range")
-    n = ns[0]
-    lines = [sample_hom(group, coeffs, n, rng).to_json() for _ in range(args.samples)]
+    group = _load_group(args.group)
+    coeffs = _parse_coeffs(args.A)
+    rng = random.Random(args.seed)
+    lines = [sample_hom(group, coeffs, ns[0], rng).to_json() for _ in range(args.samples)]
     _emit(lines, args.out)
     return EXIT_OK
 
 
-def _default_check_cells() -> list[tuple[str, str, int]]:
-    cells = []
-    for gname in ("C1", "C2", "C3", "V4", "S3"):
-        for a in ("2", "3"):
-            for n in (1, 2, 3):
-                cells.append((gname, a, n))
-    return cells
-
-
-def _cmd_oracle_check(args, cap: Optional[int]) -> int:
-    if args.group is not None:
-        ns = _parse_n_range(args.n) if args.n else range(1, 4)
-        cells = [(args.group, args.A, n) for n in ns]
+def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
+    if ns is None:
+        ns = _parse_n_range("1:3", cap)
+    elif args.group is None:
+        raise UsageError("oracle-check --n needs --group")
+    if args.group is None:  # the default desk-scale grid
+        gnames, a_texts = ("C1", "C2", "C3", "V4", "S3"), ("2", "3")
     else:
-        cells = _default_check_cells()
-    size_cap = cap or 10**6
+        gnames, a_texts = (args.group,), (args.A,)
+    cells = [(gname, a_text, n) for gname in gnames for a_text in a_texts for n in ns]
     lines = []
     all_ok = True
     for gname, a_text, n in cells:
-        group = _load_group(gname, cap)
+        group = _load_group(gname)
         coeffs = _parse_coeffs(a_text)
-        wreath = build_wreath_group(coeffs, n, size_cap=size_cap)
+        wreath = build_wreath_group(coeffs, n)
         homs = enumerate_homs(group, wreath)
         count_rec = hom_count_wreath(group, coeffs, n)
         count_dir = hom_count_direct(group, coeffs, n)
         engine_delta = delta_distribution(group, coeffs, n)
-        brute_delta = oracle_delta(group, coeffs, n, size_cap=size_cap)
+        brute_delta = oracle_delta(group, coeffs, n)
         delta_match = engine_delta.fiber_counts == brute_delta.fiber_counts
         strata_uniform = fixed_point_strata_uniform(group, coeffs, wreath, homs)
         ok = count_rec == count_dir == len(homs) and delta_match and strata_uniform
@@ -254,14 +229,17 @@ def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> di
     }
 
 
-def _cmd_fit_decay(args, cap: Optional[int]) -> int:
-    group = _load_group(args.group, cap)
+def _cmd_fit_decay(args, ns: range, cap: int) -> int:
+    group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    ns = _parse_n_range(args.n)
-    if cap is not None and ns[-1] > cap:
-        raise SizeCapError(f"n={ns[-1]} exceeds cap {cap}")
     _emit([fit_decay(group, coeffs, list(ns))], args.out)
     return EXIT_OK
+
+
+CAP_HELP = (
+    f"largest n allowed, checked before any work (default {DEFAULT_RECURRENCE_CAP}, "
+    f"or ${CAP_ENV_VAR})"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,30 +249,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_a=True, with_n=True):
+    def common(p, with_a=True):
         p.add_argument("--group", required=True, help="builtin name (C1..Q8) or path to a group spec JSON")
         if with_a:
             p.add_argument("--A", default="2", help="invariant factors of A, comma separated (e.g. 2 or 2,2)")
-        if with_n:
-            p.add_argument("--n", required=True, help="n or inclusive range lo:hi")
+        p.add_argument("--n", required=True, help="n or inclusive range lo:hi")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--cap", type=int, default=None, help="override size caps")
+        p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
-    p = sub.add_parser("count", help="|Hom(G, A wr S_n)| table")
-    common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("pfree", help="fixed-point-free probability table")
-    common(p)
-    p.set_defaults(func=_cmd_pfree)
-
-    p = sub.add_parser("delta", help="exact fold-value distribution table")
-    common(p)
-    p.set_defaults(func=_cmd_delta)
+    for name, row, help_text in (
+        ("count", _count_row, "|Hom(G, A wr S_n)| table"),
+        ("pfree", _pfree_row, "fixed-point-free probability table"),
+        ("delta", _delta_row, "exact fold-value distribution table"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(func=_cmd_table, row=row)
 
     p = sub.add_parser("weyl", help="type-D Weyl homomorphism counts and ratios")
     common(p, with_a=False)
-    p.set_defaults(func=_cmd_weyl)
+    p.set_defaults(func=_cmd_table, row=_weyl_row, A="2")
 
     p = sub.add_parser("sample", help="uniform homomorphism draws as JSON lines")
     common(p)
@@ -305,9 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="desk-scale verification against brute force")
     p.add_argument("--group", default=None, help="restrict to one group")
     p.add_argument("--A", default="2")
-    p.add_argument("--n", default=None, help="n or range (with --group)")
+    p.add_argument("--n", default=None, help="n or range (with --group; default 1:3)")
     p.add_argument("--out", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("fit-decay", help="regress log p_n on n^(1/d)")
@@ -317,18 +291,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_cap(args) -> int:
+    if args.cap is not None:
+        return args.cap
+    text = os.environ.get(CAP_ENV_VAR)
+    if not text:
+        return DEFAULT_RECURRENCE_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+
+
 def execute(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cap = args.cap
-    if cap is None and os.environ.get(CAP_ENV_VAR):
-        try:
-            cap = int(os.environ[CAP_ENV_VAR])
-        except ValueError:
-            print(f"error: {CAP_ENV_VAR} must be an integer, got {os.environ[CAP_ENV_VAR]!r}", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        return args.func(args, cap)
+        cap = _resolve_cap(args)
+        ns = None if args.n is None else _parse_n_range(args.n, cap)
+        return args.func(args, ns, cap)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UnknownGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_BUILTIN

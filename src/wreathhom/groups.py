@@ -215,25 +215,22 @@ class GroupSpec:
     name: str
     table: Optional[tuple[tuple[int, ...], ...]] = None
     perm_generators: Optional[tuple[tuple[int, ...], ...]] = None
-    size_cap: int = DEFAULT_SIZE_CAP
 
     @staticmethod
-    def from_json(data: dict, size_cap: int = DEFAULT_SIZE_CAP) -> "GroupSpec":
+    def from_json(data: dict) -> "GroupSpec":
         name = data.get("name", "G")
         table = data.get("table")
         perms = data.get("permGenerators")
         if (table is None) == (perms is None):
             raise GroupTableError("group spec needs exactly one of 'table' or 'permGenerators'")
         if table is not None:
-            return GroupSpec(name, table=tuple(tuple(int(x) for x in r) for r in table), size_cap=size_cap)
-        return GroupSpec(
-            name, perm_generators=tuple(tuple(int(x) for x in p) for p in perms), size_cap=size_cap
-        )
+            return GroupSpec(name, table=tuple(tuple(int(x) for x in r) for r in table))
+        return GroupSpec(name, perm_generators=tuple(tuple(int(x) for x in p) for p in perms))
 
     @staticmethod
-    def from_path(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> "GroupSpec":
+    def from_path(path: str | Path) -> "GroupSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return GroupSpec.from_json(json.load(fh), size_cap=size_cap)
+            return GroupSpec.from_json(json.load(fh))
 
     def to_json(self) -> dict:
         if self.table is not None:
@@ -246,8 +243,8 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     if (spec.table is None) == (spec.perm_generators is None):
         raise GroupTableError("group spec needs exactly one of 'table' or 'permGenerators'")
     if spec.table is not None:
-        return group_from_table(spec.table, name=spec.name, size_cap=spec.size_cap)
-    return group_from_permutations(spec.perm_generators, name=spec.name, size_cap=spec.size_cap)
+        return group_from_table(spec.table, name=spec.name)
+    return group_from_permutations(spec.perm_generators, name=spec.name)
 
 
 def group_from_table(
@@ -255,7 +252,6 @@ def group_from_table(
     name: str = "G",
     generators: Optional[Sequence[int]] = None,
     element_names: Optional[Sequence[str]] = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> FiniteGroup:
     """Build a group from an explicit table, relabeling so the identity is 0.
 
@@ -263,8 +259,8 @@ def group_from_table(
     """
     rows = tuple(tuple(int(x) for x in row) for row in table)
     _validate_table_shape(rows)
-    if len(rows) > size_cap:
-        raise SizeCapError(f"table has {len(rows)} elements, exceeding cap {size_cap}")
+    if len(rows) > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"table has {len(rows)} elements, exceeding cap {DEFAULT_SIZE_CAP}")
     d = len(rows)
     ident = next(
         (e for e in range(d) if all(rows[e][j] == j for j in range(d)) and all(rows[j][e] == j for j in range(d))),
@@ -696,7 +692,8 @@ def _abelian_decomposition(
                     continue
                 if best is None or o > orders[best]:
                     best = x
-            assert best is not None, "abelian decomposition stalled"
+            if best is None:
+                raise InvariantError("abelian decomposition stalled")
             picked.append((best, orders[best]))
             span = {mul(s, _fn_power(mul, identity, best, t)) for s in span for t in range(orders[best])}
         per_prime[p] = picked
@@ -721,7 +718,8 @@ def _abelian_decomposition(
         for g, c in zip(gens, combo):
             x = mul(x, _fn_power(mul, identity, g, c))
         vec_of[x] = combo
-    assert len(vec_of) == n, "invariant-factor coordinates are not a bijection"
+    if len(vec_of) != n:
+        raise InvariantError("invariant-factor coordinates are not a bijection")
     return factors, gens, vec_of
 
 

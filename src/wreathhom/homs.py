@@ -16,6 +16,7 @@ from typing import Sequence
 from .groups import (
     AbelianGroup,
     FiniteGroup,
+    InvariantError,
     abelian_index_tables,
     abelianization,
     full_group_class,
@@ -42,7 +43,8 @@ def abelian_homs(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple
         images = [v for v in coeffs.vectors() if coeffs.scalar_mul(b, v) == coeffs.zero()]
         per_factor.append(images)
     homs = [tuple(combo) for combo in itertools.product(*per_factor)]
-    assert len(homs) == hom_count_abelian(source, coeffs)
+    if len(homs) != hom_count_abelian(source, coeffs):
+        raise InvariantError("abelian hom enumeration disagrees with the gcd count")
     return homs
 
 
@@ -84,7 +86,7 @@ class HomGroup:
         self.size = len(self.elements)
         self._index = {h.values: i for i, h in enumerate(self.elements)}
         if self.elements[0].values != (0,) * group.order:
-            raise AssertionError("trivial homomorphism missing or not first")
+            raise InvariantError("trivial homomorphism missing or not first")
         add_idx, neg_idx = abelian_index_tables(coeffs)
         self.add_table = tuple(
             tuple(
@@ -124,7 +126,8 @@ def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
             for g in range(group.order)
         )
         homs.append(AbelianHom(values))
-    assert len({h.values for h in homs}) == len(homs)
+    if len({h.values for h in homs}) != len(homs):
+        raise InvariantError("distinct abelian homs lift to equal maps on G")
     return HomGroup(group, coeffs, homs)
 
 

@@ -160,16 +160,10 @@ def enumerate_homs(group: FiniteGroup, target, tuple_cap: int = DEFAULT_TUPLE_CA
     return homs
 
 
-def oracle_delta(
-    group: FiniteGroup,
-    coeffs: AbelianGroup,
-    n: int,
-    size_cap: int = DEFAULT_WREATH_CAP,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-) -> DistributionTable:
+def oracle_delta(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> DistributionTable:
     """Exact fold-value distribution by exhaustive enumeration."""
-    target = build_wreath_group(coeffs, n, size_cap=size_cap)
-    homs = enumerate_homs(group, target, tuple_cap=tuple_cap)
+    target = build_wreath_group(coeffs, n)
+    homs = enumerate_homs(group, target)
     hg = hom_group(group, coeffs)
     fibers = [0] * hg.size
     for img in homs:

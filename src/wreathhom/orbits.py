@@ -66,7 +66,8 @@ def transfer_values_for_transversal(
         perm = action.perms[g]
         for j in range(action.degree):
             x = group.mul(group.inv(transversal[perm[j]]), group.mul(g, transversal[j]))
-            assert x in members
+            if x not in members:
+                raise InvariantError(f"transfer factor {x} of element {g} is not in the subgroup")
             acc = ab.group.add(acc, ab.projection[x])
         values.append(acc)
     return tuple(values)

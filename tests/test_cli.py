@@ -116,10 +116,73 @@ def test_cap_exceeded_exit_code(capsys):
     assert execute(["count", "--group", "C2", "--A", "2", "--n", "50", "--cap", "10"]) == EXIT_CAP_EXCEEDED
 
 
-def test_cap_env_var(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["count", "sample"])
+def test_cap_env_var(command, capsys, monkeypatch):
     monkeypatch.setenv("WREATHHOM_CAP", "10")
-    assert execute(["count", "--group", "C2", "--A", "2", "--n", "50"]) == EXIT_CAP_EXCEEDED
-    monkeypatch.delenv("WREATHHOM_CAP")
+    assert execute([command, "--group", "C2", "--A", "2", "--n", "50"]) == EXIT_CAP_EXCEEDED
+
+
+# Every subcommand that takes --n, with the arguments it needs besides --n.
+N_COMMANDS = [
+    ["count", "--group", "C2"],
+    ["pfree", "--group", "C2"],
+    ["delta", "--group", "C2"],
+    ["weyl", "--group", "C2"],
+    ["sample", "--group", "C2"],
+    ["fit-decay", "--group", "C2"],
+    ["oracle-check", "--group", "C2"],
+]
+
+
+@pytest.fixture
+def no_group_loads(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("group loaded before the n limit was checked")
+
+    monkeypatch.setattr(cli, "_load_group", no_work)
+
+
+@pytest.mark.parametrize("cap_args, n", [([], "100001"), (["--cap", "3"], "4")], ids=["default", "cap3"])
+@pytest.mark.parametrize("argv", N_COMMANDS, ids=lambda argv: argv[0])
+def test_n_past_cap_refused_before_any_work(argv, cap_args, n, no_group_loads, capsys, monkeypatch):
+    monkeypatch.delenv("WREATHHOM_CAP", raising=False)
+    assert execute(argv + ["--n", n] + cap_args) == EXIT_CAP_EXCEEDED
+    assert capsys.readouterr().out == ""
+
+
+def test_cap_applies_to_default_oracle_grid(no_group_loads, capsys):
+    assert execute(["oracle-check", "--cap", "2"]) == EXIT_CAP_EXCEEDED
+    assert capsys.readouterr().out == ""
+
+
+def test_cap_is_not_a_group_size_limit(tmp_path, capsys):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"name": "S3", "permGenerators": [[1, 0, 2], [1, 2, 0]]}))
+    code, from_spec = run_lines(capsys, ["count", "--group", str(path), "--n", "2", "--cap", "5"])
+    assert code == EXIT_OK
+    assert from_spec == run_lines(capsys, ["count", "--group", "S3", "--n", "2", "--cap", "5"])[1]
+
+
+@pytest.mark.parametrize("command", ["count", "pfree"])
+def test_cap_zero_allows_n_zero(command, capsys):
+    assert execute([command, "--group", "C2", "--n", "0", "--cap", "0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["count", "weyl"])
+def test_cap_above_default_reaches_the_recurrence(command, capsys):
+    # the trivial group has one homomorphism into any group, so every table entry is 1
+    code, lines = run_lines(capsys, [command, "--group", "C1", "--n", "100001", "--cap", "100001"])
+    assert code == EXIT_OK
+    assert lines[0]["count"] == "1"
+
+
+def test_oracle_check_n_needs_group(capsys):
+    assert execute(["oracle-check", "--n", "7"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_sample_negative_samples_is_usage_error(capsys):
+    assert execute(["sample", "--group", "C2", "--n", "3", "--samples", "-4"]) == EXIT_USAGE
 
 
 def test_oracle_check_single_cell(capsys):
