@@ -160,12 +160,12 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
         gnames, a_texts = ("C1", "C2", "C3", "V4", "S3"), ("2", "3")
     else:
         gnames, a_texts = (args.group,), (args.A,)
-    cells = [(gname, a_text, n) for gname in gnames for a_text in a_texts for n in ns]
+    groups = [_load_group(gname) for gname in gnames]
+    coeffs_list = [_parse_coeffs(a_text) for a_text in a_texts]
+    cells = [(group, coeffs, n) for group in groups for coeffs in coeffs_list for n in ns]
     lines = []
     all_ok = True
-    for gname, a_text, n in cells:
-        group = _load_group(gname)
-        coeffs = _parse_coeffs(a_text)
+    for group, coeffs, n in cells:
         wreath = build_wreath_group(coeffs, n)
         homs = enumerate_homs(group, wreath)
         count_rec = hom_count_wreath(group, coeffs, n)

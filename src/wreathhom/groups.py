@@ -44,6 +44,8 @@ class FiniteGroup:
     element into generators, discovered by breadth-first closure: element
     ``x = parent * generators[gen_idx]``.  Walking ``eval_order`` therefore
     lets a caller push any map of the generators forward to all elements.
+    Without ``generators`` a small generating set is picked greedily.  The
+    table is validated here, once, whatever built it.
     """
 
     identity = 0
@@ -51,10 +53,9 @@ class FiniteGroup:
     def __init__(
         self,
         mul_table: Sequence[Sequence[int]],
-        generators: Sequence[int],
+        generators: Optional[Sequence[int]] = None,
         name: str = "G",
         element_names: Optional[Sequence[str]] = None,
-        check_associativity: bool = True,
     ) -> None:
         self.name = str(name)
         self.mul_table = tuple(tuple(int(x) for x in row) for row in mul_table)
@@ -63,13 +64,15 @@ class FiniteGroup:
         _validate_table_shape(self.mul_table)
         _validate_identity(self.mul_table)
         self.inv_table = _inverse_table(self.mul_table)
-        if check_associativity:
-            _validate_associativity(self.mul_table)
+        _validate_latin(self.mul_table)
+        if generators is None:
+            generators = _greedy_generators(self)
         self.generators = tuple(dict.fromkeys(int(g) for g in generators))
         for g in self.generators:
             if not 0 <= g < self.order:
                 raise GroupTableError(f"generator {g} out of range")
         self.eval_order, self.parent_word = _generator_words(self.mul_table, self.generators)
+        _validate_associativity(self.mul_table, self.generators)
         self._hash = hash((self.mul_table, self.generators))
 
     def mul(self, a: int, b: int) -> int:
@@ -78,14 +81,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inv_table[a]
 
-    def power(self, a: int, m: int) -> int:
-        if m < 0:
-            return self.power(self.inv_table[a], -m)
-        result = 0
-        for _ in range(m):
-            result = self.mul_table[result][a]
-        return result
-
     def element_order(self, a: int) -> int:
         order = 1
         x = a
@@ -93,9 +88,6 @@ class FiniteGroup:
             x = self.mul_table[x][a]
             order += 1
         return order
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def element_name(self, a: int) -> str:
         if self.element_names is not None:
@@ -165,17 +157,28 @@ def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _validate_associativity(table: tuple[tuple[int, ...], ...]) -> None:
-    d = len(table)
-    for a in range(d):
-        row_a = table[a]
-        for b in range(d):
-            ab = row_a[b]
-            row_b = table[b]
-            row_ab = table[ab]
-            for c in range(d):
-                if row_ab[c] != row_a[row_b[c]]:
-                    raise GroupTableError(f"table is not associative at ({a},{b},{c})")
+def _validate_latin(table: tuple[tuple[int, ...], ...]) -> None:
+    """Rows and columns are permutations: with two-sided inverses, a repeated
+    entry breaks cancellation, so the table cannot be associative."""
+    for kind, lines in (("row", table), ("column", zip(*table))):
+        for i, line in enumerate(lines):
+            if len(set(line)) != len(table):
+                raise GroupTableError(f"table is not associative: {kind} {i} repeats an entry")
+
+
+def _validate_associativity(table: tuple[tuple[int, ...], ...], generators: tuple[int, ...]) -> None:
+    """Light's test: (x s) y == x (s y) for every generator s and all x, y.
+
+    The s that pass are closed under products, and the BFS has shown that the
+    generators reach every element, so passing for them suffices.
+    """
+    for s in generators:
+        row_s = table[s]
+        for x, row_x in enumerate(table):
+            row_xs = table[row_x[s]]
+            for y, sy in enumerate(row_s):
+                if row_xs[y] != row_x[sy]:
+                    raise GroupTableError(f"table is not associative at ({x},{s},{y})")
 
 
 def _generator_words(
@@ -255,7 +258,7 @@ def group_from_table(
 ) -> FiniteGroup:
     """Build a group from an explicit table, relabeling so the identity is 0.
 
-    Runs the full O(d^3) associativity check; intended for small explicit input.
+    ``FiniteGroup`` validates it, checking associativity in O(d^2 |S|).
     """
     rows = tuple(tuple(int(x) for x in row) for row in table)
     _validate_table_shape(rows)
@@ -276,11 +279,7 @@ def group_from_table(
         if generators is not None:
             swap = {0: ident, ident: 0}
             generators = [swap.get(g, g) for g in generators]
-    probe = FiniteGroup(rows, generators=range(d), name=name, element_names=element_names)
-    if generators is None:
-        generators = _greedy_generators(probe)
-    return FiniteGroup(rows, generators=generators, name=name, element_names=element_names,
-                       check_associativity=False)
+    return FiniteGroup(rows, generators=generators, name=name, element_names=element_names)
 
 
 def _relabel_table(rows: tuple[tuple[int, ...], ...], ident: int) -> tuple[tuple[int, ...], ...]:
@@ -339,7 +338,7 @@ def group_from_permutations(
         for pa in elems
     ]
     gen_indices = [index[p] for p in gens]
-    return FiniteGroup(table, generators=gen_indices, name=name, check_associativity=False)
+    return FiniteGroup(table, generators=gen_indices, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +418,6 @@ class AbelianGroup:
     def order(self) -> int:
         return math.prod(self.invariant_factors)
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.invariant_factors)
 
@@ -494,48 +489,37 @@ def _conjugate_set(group: FiniteGroup, subgroup: frozenset[int], g: int) -> froz
     return frozenset(group.mul(group.mul(g, u), gi) for u in subgroup)
 
 
-def _all_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
-    """All subgroups: cyclic subgroups closed under pairwise joins."""
-    subs: set[frozenset[int]] = set()
-    for a in range(group.order):
-        subs.add(group.subgroup_closure([a]))
-    while True:
-        new: set[frozenset[int]] = set()
-        current = sorted(subs, key=lambda s: (len(s), sorted(s)))
-        for h, k in itertools.combinations(current, 2):
-            if h <= k or k <= h:
-                continue
-            join = group.subgroup_closure(h | k)
-            if join not in subs:
-                new.add(join)
-        if not new:
-            return subs
-        subs |= new
-
-
 @lru_cache(maxsize=None)
 def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
-    """All subgroups up to conjugacy, ordered by size with the full group last."""
-    subs = _all_subgroups(group)
+    """All subgroups up to conjugacy, ordered by size with the full group last.
+
+    Cyclic extension over class representatives: from the trivial subgroup,
+    each new class's representative is extended by every element outside
+    it.  Extension commutes with conjugation, so every class is reached.
+    Each class's orbit is computed once; orbit-stabilizer gives |N(U)|.
+    """
     seen: set[frozenset[int]] = set()
     classes: list[SubgroupClass] = []
-    for rep in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        if rep in seen:
+    todo = {frozenset({0})}
+    while todo:
+        subgroup = todo.pop()
+        if subgroup in seen:
             continue
-        orbit = {_conjugate_set(group, rep, g) for g in range(group.order)}
+        orbit = {_conjugate_set(group, subgroup, g) for g in range(group.order)}
         seen |= orbit
-        canonical = min(orbit, key=lambda s: sorted(s))
-        normalizer = sum(1 for g in range(group.order) if _conjugate_set(group, canonical, g) == canonical)
+        rep = min(orbit, key=sorted)
+        normalizer = group.order // len(orbit)
         classes.append(
             SubgroupClass(
-                elements=tuple(sorted(canonical)),
-                index=group.order // len(canonical),
+                elements=tuple(sorted(rep)),
+                index=group.order // len(rep),
                 normalizer_order=normalizer,
-                centralizer_order=normalizer // len(canonical),
-                conjugate_count=group.order // normalizer,
-                is_full_group=len(canonical) == group.order,
+                centralizer_order=normalizer // len(rep),
+                conjugate_count=len(orbit),
+                is_full_group=len(rep) == group.order,
             )
         )
+        todo.update(group.subgroup_closure(rep | {g}) for g in range(group.order) if g not in rep)
     classes.sort(key=lambda c: (c.order, c.elements))
     return tuple(classes)
 

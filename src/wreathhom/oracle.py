@@ -17,6 +17,7 @@ from .groups import (
     FiniteGroup,
     PermutationAction,
     SizeCapError,
+    _fn_power,
     abelian_index_tables,
 )
 from .homs import hom_group
@@ -89,12 +90,6 @@ class ExplicitWreath:
         decor = tuple(self._neg[d[pinv[i]]] for i in range(self.degree))
         return self.encode(pinv, decor)
 
-    def power(self, x: int, m: int) -> int:
-        out = self.identity
-        for _ in range(m):
-            out = self.mul(out, x)
-        return out
-
     def active(self, e: int) -> tuple[int, ...]:
         """Projection to the symmetric group."""
         return self.decode(e)[0]
@@ -132,12 +127,12 @@ def enumerate_homs(group: FiniteGroup, target, tuple_cap: int = DEFAULT_TUPLE_CA
         raise SizeCapError(
             f"search space {target.order}^{len(gens)} exceeds cap {tuple_cap}"
         )
+    mul, e = target.mul, target.identity
     candidates = []
     for g in gens:
         o = group.element_order(g)
-        candidates.append([t for t in range(target.order) if target.power(t, o) == target.identity])
+        candidates.append([t for t in range(target.order) if _fn_power(mul, e, t, o) == e])
     d = group.order
-    mul = target.mul
     homs: list[tuple[int, ...]] = []
     for images in itertools.product(*candidates):
         img = [0] * d

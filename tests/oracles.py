@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own algorithms: subgroups by subset
 enumeration, abelian invariants by order counting, hom counts by direct
-solution counting, and the counting recurrence class by class in Fraction.
+solution counting, the counting recurrence class by class in Fraction, and
+subgroup classes by joining pairs of subgroups until nothing new appears.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from wreathhom import SubgroupClass
 
 
 def brute_subgroups(group) -> set[frozenset[int]]:
@@ -147,3 +150,53 @@ def reference_tables(orbit_data, add_table, n):
         free.append(int(free_s))
         fibers.append(tuple(int(f) for f in fiber))
     return totals, free, fibers
+
+
+def _conjugate(group, subgroup, g):
+    gi = group.inv(g)
+    return frozenset(group.mul(group.mul(g, u), gi) for u in subgroup)
+
+
+def reference_all_subgroups(group) -> set[frozenset[int]]:
+    """All subgroups: cyclic subgroups closed under pairwise joins."""
+    subs = {group.subgroup_closure([a]) for a in range(group.order)}
+    while True:
+        new = set()
+        current = sorted(subs, key=lambda s: (len(s), sorted(s)))
+        for h, k in itertools.combinations(current, 2):
+            if h <= k or k <= h:
+                continue
+            join = group.subgroup_closure(h | k)
+            if join not in subs:
+                new.add(join)
+        if not new:
+            return subs
+        subs |= new
+
+
+def reference_subgroup_classes(group) -> tuple:
+    """``subgroup_classes`` from the whole lattice: each class's orbit under
+    every element, its normalizer counted by conjugating the representative
+    by every element, classes ordered by (order, sorted elements)."""
+    d = group.order
+    seen = set()
+    classes = []
+    for sub in sorted(reference_all_subgroups(group), key=lambda s: (len(s), sorted(s))):
+        if sub in seen:
+            continue
+        orbit = {_conjugate(group, sub, g) for g in range(d)}
+        seen |= orbit
+        rep = min(orbit, key=sorted)
+        normalizer = sum(1 for g in range(d) if _conjugate(group, rep, g) == rep)
+        classes.append(
+            SubgroupClass(
+                elements=tuple(sorted(rep)),
+                index=d // len(rep),
+                normalizer_order=normalizer,
+                centralizer_order=normalizer // len(rep),
+                conjugate_count=d // normalizer,
+                is_full_group=len(rep) == d,
+            )
+        )
+    classes.sort(key=lambda c: (c.order, c.elements))
+    return tuple(classes)

@@ -193,6 +193,18 @@ def test_oracle_check_single_cell(capsys):
     assert lines[0]["count"] == lines[0]["oracle"]
 
 
+def test_oracle_check_loads_group_once(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "c2.json"
+    spec.write_text(json.dumps({"name": "C2", "table": [[0, 1], [1, 0]]}))
+    built = []
+    real_build = cli.build_group
+    monkeypatch.setattr(cli, "build_group", lambda s: built.append(s) or real_build(s))
+    code, lines = run_lines(capsys, ["oracle-check", "--group", str(spec), "--n", "1:3"])
+    assert code == EXIT_OK
+    assert [l["n"] for l in lines[:-1]] == [1, 2, 3]
+    assert len(built) == 1
+
+
 def test_fit_decay_negative_slope(capsys):
     code, lines = run_lines(capsys, ["fit-decay", "--group", "C2", "--A", "2", "--n", "20:120"])
     assert code == EXIT_OK

@@ -1,4 +1,8 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathhom import (
     AbelianGroup,
@@ -15,7 +19,8 @@ from wreathhom import (
     group_from_table,
     subgroup_classes,
 )
-from oracles import brute_subgroups, compose, invariant_factors_from_counts
+from wreathhom.groups import FiniteGroup
+from oracles import brute_subgroups, compose, invariant_factors_from_counts, reference_subgroup_classes
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
@@ -26,6 +31,34 @@ def s3_x_c2():
 
 def a4():
     return group_from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+
+
+def s4():
+    return group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+
+
+def a5():
+    return group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], name="A5")
+
+
+def c2_4():
+    return group_from_permutations(
+        [tuple(i ^ 1 if i // 2 == k else i for i in range(8)) for k in range(4)], name="C2^4"
+    )
+
+
+def s5_table(seed):
+    """S5 as a 120 x 120 table, elements relabelled by the seed with the
+    identity kept at 0 (the benchmark's ``newgroup`` input)."""
+    perms = sorted(itertools.permutations(range(5)))
+    label = list(range(1, 120))
+    random.Random(seed).shuffle(label)
+    index = {p: ([0] + label)[i] for i, p in enumerate(perms)}
+    table = [[0] * 120 for _ in range(120)]
+    for a in perms:
+        for b in perms:
+            table[index[a]][index[b]] = index[compose(a, b)]
+    return table
 
 
 # --- construction ---------------------------------------------------------
@@ -70,6 +103,35 @@ def test_missing_identity_error():
 def test_non_associative_error():
     with pytest.raises(GroupTableError, match="associative"):
         group_from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+
+
+def test_repeated_column_entry_is_not_associative():
+    # rows are permutations and every element is its own inverse
+    with pytest.raises(GroupTableError, match="associative: column 1"):
+        group_from_table([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+
+
+def test_latin_loop_fails_light_test():
+    # Latin, identity 0, two-sided inverses: only Light's test can reject it
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupTableError, match="associative at"):
+        group_from_table(loop)
+    with pytest.raises(GroupTableError, match="associative at"):
+        FiniteGroup(loop, generators=range(5))
+
+
+@pytest.mark.parametrize(
+    "name, generators",
+    [("C1", ()), ("C2", (1,)), ("C3", (1,)), ("C4", (1,)), ("V4", (1, 2))],
+)
+def test_greedy_generators_pinned(name, generators):
+    # sample output depends on the generators, through the stored words
+    assert builtin_group(name).generators == generators
+    assert FiniteGroup(builtin_group(name).mul_table).generators == generators
+
+
+def test_greedy_generators_pinned_s5_table():
+    assert group_from_table(s5_table(0), name="S5").generators == (5, 6)
 
 
 def test_identity_relabeled_to_zero():
@@ -148,10 +210,7 @@ def test_subgroup_classes_trivial():
     assert classes[0].is_full_group
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_subgroup_classes_vs_subset_oracle(name):
-    g = builtin_group(name)
-    classes = subgroup_classes(g)
+def assert_classes_partition_subgroups(g, classes):
     brute = brute_subgroups(g)
     assert sum(c.conjugate_count for c in classes) == len(brute)
     # every class orbit is inside the brute set, and orbits partition it
@@ -166,6 +225,36 @@ def test_subgroup_classes_vs_subset_oracle(name):
         assert not (orbit & seen)
         seen |= orbit
     assert seen == brute
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_subgroup_classes_vs_subset_oracle(name):
+    g = builtin_group(name)
+    assert_classes_partition_subgroups(g, subgroup_classes(g))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [builtin_group(n) for n in BUILTINS]
+    + [s4(), a5(), c2_4(), group_from_table(s5_table(0), name="S5")],
+    ids=lambda g: g.name,
+)
+def test_subgroup_classes_vs_pairwise_join_reference(group):
+    assert subgroup_classes(group) == reference_subgroup_classes(group)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
+    )
+)
+def test_subgroup_classes_random_permutation_groups(perms):
+    g = group_from_permutations(perms)
+    classes = subgroup_classes(g)
+    assert classes == reference_subgroup_classes(g)
+    if g.order <= 10:
+        assert_classes_partition_subgroups(g, classes)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
