@@ -16,7 +16,7 @@ import statistics
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -86,25 +86,31 @@ def _parse_coeffs(text: str) -> AbelianGroup:
 
 def _parse_n_range(text: str, cap: int) -> range:
     """The n of ``--n`` (n or lo:hi), refused past ``cap`` before any work."""
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        if ":" in text:
+            lo_text, hi_text = text.split(":", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise UsageError(f"--n must be n or lo:hi with integers, got {text!r}") from None
+    if lo < 0:
+        raise UsageError(f"--n must be nonnegative, got {text!r}")
     if hi < lo:
-        raise ValueError(f"empty n range {text!r}")
+        raise UsageError(f"empty n range {text!r}")
     if hi > cap:
         raise SizeCapError(f"n={hi} exceeds cap {cap}")
     return range(lo, hi + 1)
 
 
-def _emit(lines: list[dict], out: Optional[str]) -> None:
-    text = "".join(json.dumps(line) + "\n" for line in lines)
+def _emit(rows: Iterable[dict], out: Optional[str]) -> None:
+    """Write one JSON line per row, and nothing unless every row is made."""
+    lines = [json.dumps(row) + "\n" for row in rows]
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
@@ -134,7 +140,7 @@ def _cmd_table(args, ns: range, cap: int) -> int:
     """One JSON line per n from the subcommand's row function."""
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    _emit([args.row(group, coeffs, n, cap) for n in ns], args.out)
+    _emit((args.row(group, coeffs, n, cap) for n in ns), args.out)
     return EXIT_OK
 
 
@@ -142,12 +148,11 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if len(ns) != 1:
-        raise ValueError("sample takes a single n, not a range")
+        raise UsageError(f"sample takes a single n, not the range {args.n!r}")
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
     rng = random.Random(args.seed)
-    lines = [sample_hom(group, coeffs, ns[0], rng).to_json() for _ in range(args.samples)]
-    _emit(lines, args.out)
+    _emit((sample_hom(group, coeffs, ns[0], rng).to_json() for _ in range(args.samples)), args.out)
     return EXIT_OK
 
 

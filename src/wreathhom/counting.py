@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .groups import (
     AbelianGroup,
@@ -98,8 +99,8 @@ class WreathHomCounter:
         )
         h = self.homs.size
         self.scale = math.lcm(*(od.c for od in self.orbit_data))
-        # w_i * scale / c_i per class, in class order: the sampler's stratum weights.
-        self.class_weights = tuple(od.weight * (self.scale // od.c) for od in self.orbit_data)
+        # (k_i, w_i * scale / c_i) per class, in class order: the sampler's stratum weights.
+        self._class_terms = tuple((od.k, od.weight * (self.scale // od.c)) for od in self.orbit_data)
         merged = {od.k: [0] * h for od in self.orbit_data}
         for od in self.orbit_data:
             for psi, x in enumerate(od.fiber):
@@ -112,6 +113,7 @@ class WreathHomCounter:
         self.totals: list[int] = [1]
         self._free: list[int] = [1]
         self._fibers: list[tuple[int, ...]] = [tuple(1 if i == 0 else 0 for i in range(h))]
+        self._strata_checked = 0  # stratum weights verified for every s up to here
 
     def _exact(self, acc: int, s: int, what: str) -> int:
         value, rest = divmod(acc, self.scale)
@@ -160,6 +162,24 @@ class WreathHomCounter:
             self._free.append(self._scalar_step(self._free_terms, self._free, "fixed-point-free count"))
         while fibers and len(self._fibers) <= n:
             self._fibers.append(self._fiber_step())
+
+    def stratum_weights(self, s: int) -> Iterator[int]:
+        """Per-class weights k (s-1)_(k-1) (w_i L / c_i) t_(s-k) of the backward
+        walk at size s, in class order, each computed only when the next is
+        asked for.  They sum to ``scale * totals[s]``; ``check_strata``
+        verifies that.
+        """
+        table = self.totals
+        for k, a in self._class_terms:
+            yield k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0
+
+    def check_strata(self, n: int) -> None:
+        """Extend ``totals`` to n and check each stratum sum once per s."""
+        self.extend_to(n)
+        for s in range(self._strata_checked + 1, n + 1):
+            if sum(self.stratum_weights(s)) != self.totals[s] * self.scale:
+                raise InvariantError(f"stratum weights do not sum to the count at n={s}")
+            self._strata_checked = s
 
     def count(self, n: int) -> int:
         self.extend_to(n)

@@ -494,9 +494,10 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
     """All subgroups up to conjugacy, ordered by size with the full group last.
 
     Cyclic extension over class representatives: from the trivial subgroup,
-    each new class's representative is extended by every element outside
-    it.  Extension commutes with conjugation, so every class is reached.
-    Each class's orbit is computed once; orbit-stabilizer gives |N(U)|.
+    each new class's representative R is extended by one element g of each
+    double coset RgR outside R, since <R, g> is the same for all of them.
+    Extension commutes with conjugation, so every class is reached.  Each
+    class's orbit is computed once; orbit-stabilizer gives |N(U)|.
     """
     seen: set[frozenset[int]] = set()
     classes: list[SubgroupClass] = []
@@ -519,7 +520,11 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
                 is_full_group=len(rep) == group.order,
             )
         )
-        todo.update(group.subgroup_closure(rep | {g}) for g in range(group.order) if g not in rep)
+        covered = set(rep)
+        for g in range(group.order):
+            if g not in covered:
+                todo.add(group.subgroup_closure(rep | {g}))
+                covered.update(group.mul(group.mul(r, g), q) for r in rep for q in rep)
     classes.sort(key=lambda c: (c.order, c.elements))
     return tuple(classes)
 

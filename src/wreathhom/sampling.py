@@ -10,7 +10,6 @@ reproducible per seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,26 +96,26 @@ def sample_orbit_type(
 
     Backward walk on the counting table: at size s, class i is chosen with
     probability k_i (s-1)_(k_i-1) (w_i / c_i) t_(s-k_i) / t_s, realized by
-    integer draws over the counter's common denominator.
+    one integer draw over the counter's common denominator.  The draw comes
+    first; the class weights are then computed in class order only until
+    the draw falls below one.  The counter checks once per s that the
+    weights sum to the count.
     """
     counter = counter_for(group, coeffs)
-    counter.extend_to(n)
+    counter.check_strata(n)
     table = counter.totals
-    terms = [(od.k, a) for od, a in zip(counter.orbit_data, counter.class_weights)]
-    m = [0] * len(terms)
+    m = [0] * len(counter.classes)
     s = n
     while s > 0:
-        weights = [k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0 for k, a in terms]
-        total = table[s] * counter.scale
-        if sum(weights) != total:
-            raise InvariantError(f"stratum weights do not sum to the count at n={s}")
-        r = rng.randrange(total)
-        for i, w in enumerate(weights):
+        r = rng.randrange(table[s] * counter.scale)
+        for i, w in enumerate(counter.stratum_weights(s)):
             if r < w:
                 m[i] += 1
-                s -= terms[i][0]
+                s -= counter.orbit_data[i].k
                 break
             r -= w
+        else:
+            raise InvariantError(f"stratum walk chose no class at n={s}")
     return tuple(m)
 
 

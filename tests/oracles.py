@@ -152,6 +152,33 @@ def reference_tables(orbit_data, add_table, n):
     return totals, free, fibers
 
 
+def reference_orbit_type(orbit_data, totals, n, rng):
+    """The backward walk as first written: every class weight at every step.
+
+    At size s all weights (k_i w_i / c_i) (s-1)_(k_i-1) t_(s-k_i), scaled by
+    L = lcm(c_i), are built and checked to sum to L t_s before one draw
+    below L t_s picks a class in class order.
+    """
+    scale = math.lcm(*(od.c for od in orbit_data))
+    m = [0] * len(orbit_data)
+    s = n
+    while s > 0:
+        weights = [
+            Fraction(od.k * math.perm(s - 1, od.k - 1) * od.weight, od.c) * scale * totals[s - od.k]
+            if od.k <= s else 0
+            for od in orbit_data
+        ]
+        assert sum(weights) == scale * totals[s]
+        r = rng.randrange(scale * totals[s])
+        for i, w in enumerate(weights):
+            if r < w:
+                m[i] += 1
+                s -= orbit_data[i].k
+                break
+            r -= w
+    return tuple(m)
+
+
 def _conjugate(group, subgroup, g):
     gi = group.inv(g)
     return frozenset(group.mul(group.mul(g, u), gi) for u in subgroup)

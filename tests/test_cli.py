@@ -23,9 +23,9 @@ from wreathhom import AbelianGroup, InvariantError, builtin_group, hom_count_wre
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*args):
+def run_module(*args, flags=()):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "wreathhom", *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *flags, "-m", "wreathhom", *args], env=env, capture_output=True, text=True)
 
 
 def run_lines(capsys, argv):
@@ -185,6 +185,64 @@ def test_sample_negative_samples_is_usage_error(capsys):
     assert execute(["sample", "--group", "C2", "--n", "3", "--samples", "-4"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--group", "C2", "--n", "1:3"],
+        ["count", "--group", "C2", "--n", "5:3"],
+        ["count", "--group", "C2", "--n", "abc"],
+        ["count", "--group", "C2", "--n", "2:x"],
+        ["count", "--group", "C2", "--n=-1"],
+        ["delta", "--group", "C2", "--n=-2:3"],
+        ["sample", "--group", "C2", "--n=-1"],
+    ],
+    ids=["sample-range", "empty-range", "not-a-number", "bad-hi", "negative", "negative-lo", "sample-negative"],
+)
+def test_malformed_n_is_usage_error(argv, no_group_loads, capsys):
+    assert execute(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def _fail_on_call(monkeypatch, name, bad_call):
+    """Patch cli.<name> to raise InvariantError on its ``bad_call``-th call."""
+    real, calls = getattr(cli, name), []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == bad_call:
+            raise InvariantError(f"{name} failed on call {bad_call}")
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, flaky)
+
+
+MID_RUN_FAILURES = [
+    ("sample_hom", ["sample", "--group", "S3", "--n", "6", "--samples", "5", "--seed", "1"]),
+    ("delta_distribution", ["delta", "--group", "S3", "--n", "1:5"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
+def test_failure_mid_run_writes_nothing(name, argv, tmp_path, capsys, monkeypatch):
+    _fail_on_call(monkeypatch, name, 3)
+    assert execute(argv) == EXIT_INVARIANT
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "rows.jsonl"
+    _fail_on_call(monkeypatch, name, 3)
+    assert execute(argv + ["--out", str(out)]) == EXIT_INVARIANT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
+def test_out_file_bytes_equal_stdout(name, argv, tmp_path, capsysbinary):
+    assert execute(argv) == EXIT_OK
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "rows.jsonl"
+    assert execute(argv + ["--out", str(out)]) == EXIT_OK
+    assert printed and out.read_bytes() == printed
+
+
 def test_oracle_check_single_cell(capsys):
     code, lines = run_lines(capsys, ["oracle-check", "--group", "C2", "--A", "2", "--n", "1:3"])
     assert code == EXIT_OK
@@ -232,6 +290,15 @@ def test_sample_bytes_pinned(tmp_path):
     argv = ["sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7"]
     assert execute(argv + ["--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8bbe581e77fa0b684c4d38d2ff0870ab1a733eb51d3352ddc0f2056743ea6524"
+
+
+def test_sample_bytes_pinned_under_python_O():
+    # the stratum check and the lazy walk are not asserts: -O draws the same
+    proc = run_module("sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7",
+                      flags=("-O",))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == "8bbe581e77fa0b684c4d38d2ff0870ab1a733eb51d3352ddc0f2056743ea6524"
 
 

@@ -4,8 +4,11 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+from oracles import reference_orbit_type, reference_tables
 from wreathhom import (
     AbelianGroup,
+    InvariantError,
+    WreathHomCounter,
     build_wreath_group,
     builtin_group,
     delta_distribution,
@@ -17,6 +20,9 @@ from wreathhom import (
     sample_orbit_type,
     verify_wreath_hom,
 )
+from wreathhom import sampling
+from wreathhom.counting import counter_for
+from wreathhom.groups import BUILTIN_GROUP_NAMES
 
 C2 = AbelianGroup((2,))
 V4A = AbelianGroup((2, 2))
@@ -46,6 +52,30 @@ def test_orbit_type_distribution_c2_n3():
     observed = [draws[(1, 1)], draws[(0, 3)]]
     result = stats.chisquare(observed, f_exp=[20000 * 12 / 20, 20000 * 8 / 20])
     assert result.pvalue > 0.001
+
+
+@pytest.mark.parametrize("coeffs", [C2, V4A], ids=["C2", "V4"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_orbit_type_matches_eager_reference_walk(name, coeffs):
+    # the lazy walk must consume the same draws and pick the same classes
+    g = builtin_group(name)
+    counter = counter_for(g, coeffs)
+    n = 40
+    totals, _, _ = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    for seed in range(5):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert sample_orbit_type(g, coeffs, n, rng) == reference_orbit_type(counter.orbit_data, totals, n, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+
+def test_corrupted_totals_raise_stratum_error(monkeypatch):
+    g = builtin_group("S3")
+    counter = WreathHomCounter(g, C2)  # not the cached counter_for one
+    counter.extend_to(10)
+    counter.totals[6] += 1
+    monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=6"):
+        sample_orbit_type(g, C2, 10, random.Random(0))
 
 
 def test_sample_trivial_group():
