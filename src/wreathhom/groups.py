@@ -549,9 +549,10 @@ def full_group_class(group: FiniteGroup) -> SubgroupClass:
 class PermutationAction:
     """Transitive action of a group on the cosets of a subgroup.
 
-    ``perms[g][j]`` is the image of point j under group element g; point j
-    corresponds to the coset ``transversal[j] * U``, with point 0 the
-    subgroup itself.
+    ``perms[i][j]`` is the image of point j under the generator
+    ``group.generators[i]``; the generators fix the action on every element.
+    Point j corresponds to the coset ``transversal[j] * U``, with point 0
+    the subgroup itself.
     """
 
     degree: int
@@ -584,9 +585,7 @@ def coset_action(group: FiniteGroup, cls: SubgroupClass) -> PermutationAction:
     k = len(transversal)
     if k * len(subgroup) != group.order:
         raise GroupTableError("coset enumeration failed; input is not a subgroup")
-    perms = tuple(
-        tuple(point_of[group.mul(g, t)] for t in transversal) for g in range(group.order)
-    )
+    perms = tuple(tuple(point_of[group.mul(s, t)] for t in transversal) for s in group.generators)
     return PermutationAction(degree=k, perms=perms, transversal=tuple(transversal))
 
 

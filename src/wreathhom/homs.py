@@ -76,7 +76,8 @@ class HomGroup:
     """Hom(G, A) as an abelian group under pointwise addition.
 
     Elements are in lexicographic value-vector order, so index 0 is the
-    trivial homomorphism.  add/neg tables act on element indices.
+    trivial homomorphism.  A homomorphism is fixed by its values on the
+    generators, so ``index_of`` and the add table key elements by those.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[AbelianHom]):
@@ -84,29 +85,23 @@ class HomGroup:
         self.coeffs = coeffs
         self.elements = tuple(sorted(homs, key=lambda h: h.values))
         self.size = len(self.elements)
-        self._index = {h.values: i for i, h in enumerate(self.elements)}
         if self.elements[0].values != (0,) * group.order:
             raise InvariantError("trivial homomorphism missing or not first")
-        add_idx, neg_idx = abelian_index_tables(coeffs)
+        gen_values = [tuple(h.values[s] for s in group.generators) for h in self.elements]
+        self._index = {v: i for i, v in enumerate(gen_values)}
+        add_idx, _ = abelian_index_tables(coeffs)
         self.add_table = tuple(
-            tuple(
-                self._index[tuple(add_idx[x][y] for x, y in zip(h1.values, h2.values))]
-                for h2 in self.elements
-            )
-            for h1 in self.elements
-        )
-        self.neg_table = tuple(
-            self._index[tuple(neg_idx[x] for x in h.values)] for h in self.elements
+            tuple(self._index[tuple(add_idx[x][y] for x, y in zip(v1, v2))] for v2 in gen_values)
+            for v1 in gen_values
         )
 
     def add(self, i: int, j: int) -> int:
         return self.add_table[i][j]
 
-    def neg(self, i: int) -> int:
-        return self.neg_table[i]
-
-    def index_of(self, values: Sequence[int]) -> int:
-        return self._index[tuple(values)]
+    def index_of(self, gen_values: Sequence[int]) -> int:
+        """Index of the homomorphism sending ``group.generators[i]`` to the
+        A-element index ``gen_values[i]``."""
+        return self._index[tuple(gen_values)]
 
     def __len__(self) -> int:
         return self.size
@@ -130,13 +125,3 @@ def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
         raise InvariantError("distinct abelian homs lift to equal maps on G")
     return HomGroup(group, coeffs, homs)
 
-
-def is_homomorphism(group: FiniteGroup, coeffs: AbelianGroup, hom: AbelianHom) -> bool:
-    """Exhaustive check that value(g*h) = value(g) + value(h) for all pairs."""
-    add_idx, _ = abelian_index_tables(coeffs)
-    v = hom.values
-    return all(
-        v[group.mul(a, b)] == add_idx[v[a]][v[b]]
-        for a in range(group.order)
-        for b in range(group.order)
-    )

@@ -1,9 +1,8 @@
 """Ground truth at desk scale.
 
-Explicit construction of A wr S_n with element decoding, exhaustive
-enumeration of homomorphisms by generator images, and brute-force
-centralizer orders.  Everything here is a verifier for the counting
-engine, not a production path.
+Explicit construction of A wr S_n with element decoding and exhaustive
+enumeration of homomorphisms by generator images.  Everything here is a
+verifier for the counting engine, not a production path.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from fractions import Fraction
 from .groups import (
     AbelianGroup,
     FiniteGroup,
-    PermutationAction,
     SizeCapError,
     _fn_power,
     abelian_index_tables,
@@ -25,7 +23,6 @@ from .counting import DistributionTable
 
 DEFAULT_WREATH_CAP = 10**6
 DEFAULT_TUPLE_CAP = 10**8
-DEFAULT_DEGREE_CAP = 8
 
 
 class ExplicitWreath:
@@ -162,8 +159,7 @@ def oracle_delta(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> Distributi
     hg = hom_group(group, coeffs)
     fibers = [0] * hg.size
     for img in homs:
-        values = tuple(target.fold(img[g]) for g in range(group.order))
-        fibers[hg.index_of(values)] += 1
+        fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
     total = len(homs)
     return DistributionTable(
         n=n,
@@ -193,29 +189,8 @@ def fixed_point_strata_uniform(
             continue
         fibers = [0] * hg.size
         for img in members:
-            values = tuple(target.fold(img[g]) for g in range(group.order))
-            fibers[hg.index_of(values)] += 1
+            fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
         if len(set(fibers)) != 1:
             return False
     return True
 
-
-def centralizer_order(action: PermutationAction, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Order of the centralizer of the action's image in the symmetric group."""
-    k = action.degree
-    if k > degree_cap:
-        raise SizeCapError(f"centralizer search degree {k} exceeds cap {degree_cap}")
-    distinct = sorted(set(action.perms))
-    count = 0
-    for sigma in itertools.permutations(range(k)):
-        commutes = True
-        for p in distinct:
-            for i in range(k):
-                if sigma[p[i]] != p[sigma[i]]:
-                    commutes = False
-                    break
-            if not commutes:
-                break
-        if commutes:
-            count += 1
-    return count

@@ -1,76 +1,61 @@
 """Per-orbit extension data for one subgroup class.
 
 An orbit of the active permutation action isomorphic to the coset action
-on G/U admits |A|^(k-1) * |Hom(U, A)| decorated extensions.  The transfer
-map into the abelianization of U refines that count by the fold value each
-extension contributes, giving the fiber vector consumed by the exact
-distribution recurrence.
+on G/U admits |A|^(k-1) * |Hom(U, A)| decorated extensions.  Extension u in
+Hom(U, A) folds to u o V, where V is the transfer into the abelianization
+of U; that refines the count by fold value, giving the fiber vector
+consumed by the exact distribution recurrence.  A homomorphism is fixed by
+its values on the generators, so everything here is read off one table of
+u(h_j(s)) over generators s and cosets j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .groups import (
     AbelianGroup,
     FiniteGroup,
     InvariantError,
     SubgroupClass,
+    abelian_index_tables,
     abelianization,
     coset_action,
 )
 from .homs import HomGroup, abelian_homs, evaluate_abelian_hom, hom_count_abelian
 
 
-@dataclass(frozen=True)
-class TransferMap:
-    """The transfer homomorphism G -> U/[U,U] built from a coset transversal.
-
-    ``values[g]`` is the mixed-radix vector of the image of g in ``target``;
-    the map is independent of the transversal used.
-    """
-
-    values: tuple[tuple[int, ...], ...]
-    target: AbelianGroup
-
-
 @lru_cache(maxsize=None)
-def transfer_map(group: FiniteGroup, cls: SubgroupClass) -> TransferMap:
-    action = coset_action(group, cls)
-    return TransferMap(
-        values=transfer_values_for_transversal(group, cls, action.transversal),
-        target=abelianization(group, cls).group,
-    )
+def cocycle_table(
+    group: FiniteGroup, coeffs: AbelianGroup, cls: SubgroupClass
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``table[u][i][j]``: the A-element index of u(h_j(s)) for the i-th
+    homomorphism u in Hom(U, A) (``abelian_homs`` order), generator
+    s = ``group.generators[i]`` and coset j.
 
-
-def transfer_values_for_transversal(
-    group: FiniteGroup, cls: SubgroupClass, transversal: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Transfer values computed with an explicit transversal.
-
-    ``transversal[j]`` must represent the same coset as the canonical
-    transversal's point j.  Exposed so transversal independence can be
-    exercised directly.
+    h_j(s) = t_(s.j)^-1 s t_j over the coset transversal t; the transfer is
+    V(s) = sum_j h_j(s) in the abelianization of U.
     """
     action = coset_action(group, cls)
     ab = abelianization(group, cls)
-    members = set(cls.elements)
-    for j, t in enumerate(transversal):
-        if group.mul(group.inv(action.transversal[j]), t) not in members:
-            raise ValueError(f"transversal element {t} does not represent coset {j}")
-    values = []
-    for g in range(group.order):
-        acc = ab.group.zero()
-        perm = action.perms[g]
+    t = action.transversal
+    cocycle = []
+    for s, perm in zip(group.generators, action.perms):
+        row = []
         for j in range(action.degree):
-            x = group.mul(group.inv(transversal[perm[j]]), group.mul(g, transversal[j]))
-            if x not in members:
-                raise InvariantError(f"transfer factor {x} of element {g} is not in the subgroup")
-            acc = ab.group.add(acc, ab.projection[x])
-        values.append(acc)
-    return tuple(values)
+            x = group.mul(group.inv(t[perm[j]]), group.mul(s, t[j]))
+            if x not in ab.projection:
+                raise InvariantError(f"transfer factor {x} of element {s} is not in the subgroup")
+            row.append(ab.projection[x])
+        cocycle.append(row)
+    return tuple(
+        tuple(
+            tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, vec)) for vec in row)
+            for row in cocycle
+        )
+        for images in abelian_homs(ab.group, coeffs)
+    )
 
 
 @dataclass(frozen=True)
@@ -97,20 +82,23 @@ def orbit_type_data(
     homs: HomGroup,
     class_id: int = 0,
 ) -> OrbitTypeData:
-    """Weight and fiber vector for one class: enumerate u in Hom(U, A) and
-    locate each composite u o transfer inside Hom(G, A)."""
+    """Weight and fiber vector for one class: for each u in Hom(U, A), sum
+    its cocycle table over the cosets to get the generator images of
+    u o transfer, and locate that homomorphism inside Hom(G, A)."""
     k = cls.index
-    ab = abelianization(group, cls)
-    ver = transfer_map(group, cls)
+    add, _ = abelian_index_tables(coeffs)
     base = coeffs.order ** (k - 1)
     fiber = [0] * homs.size
-    for images in abelian_homs(ab.group, coeffs):
-        values = tuple(
-            coeffs.index_of(evaluate_abelian_hom(coeffs, images, ver.values[g]))
-            for g in range(group.order)
-        )
-        fiber[homs.index_of(values)] += base
-    weight = base * hom_count_abelian(ab.group, coeffs)
+    table = cocycle_table(group, coeffs, cls)
+    for u_tab in table:
+        gen_values = []
+        for row in u_tab:
+            acc = 0
+            for x in row:
+                acc = add[acc][x]
+            gen_values.append(acc)
+        fiber[homs.index_of(gen_values)] += base
+    weight = base * hom_count_abelian(abelianization(group, cls).group, coeffs)
     if sum(fiber) != weight:
         raise InvariantError(f"orbit fibers of class {class_id} do not sum to its weight")
     return OrbitTypeData(

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .counting import counter_for
-from .groups import (
-    AbelianGroup,
-    FiniteGroup,
-    InvariantError,
-    abelian_index_tables,
-    abelianization,
-    coset_action,
-)
-from .homs import abelian_homs, evaluate_abelian_hom
+from .groups import AbelianGroup, FiniteGroup, InvariantError, abelian_index_tables, coset_action
+from .orbits import cocycle_table
 
 
 @dataclass(frozen=True)
@@ -50,6 +43,7 @@ class _ClassAssembly:
     """Precomputed per-class data for decorating one orbit."""
 
     k: int
+    # gen_points[gen][j]: the coset point that generator gen sends j to
     gen_points: tuple[tuple[int, ...], ...]
     # u_eval[u][gen][j]: A-index of u applied to the coset cocycle at (gen, j)
     u_eval: tuple[tuple[tuple[int, ...], ...], ...]
@@ -61,31 +55,9 @@ def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembl
     out = []
     for cls in counter.classes:
         action = coset_action(group, cls)
-        ab = abelianization(group, cls)
-        k = action.degree
-        gen_points = tuple(action.perms[g] for g in group.generators)
-        cocycle_vecs = []
-        for g in group.generators:
-            perm = action.perms[g]
-            vecs = []
-            for j in range(k):
-                x = group.mul(
-                    group.inv(action.transversal[perm[j]]),
-                    group.mul(g, action.transversal[j]),
-                )
-                vecs.append(ab.projection[x])
-            cocycle_vecs.append(vecs)
-        u_eval = tuple(
-            tuple(
-                tuple(
-                    coeffs.index_of(evaluate_abelian_hom(coeffs, images, vec))
-                    for vec in per_gen
-                )
-                for per_gen in cocycle_vecs
-            )
-            for images in abelian_homs(ab.group, coeffs)
+        out.append(
+            _ClassAssembly(k=action.degree, gen_points=action.perms, u_eval=cocycle_table(group, coeffs, cls))
         )
-        out.append(_ClassAssembly(k=k, gen_points=gen_points, u_eval=u_eval))
     return tuple(out)
 
 
@@ -182,14 +154,19 @@ def full_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> lis
 
 
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:
-    """Check the generator images satisfy every relation of the group."""
+    """Check the generator images satisfy every relation of the group.
+
+    The images pushed along the generator words form a homomorphism iff
+    every Cayley edge x -> x s maps to right multiplication by s's image.
+    """
     add, _ = abelian_index_tables(coeffs)
     imgs = full_images(group, coeffs, hom)
-    for a in range(group.order):
-        for b in range(group.order):
-            if _wreath_mul(imgs[a], imgs[b], add) != imgs[group.mul(a, b)]:
-                return False
-    return True
+    gen_imgs = list(zip(hom.perms, hom.decors))
+    return all(
+        imgs[group.mul(x, s)] == _wreath_mul(img, gen_img, add)
+        for x, img in enumerate(imgs)
+        for s, gen_img in zip(group.generators, gen_imgs)
+    )
 
 
 def fold_values(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> tuple[int, ...]:

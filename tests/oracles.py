@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's own algorithms: subgroups by subset
 enumeration, abelian invariants by order counting, hom counts by direct
-solution counting, the counting recurrence class by class in Fraction, and
-subgroup classes by joining pairs of subgroups until nothing new appears.
+solution counting, the counting recurrence class by class in Fraction,
+subgroup classes by joining pairs of subgroups until nothing new appears,
+the transfer evaluated on every element of G, and centralizers by trying
+every permutation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from wreathhom import SubgroupClass
+from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, abelianization, coset_action
+from wreathhom.groups import abelian_index_tables
+from wreathhom.homs import abelian_homs, evaluate_abelian_hom, hom_count_abelian
+
+DEFAULT_DEGREE_CAP = 8
 
 
 def brute_subgroups(group) -> set[frozenset[int]]:
@@ -227,3 +233,76 @@ def reference_subgroup_classes(group) -> tuple:
         )
     classes.sort(key=lambda c: (c.order, c.elements))
     return tuple(classes)
+
+
+def reference_transfer(group, cls, transversal) -> tuple[tuple[int, ...], ...]:
+    """The transfer G -> U/[U,U] on every element of G, as mixed-radix vectors.
+
+    ``transversal[j]`` must represent the coset of ``coset_action``'s point j.
+    For each g and j the coset of g t_j is found by trying every t_i, so the
+    coset action's permutations are not used.
+    """
+    canonical = coset_action(group, cls).transversal
+    ab = abelianization(group, cls)
+    members = set(cls.elements)
+    for j, t in enumerate(transversal):
+        if group.mul(group.inv(canonical[j]), t) not in members:
+            raise ValueError(f"transversal element {t} does not represent coset {j}")
+    inverses = [group.inv(t) for t in transversal]
+    values = []
+    for g in range(group.order):
+        acc = ab.group.zero()
+        for t in transversal:
+            gt = group.mul(g, t)
+            (x,) = [y for y in (group.mul(ti, gt) for ti in inverses) if y in members]
+            acc = ab.group.add(acc, ab.projection[x])
+        values.append(acc)
+    return tuple(values)
+
+
+def reference_orbit_type_data(group, coeffs, cls, homs, class_id=0) -> OrbitTypeData:
+    """``orbit_type_data`` through the transfer on all of G: each u o V is
+    evaluated on every element and found in Hom(G, A) by its full values."""
+    k = cls.index
+    ab = abelianization(group, cls)
+    ver = reference_transfer(group, cls, coset_action(group, cls).transversal)
+    by_values = {h.values: i for i, h in enumerate(homs.elements)}
+    base = coeffs.order ** (k - 1)
+    fiber = [0] * homs.size
+    for images in abelian_homs(ab.group, coeffs):
+        values = tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, v)) for v in ver)
+        fiber[by_values[values]] += base
+    return OrbitTypeData(
+        class_id=class_id,
+        k=k,
+        c=cls.centralizer_order,
+        weight=base * hom_count_abelian(ab.group, coeffs),
+        fiber=tuple(fiber),
+    )
+
+
+def centralizer_order(action, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+    """Order of the centralizer of the action's image in the symmetric group.
+
+    ``action.perms`` holds the generators' permutations; a permutation
+    commuting with every generator image commutes with the whole image.
+    """
+    k = action.degree
+    if k > degree_cap:
+        raise SizeCapError(f"centralizer search degree {k} exceeds cap {degree_cap}")
+    return sum(
+        1
+        for sigma in itertools.permutations(range(k))
+        if all(sigma[p[i]] == p[sigma[i]] for p in action.perms for i in range(k))
+    )
+
+
+def is_homomorphism(group, coeffs, hom) -> bool:
+    """Exhaustive check that value(g*h) = value(g) + value(h) for all pairs."""
+    add_idx, _ = abelian_index_tables(coeffs)
+    v = hom.values
+    return all(
+        v[group.mul(a, b)] == add_idx[v[a]][v[b]]
+        for a in range(group.order)
+        for b in range(group.order)
+    )

@@ -1,0 +1,8 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import strategies as st
+
+# 1-3 permutations on at most 5 points; they generate groups up to S5
+permutation_lists = st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
+)

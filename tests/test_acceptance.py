@@ -18,7 +18,6 @@ from wreathhom import (
     InvariantError,
     build_wreath_group,
     builtin_group,
-    centralizer_order,
     coset_action,
     decay_constant,
     delta_distribution,
@@ -35,6 +34,7 @@ from wreathhom import (
 )
 from wreathhom.counting import WreathHomCounter
 from wreathhom.cli import fit_decay
+from oracles import centralizer_order
 
 GRID_GROUPS = ("C1", "C2", "C3", "C4", "V4", "S3")
 GRID_COEFFS = ((2,), (3,), (2, 2))
@@ -70,8 +70,7 @@ def _cells():
                 homs = enumerate_homs(group, target)
                 fibers = [0] * hg.size
                 for img in homs:
-                    values = tuple(target.fold(img[g]) for g in range(group.order))
-                    fibers[hg.index_of(values)] += 1
+                    fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
                 _cells_cache[(gname, factors, n)] = {
                     "group": group,
                     "coeffs": coeffs,

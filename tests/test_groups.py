@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from wreathhom import (
     AbelianGroup,
@@ -21,6 +21,7 @@ from wreathhom import (
 )
 from wreathhom.groups import FiniteGroup
 from oracles import brute_subgroups, compose, invariant_factors_from_counts, reference_subgroup_classes
+from strategies import permutation_lists
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
@@ -244,11 +245,7 @@ def test_subgroup_classes_vs_pairwise_join_reference(group):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
-    )
-)
+@given(permutation_lists)
 def test_subgroup_classes_random_permutation_groups(perms):
     g = group_from_permutations(perms)
     classes = subgroup_classes(g)
@@ -276,10 +273,21 @@ def test_subgroup_class_structure(name):
 # --- coset actions --------------------------------------------------------
 
 
+def _action_on_every_element(group, action):
+    """Extend the generator permutations to every element along
+    ``group.parent_word`` (x = parent * generator, so the generator acts first)."""
+    img = [tuple(range(action.degree))] * group.order
+    for x in group.eval_order[1:]:
+        parent, gi = group.parent_word[x]
+        img[x] = compose(img[parent], action.perms[gi])
+    return img
+
+
 def test_coset_action_trivial():
     g = builtin_group("S3")
     action = coset_action(g, full_group_class(g))
     assert action.degree == 1
+    assert len(action.perms) == len(g.generators)
     assert all(p == (0,) for p in action.perms)
 
 
@@ -288,7 +296,8 @@ def test_coset_action_regular_c4():
     trivial = subgroup_classes(g)[0]
     action = coset_action(g, trivial)
     assert action.degree == 4
-    gen_perm = action.perms[1]
+    assert g.generators == (1,)
+    gen_perm = action.perms[0]
     # the generator must act as a 4-cycle
     seen, j = [], 0
     for _ in range(4):
@@ -302,7 +311,8 @@ def test_coset_action_s3_natural():
     c2 = next(c for c in subgroup_classes(g) if c.order == 2)
     action = coset_action(g, c2)
     assert action.degree == 3
-    stabilizer = [x for x in range(6) if action.perms[x][0] == 0]
+    img = _action_on_every_element(g, action)
+    stabilizer = [x for x in range(6) if img[x][0] == 0]
     assert len(stabilizer) == 2
 
 
@@ -310,15 +320,22 @@ def test_coset_action_s3_natural():
 def test_coset_action_is_homomorphism(group):
     for cls in subgroup_classes(group):
         action = coset_action(group, cls)
-        assert action.transversal[0] == 0
-        for a in range(group.order):
-            for b in range(group.order):
-                assert action.perms[group.mul(a, b)] == compose(action.perms[a], action.perms[b])
+        t = action.transversal
+        members = set(cls.elements)
+        assert t[0] == 0
+        assert len(action.perms) == len(group.generators)
+        img = _action_on_every_element(group, action)
+        # every Cayley edge x -> x s is respected, so the extension is a homomorphism
+        for x in range(group.order):
+            for gi, s in enumerate(group.generators):
+                assert img[group.mul(x, s)] == compose(img[x], action.perms[gi])
+        # and it is the action on cosets: x t_j lies in the coset of point img[x][j]
+        for x in range(group.order):
+            for j in range(action.degree):
+                assert group.mul(group.inv(t[img[x][j]]), group.mul(x, t[j])) in members
         # transitivity and point stabilizer of 0
-        reached = {action.perms[x][0] for x in range(group.order)}
-        assert reached == set(range(action.degree))
-        stab = {x for x in range(group.order) if action.perms[x][0] == 0}
-        assert stab == set(cls.elements)
+        assert {img[x][0] for x in range(group.order)} == set(range(action.degree))
+        assert {x for x in range(group.order) if img[x][0] == 0} == members
 
 
 # --- abelianization -------------------------------------------------------

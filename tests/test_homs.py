@@ -8,8 +8,8 @@ from wreathhom import (
     hom_group,
     index_two_subgroup_count,
 )
-from wreathhom.homs import abelian_homs, is_homomorphism
-from oracles import brute_hom_count_abelian
+from wreathhom.homs import abelian_homs
+from oracles import brute_hom_count_abelian, is_homomorphism
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
@@ -63,7 +63,7 @@ def test_hom_group_elements_are_homomorphisms(name, coeffs):
     # closed under pointwise addition, with 0 the neutral element
     for i in range(hg.size):
         assert hg.add(0, i) == i
-        assert hg.add(i, hg.neg(i)) == 0
+        assert [hg.add(i, j) for j in range(hg.size)].count(0) == 1
         for j in range(hg.size):
             assert hg.add(i, j) == hg.add(j, i)
 

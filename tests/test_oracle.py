@@ -5,7 +5,6 @@ from wreathhom import (
     SizeCapError,
     build_wreath_group,
     builtin_group,
-    centralizer_order,
     coset_action,
     delta_distribution,
     enumerate_homs,
@@ -14,6 +13,7 @@ from wreathhom import (
     oracle_delta,
     subgroup_classes,
 )
+from oracles import centralizer_order
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))

@@ -1,19 +1,28 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import reference_orbit_type_data, reference_transfer
+from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
+    InvariantError,
+    PermutationAction,
     builtin_group,
     build_wreath_group,
     coset_action,
+    group_from_permutations,
     hom_group,
     orbit_type_data,
     subgroup_classes,
-    transfer_map,
 )
-from wreathhom.orbits import orbit_data_to_json, transfer_values_for_transversal
+from wreathhom import orbits
+from wreathhom.groups import _fn_power, abelianization
+from wreathhom.orbits import orbit_data_to_json
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
@@ -23,43 +32,46 @@ def _class_of(group, elements):
     return next(c for c in subgroup_classes(group) if c.elements == tuple(sorted(elements)))
 
 
-# --- transfer maps --------------------------------------------------------
+def _transfer(group, cls):
+    return reference_transfer(group, cls, coset_action(group, cls).transversal)
+
+
+# --- the full-G reference transfer ----------------------------------------
 
 
 def test_transfer_trivial_target():
     g = builtin_group("C2")
     cls = _class_of(g, [0])
-    tm = transfer_map(g, cls)
-    assert tm.target.invariant_factors == ()
-    assert all(v == () for v in tm.values)
+    assert abelianization(g, cls).group.invariant_factors == ()
+    assert all(v == () for v in _transfer(g, cls))
 
 
 def test_transfer_c4_middle_subgroup():
     g = builtin_group("C4")
     cls = _class_of(g, [0, 2])
-    tm = transfer_map(g, cls)
-    assert tm.target.invariant_factors == (2,)
+    assert abelianization(g, cls).group.invariant_factors == (2,)
+    values = _transfer(g, cls)
     # the generator transfers to the nontrivial element g^2
-    assert tm.values[1] == (1,)
-    assert tm.values[2] == (0,)
+    assert values[1] == (1,)
+    assert values[2] == (0,)
 
 
 def test_transfer_s3_alternating():
     g = builtin_group("S3")
     cls = next(c for c in subgroup_classes(g) if c.order == 3)
-    tm = transfer_map(g, cls)
-    assert tm.target.invariant_factors == (3,)
-    assert all(v == (0,) for v in tm.values)
+    assert abelianization(g, cls).group.invariant_factors == (3,)
+    assert all(v == (0,) for v in _transfer(g, cls))
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_transfer_is_homomorphism(name):
     g = builtin_group(name)
     for cls in subgroup_classes(g):
-        tm = transfer_map(g, cls)
+        target = abelianization(g, cls).group
+        values = _transfer(g, cls)
         for a in range(g.order):
             for b in range(g.order):
-                assert tm.values[g.mul(a, b)] == tm.target.add(tm.values[a], tm.values[b])
+                assert values[g.mul(a, b)] == target.add(values[a], values[b])
 
 
 @pytest.mark.parametrize("name", ["C4", "S3", "D4", "Q8"])
@@ -68,18 +80,18 @@ def test_transfer_transversal_independence(name):
     rng = random.Random(20240917)
     for cls in subgroup_classes(g):
         action = coset_action(g, cls)
-        reference = transfer_values_for_transversal(g, cls, action.transversal)
+        reference = reference_transfer(g, cls, action.transversal)
         members = list(cls.elements)
         for _ in range(5):
             twisted = tuple(g.mul(t, rng.choice(members)) for t in action.transversal)
-            assert transfer_values_for_transversal(g, cls, twisted) == reference
+            assert reference_transfer(g, cls, twisted) == reference
 
 
 def test_transfer_rejects_wrong_transversal():
     g = builtin_group("C4")
     cls = _class_of(g, [0, 2])
     with pytest.raises(ValueError, match="coset"):
-        transfer_values_for_transversal(g, cls, (1, 1))
+        reference_transfer(g, cls, (1, 1))
 
 
 # --- orbit type data ------------------------------------------------------
@@ -116,10 +128,40 @@ def test_orbit_data_invariants(name, coeffs):
     hg = hom_group(g, coeffs)
     for i, cls in enumerate(subgroup_classes(g)):
         od = orbit_type_data(g, coeffs, cls, hg, class_id=i)
+        assert od == reference_orbit_type_data(g, coeffs, cls, hg, class_id=i)
         assert sum(od.fiber) == od.weight
         if od.k == 1:
             assert od.fiber == (1,) * hg.size
             assert od.weight == hg.size
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(permutation_lists, st.sampled_from(COEFFS))
+def test_orbit_data_vs_full_group_reference_random_groups(perms, coeffs):
+    g = group_from_permutations(perms)
+    hg = hom_group(g, coeffs)
+    for i, cls in enumerate(subgroup_classes(g)):
+        assert orbit_type_data(g, coeffs, cls, hg, class_id=i) == reference_orbit_type_data(
+            g, coeffs, cls, hg, class_id=i
+        )
+
+
+def test_corrupted_transversal_raises(monkeypatch):
+    g = builtin_group("S3")
+    a = AbelianGroup((2,))
+    cls = next(c for c in subgroup_classes(g) if c.order == 2)
+    action = coset_action(g, cls)
+    # every transversal element moved into the subgroup's own coset
+    corrupted = PermutationAction(
+        degree=action.degree, perms=action.perms, transversal=(0,) * action.degree
+    )
+    monkeypatch.setattr(orbits, "coset_action", lambda group, c: corrupted)
+    # a fresh cache, so neither the corrupted table nor a cached good one leaks
+    monkeypatch.setattr(
+        orbits, "cocycle_table", functools.lru_cache(maxsize=None)(orbits.cocycle_table.__wrapped__)
+    )
+    with pytest.raises(InvariantError, match="not in the subgroup"):
+        orbit_type_data(g, a, cls, hom_group(g, a))
 
 
 def _extensions_of_coset_action(group, coeffs, cls):
@@ -127,12 +169,17 @@ def _extensions_of_coset_action(group, coeffs, cls):
     action = coset_action(group, cls)
     k = action.degree
     target = build_wreath_group(coeffs, k)
-    gens = group.generators
     candidate_lists = []
-    for g in gens:
-        sigma = action.perms[g]
+    for gi, s in enumerate(group.generators):
+        sigma = action.perms[gi]
+        order = group.element_order(s)
+        # a generator's image must have the generator's order dividing it
         candidate_lists.append(
-            [target.encode(sigma, decor) for decor in itertools.product(range(coeffs.order), repeat=k)]
+            [
+                x
+                for x in (target.encode(sigma, d) for d in itertools.product(range(coeffs.order), repeat=k))
+                if _fn_power(target.mul, target.identity, x, order) == target.identity
+            ]
         )
     homs = []
     d = group.order
@@ -158,15 +205,14 @@ def test_orbit_fibers_vs_bruteforce(name, coeffs):
     hg = hom_group(group, coeffs)
     for cls in subgroup_classes(group):
         k = cls.index
-        if coeffs.order**k * __import__("math").factorial(k) > 10**6 or k > 6:
+        if coeffs.order**k * math.factorial(k) > 10**6 or k > 6:
             continue
         od = orbit_type_data(group, coeffs, cls, hg)
         target, homs = _extensions_of_coset_action(group, coeffs, cls)
         assert len(homs) == od.weight
         fibers = [0] * hg.size
         for img in homs:
-            values = tuple(target.fold(img[g]) for g in range(group.order))
-            fibers[hg.index_of(values)] += 1
+            fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
         # brute-force extension fibers must scale the per-orbit fiber vector
         assert tuple(fibers) == od.fiber
 

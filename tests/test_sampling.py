@@ -8,6 +8,7 @@ from oracles import reference_orbit_type, reference_tables
 from wreathhom import (
     AbelianGroup,
     InvariantError,
+    WreathHom,
     WreathHomCounter,
     build_wreath_group,
     builtin_group,
@@ -106,6 +107,20 @@ def test_samples_are_homomorphisms(name, coeffs, n):
         assert verify_wreath_hom(g, coeffs, hom)
 
 
+@pytest.mark.parametrize(
+    "name,perm,decor",
+    [
+        ("C2", (1, 0), (1, 0)),  # squares to decorations (1, 1), not the identity
+        ("C3", (1, 2, 0), (1, 0, 0)),  # cubes to decorations (1, 1, 1)
+        ("C3", (1, 0, 2), (0, 0, 0)),  # a transposition cubes to itself
+    ],
+)
+def test_verify_rejects_broken_relation(name, perm, decor):
+    g = builtin_group(name)
+    hom = WreathHom(n=len(perm), perms=(perm,), decors=(decor,))
+    assert not verify_wreath_hom(g, C2, hom)
+
+
 def test_sampler_uniform_over_all_homs_c2_n2():
     g = builtin_group("C2")
     target = build_wreath_group(C2, 2)
@@ -152,7 +167,8 @@ def test_sampler_fold_matches_exact_distribution():
     counts = [0] * hg.size
     for _ in range(total):
         hom = sample_hom(g, C2, n, rng)
-        counts[hg.index_of(fold_values(g, C2, hom))] += 1
+        values = fold_values(g, C2, hom)
+        counts[hg.index_of([values[s] for s in g.generators])] += 1
     expected = [float(p) * total for p in table.probs]
     result = stats.chisquare(counts, f_exp=expected)
     assert result.pvalue > 0.001
