@@ -324,6 +324,9 @@ def execute(argv: Optional[Sequence[str]] = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except MemoryError:
+        print("error: out of memory; try a smaller --n or group", file=sys.stderr)
+        return EXIT_CAP_EXCEEDED
     except (GroupTableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC

@@ -13,10 +13,11 @@ counts; the fibers give the count of homomorphisms with trivial fold
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -79,13 +80,20 @@ class DecayConstant:
 class WreathHomCounter:
     """Shared exact tables for one (G, A) pair, extended on demand.
 
-    ``totals[n]`` is |Hom(G, A wr S_n)|; ``free[n]`` counts the
-    homomorphisms whose active permutation image has no fixed point;
-    ``fibers[n]`` refines totals by fold value.  Each is n! [x^n] of
+    The totals t_n = |Hom(G, A wr S_n)|, the fixed-point-free counts
+    (homomorphisms whose active permutation image has no fixed point) and
+    the fibers (totals refined by fold value) are each n! [x^n] of
     exp(sum_k a_k x^k), where a_k sums w_i / c_i (or fiber_i / c_i) over
     the classes of orbit size k, so classes are merged by k once, over the
     common denominator ``scale`` = lcm(c_i).  Every step checks that its
     division by ``scale`` is exact, and fibers must sum to the total.
+
+    A step reads only the last ``max k`` entries, so the tables live in one
+    forward cursor: a window of that many entries of each table in use, all
+    ending at the same n.  A query ahead of the cursor advances it; a query
+    behind the window, or the first query of a table, restarts it from
+    n = 0.  Only the sampler's backward walk reads every t_s; it keeps its
+    own list, ``walk_totals``.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup):
@@ -110,10 +118,20 @@ class WreathHomCounter:
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = self._total_terms[1:]
         self._fiber_terms = tuple((k, [(psi, x) for psi, x in enumerate(vec) if x]) for k, vec in terms)
-        self.totals: list[int] = [1]
-        self._free: list[int] = [1]
-        self._fibers: list[tuple[int, ...]] = [tuple(1 if i == 0 else 0 for i in range(h))]
+        self._width = terms[-1][0]  # the largest orbit size, |G|
+        self._fiber_unit = tuple(1 if i == 0 else 0 for i in range(h))
+        self._restart(free=False, fibers=False)
+        self.walk_totals: list[int] = [1]
         self._strata_checked = 0  # stratum weights verified for every s up to here
+
+    def _restart(self, *, free: bool, fibers: bool) -> None:
+        """Put the cursor at n = 0 with the windows of the tables in use."""
+        self._n = 0
+        self._totals: deque[int] = deque([1], maxlen=self._width)
+        self._free: deque[int] | None = deque([1], maxlen=self._width) if free else None
+        self._fibers: deque[tuple[int, ...]] | None = (
+            deque([self._fiber_unit], maxlen=self._width) if fibers else None
+        )
 
     def _exact(self, acc: int, s: int, what: str) -> int:
         value, rest = divmod(acc, self.scale)
@@ -121,25 +139,24 @@ class WreathHomCounter:
             raise InvariantError(f"non-integral {what} at n={s}")
         return value
 
-    def _scalar_step(self, terms: tuple[tuple[int, int], ...], table: list[int], what: str) -> int:
-        """Next entry by the log-derivative t_s = sum_k k (s-1)_(k-1) a_k t_(s-k)."""
-        s = len(table)
+    def _scalar_step(self, terms: tuple[tuple[int, int], ...], prev: Sequence[int], s: int, what: str) -> int:
+        """t_s by the log-derivative t_s = sum_k k (s-1)_(k-1) a_k t_(s-k),
+        where ``prev`` (a list or a window) ends at t_(s-1)."""
         acc = 0
         for k, a in terms:
             if k > s:
                 break
-            acc += k * math.perm(s - 1, k - 1) * a * table[s - k]
+            acc += k * math.perm(s - 1, k - 1) * a * prev[-k]
         return self._exact(acc, s, what)
 
-    def _fiber_step(self) -> tuple[int, ...]:
+    def _fiber_step(self, s: int) -> tuple[int, ...]:
         """The same step with a_k in the group algebra of Hom(G, A)."""
-        s = len(self._fibers)
         add_table = self.homs.add_table
         acc = [0] * self.homs.size
         for k, vec in self._fiber_terms:
             if k > s:
                 break
-            prev = self._fibers[s - k]
+            prev = self._fibers[-k]
             step = k * math.perm(s - 1, k - 1)
             for psi, a in vec:
                 row = add_table[psi]
@@ -147,56 +164,72 @@ class WreathHomCounter:
                 for j, b in enumerate(prev):
                     if b:
                         acc[row[j]] += c * b
-        fiber = tuple(self._exact(x, s, "fiber") for x in acc)
-        if sum(fiber) != self.totals[s]:
-            raise InvariantError(f"fiber sum mismatch at n={s}")
-        return fiber
+        return tuple(self._exact(x, s, "fiber") for x in acc)
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False) -> None:
-        """Extend ``totals`` to n, and the free and fiber tables if asked."""
+        """Move the cursor to n, with the free and fiber windows if asked;
+        every table in use advances with the totals."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        while len(self.totals) <= n:
-            self.totals.append(self._scalar_step(self._total_terms, self.totals, "count"))
-        while free and len(self._free) <= n:
-            self._free.append(self._scalar_step(self._free_terms, self._free, "fixed-point-free count"))
-        while fibers and len(self._fibers) <= n:
-            self._fibers.append(self._fiber_step())
+        if n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None):
+            self._restart(free=free or self._free is not None, fibers=fibers or self._fibers is not None)
+        while self._n < n:
+            # every check runs before any window moves, so a raised
+            # InvariantError leaves the windows aligned
+            s = self._n + 1
+            total = self._scalar_step(self._total_terms, self._totals, s, "count")
+            if self._free is not None:
+                free_count = self._scalar_step(self._free_terms, self._free, s, "fixed-point-free count")
+            if self._fibers is not None:
+                fiber = self._fiber_step(s)
+                if sum(fiber) != total:
+                    raise InvariantError(f"fiber sum mismatch at n={s}")
+                self._fibers.append(fiber)
+            if self._free is not None:
+                self._free.append(free_count)
+            self._totals.append(total)
+            self._n = s
+
+    def _at(self, window: deque, n: int):
+        """Entry n of a window whose cursor has just been moved to n or past it."""
+        return window[n - self._n - 1]
 
     def stratum_weights(self, s: int) -> Iterator[int]:
         """Per-class weights k (s-1)_(k-1) (w_i L / c_i) t_(s-k) of the backward
         walk at size s, in class order, each computed only when the next is
-        asked for.  They sum to ``scale * totals[s]``; ``check_strata``
+        asked for.  They sum to ``scale * walk_totals[s]``; ``check_strata``
         verifies that.
         """
-        table = self.totals
+        table = self.walk_totals
         for k, a in self._class_terms:
             yield k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0
 
     def check_strata(self, n: int) -> None:
-        """Extend ``totals`` to n and check each stratum sum once per s."""
-        self.extend_to(n)
+        """Extend ``walk_totals`` to n and check each stratum sum once per s."""
+        table = self.walk_totals
+        while len(table) <= n:
+            table.append(self._scalar_step(self._total_terms, table, len(table), "count"))
         for s in range(self._strata_checked + 1, n + 1):
-            if sum(self.stratum_weights(s)) != self.totals[s] * self.scale:
+            if sum(self.stratum_weights(s)) != table[s] * self.scale:
                 raise InvariantError(f"stratum weights do not sum to the count at n={s}")
             self._strata_checked = s
 
     def count(self, n: int) -> int:
         self.extend_to(n)
-        return self.totals[n]
+        return self._at(self._totals, n)
 
     def fixed_point_free_probability(self, n: int) -> Fraction:
         self.extend_to(n, free=True)
-        return Fraction(self._free[n], self.totals[n])
+        return Fraction(self._at(self._free, n), self._at(self._totals, n))
 
     def fiber_counts(self, n: int) -> tuple[int, ...]:
         self.extend_to(n, fibers=True)
-        return self._fibers[n]
+        return self._at(self._fibers, n)
 
     def delta(self, n: int) -> DistributionTable:
         self.extend_to(n, fibers=True)
-        total = self.totals[n]
-        fibers = self._fibers[n]
+        total = self._at(self._totals, n)
+        fibers = self._at(self._fibers, n)
         return DistributionTable(
             n=n,
             probs=tuple(Fraction(f, total) for f in fibers),
@@ -259,10 +292,9 @@ def hom_count_direct(
 
 def count_table(group: FiniteGroup, coeffs: AbelianGroup, n_max: int) -> CountTable:
     counter = counter_for(group, coeffs)
-    counter.extend_to(n_max)
     return CountTable(
         n_max=n_max,
-        counts=tuple(counter.totals[: n_max + 1]),
+        counts=tuple(counter.count(n) for n in range(n_max + 1)),
         strata_coefficients=tuple(Fraction(od.weight, od.c) for od in counter.orbit_data),
     )
 

@@ -484,9 +484,18 @@ class SubgroupClass:
         return len(self.elements)
 
 
-def _conjugate_set(group: FiniteGroup, subgroup: frozenset[int], g: int) -> frozenset[int]:
-    gi = group.inv(g)
-    return frozenset(group.mul(group.mul(g, u), gi) for u in subgroup)
+def _conjugation_orbit(group: FiniteGroup, subgroup: frozenset[int]) -> set[frozenset[int]]:
+    """The conjugates of ``subgroup``: its closure under conjugation by the generators."""
+    orbit, todo = {subgroup}, [subgroup]
+    while todo:
+        conjugate = todo.pop()
+        for s in group.generators:
+            si = group.inv(s)
+            image = frozenset(group.mul(group.mul(s, u), si) for u in conjugate)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 @lru_cache(maxsize=None)
@@ -506,7 +515,7 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
         subgroup = todo.pop()
         if subgroup in seen:
             continue
-        orbit = {_conjugate_set(group, subgroup, g) for g in range(group.order)}
+        orbit = _conjugation_orbit(group, subgroup)
         seen |= orbit
         rep = min(orbit, key=sorted)
         normalizer = group.order // len(orbit)

@@ -49,13 +49,12 @@ def cocycle_table(
                 raise InvariantError(f"transfer factor {x} of element {s} is not in the subgroup")
             row.append(ab.projection[x])
         cocycle.append(row)
-    return tuple(
-        tuple(
-            tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, vec)) for vec in row)
-            for row in cocycle
-        )
-        for images in abelian_homs(ab.group, coeffs)
-    )
+    distinct = set().union(*cocycle)  # at most |U^ab| vectors, however many (s, j)
+    table = []
+    for images in abelian_homs(ab.group, coeffs):
+        value = {vec: coeffs.index_of(evaluate_abelian_hom(coeffs, images, vec)) for vec in distinct}
+        table.append(tuple(tuple(value[vec] for vec in row) for row in cocycle))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

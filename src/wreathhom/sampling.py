@@ -75,7 +75,7 @@ def sample_orbit_type(
     """
     counter = counter_for(group, coeffs)
     counter.check_strata(n)
-    table = counter.totals
+    table = counter.walk_totals
     m = [0] * len(counter.classes)
     s = n
     while s > 0:

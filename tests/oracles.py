@@ -260,6 +260,26 @@ def reference_transfer(group, cls, transversal) -> tuple[tuple[int, ...], ...]:
     return tuple(values)
 
 
+def reference_cocycle_table(group, coeffs, cls) -> tuple:
+    """``orbits.cocycle_table`` with u(h_j(s)) evaluated once per (u, s, j),
+    and the coset of s t_j found by trying every t_i."""
+    transversal = coset_action(group, cls).transversal
+    ab = abelianization(group, cls)
+    members = set(cls.elements)
+    cocycle = []
+    for s in group.generators:
+        row = []
+        for t in transversal:
+            st = group.mul(s, t)
+            (x,) = [y for y in (group.mul(group.inv(ti), st) for ti in transversal) if y in members]
+            row.append(ab.projection[x])
+        cocycle.append(row)
+    return tuple(
+        tuple(tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, v)) for v in row) for row in cocycle)
+        for images in abelian_homs(ab.group, coeffs)
+    )
+
+
 def reference_orbit_type_data(group, coeffs, cls, homs, class_id=0) -> OrbitTypeData:
     """``orbit_type_data`` through the transfer on all of G: each u o V is
     evaluated on every element and found in Hom(G, A) by its full values."""

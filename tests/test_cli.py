@@ -23,9 +23,10 @@ from wreathhom import AbelianGroup, InvariantError, builtin_group, hom_count_wre
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*args, flags=()):
+def run_module(*args, flags=(), **kwargs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *flags, "-m", "wreathhom", *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *flags, "-m", "wreathhom", *args], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 def run_lines(capsys, argv):
@@ -316,6 +317,39 @@ def test_invariant_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hom_count_wreath", broken)
     assert execute(["count", "--group", "C2", "--A", "2", "--n", "1"]) == EXIT_INVARIANT
     assert "invariant" in capsys.readouterr().err
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_count_row", exhausted)
+    assert execute(["count", "--group", "C2", "--A", "2", "--n", "1:3"]) == EXIT_CAP_EXCEEDED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "group, n, digest",
+    [
+        ("S3", "6000", "954e75d6955d4046c82d174b408286b7f8b065b9d9974adfaa47fe514d71d8de"),
+        ("C2", "20000", "f4d5af4964620aaa999a2541dc1e8cdb84e326e775c1fb6426fafb25bbd52cd9"),
+    ],
+    ids=["S3-6000", "C2-20000"],
+)
+def test_large_n_count_bytes_in_100_mb(group, n, digest):
+    # The recurrence keeps a window of max k = |G| values: C2 at n = 20000
+    # ran out of memory under this limit while every t_s was kept (184 MB).
+    resource = pytest.importorskip("resource")
+    limit = 100 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("count", "--group", group, "--A", "2", "--n", n, preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_python_m_entry_point():

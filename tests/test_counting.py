@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -215,6 +216,39 @@ def test_kernel_matches_reference_recurrence_c2_4():
     group = group_from_permutations(transpositions, name="C2^4")
     assert group.order == 16
     _check_against_reference(group, C2, 120)
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+@pytest.mark.parametrize("name, coeffs", [("D4", C2), ("S3", V4A)], ids=["D4-C2", "S3-V4"])
+def test_window_answers_queries_in_any_order(name, coeffs, order):
+    # queries behind the window restart the cursor, and a table asked for
+    # the first time restarts it with the tables already in use
+    counter = WreathHomCounter(builtin_group(name), coeffs)
+    n = 40
+    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    ns = list(range(n, -1, -1))
+    if order == "shuffled":
+        random.Random(0).shuffle(ns)
+    queries = [
+        lambda s: counter.count(s) == totals[s],
+        lambda s: counter.fixed_point_free_probability(s) == Fraction(free[s], totals[s]),
+        lambda s: counter.fiber_counts(s) == fibers[s],
+    ]
+    for i, s in enumerate(ns):
+        for query in queries[i % 3 :] + queries[: i % 3]:
+            assert query(s), (s, i)
+
+
+def test_corrupted_fiber_term_raises_sum_mismatch():
+    counter = WreathHomCounter(builtin_group("S3"), C2)
+    k, vec = counter._fiber_terms[1]
+    (psi, x), *rest = vec
+    # adding scale keeps the division exact, so only the sum check can fail
+    counter._fiber_terms = (counter._fiber_terms[0], (k, [(psi, x + counter.scale), *rest]),
+                            *counter._fiber_terms[2:])
+    assert counter.count(10) == hom_count_wreath(builtin_group("S3"), C2, 10)
+    with pytest.raises(InvariantError, match=f"fiber sum mismatch at n={k}"):
+        counter.fiber_counts(10)
 
 
 def test_kernel_inexact_division_raises():

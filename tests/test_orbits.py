@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_orbit_type_data, reference_transfer
+from oracles import reference_cocycle_table, reference_orbit_type_data, reference_transfer
 from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
@@ -141,6 +141,7 @@ def test_orbit_data_vs_full_group_reference_random_groups(perms, coeffs):
     g = group_from_permutations(perms)
     hg = hom_group(g, coeffs)
     for i, cls in enumerate(subgroup_classes(g)):
+        assert orbits.cocycle_table(g, coeffs, cls) == reference_cocycle_table(g, coeffs, cls)
         assert orbit_type_data(g, coeffs, cls, hg, class_id=i) == reference_orbit_type_data(
             g, coeffs, cls, hg, class_id=i
         )

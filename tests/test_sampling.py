@@ -72,8 +72,8 @@ def test_orbit_type_matches_eager_reference_walk(name, coeffs):
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
-    counter.extend_to(10)
-    counter.totals[6] += 1
+    counter.walk_totals.extend(counter.count(s) for s in range(1, 11))
+    counter.walk_totals[6] += 1
     monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=6"):
         sample_orbit_type(g, C2, 10, random.Random(0))
