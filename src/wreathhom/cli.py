@@ -176,7 +176,7 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
         count_rec = hom_count_wreath(group, coeffs, n)
         count_dir = hom_count_direct(group, coeffs, n)
         engine_delta = delta_distribution(group, coeffs, n)
-        brute_delta = oracle_delta(group, coeffs, n)
+        brute_delta = oracle_delta(group, coeffs, wreath, homs)
         delta_match = engine_delta.fiber_counts == brute_delta.fiber_counts
         strata_uniform = fixed_point_strata_uniform(group, coeffs, wreath, homs)
         ok = count_rec == count_dir == len(homs) and delta_match and strata_uniform

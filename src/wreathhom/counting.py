@@ -31,7 +31,7 @@ from .homs import HomGroup, hom_count_abelian, hom_group
 from .orbits import OrbitTypeData, orbit_type_data
 
 DEFAULT_RECURRENCE_CAP = 10**5
-DEFAULT_DIRECT_CAP = 60
+DIRECT_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,29 @@ class CountTable:
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Exact fold-value distribution at one n, indexed by HomGroup order."""
+    """Exact fold-value distribution at one n: the homomorphism count per
+    fold value, indexed by HomGroup order."""
 
     n: int
-    probs: tuple[Fraction, ...]
     fiber_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.probs, Fraction(0)) != 1 or any(p < 0 for p in self.probs):
+        if self.total <= 0 or any(f < 0 for f in self.fiber_counts):
             raise InvariantError(f"fold probabilities at n={self.n} are not a distribution")
 
     @property
     def total(self) -> int:
         return sum(self.fiber_counts)
 
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        total = self.total
+        return tuple(Fraction(f, total) for f in self.fiber_counts)
+
     def sup_distance_to_uniform(self) -> Fraction:
-        u = Fraction(1, len(self.probs))
-        return max(abs(p - u) for p in self.probs)
+        """max |f / total - 1/h| over the fibers, as max |h f - total| / (h total)."""
+        h, total = len(self.fiber_counts), self.total
+        return Fraction(max(abs(h * f - total) for f in self.fiber_counts), h * total)
 
 
 @dataclass(frozen=True)
@@ -228,13 +234,7 @@ class WreathHomCounter:
 
     def delta(self, n: int) -> DistributionTable:
         self.extend_to(n, fibers=True)
-        total = self._at(self._totals, n)
-        fibers = self._at(self._fibers, n)
-        return DistributionTable(
-            n=n,
-            probs=tuple(Fraction(f, total) for f in fibers),
-            fiber_counts=fibers,
-        )
+        return DistributionTable(n=n, fiber_counts=self._at(self._fibers, n))
 
 
 @lru_cache(maxsize=None)
@@ -251,17 +251,15 @@ def hom_count_wreath(
     return counter_for(group, coeffs).count(n)
 
 
-def hom_count_direct(
-    group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int = DEFAULT_DIRECT_CAP
-) -> int:
+def hom_count_direct(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> int:
     """|Hom(G, A wr S_n)| by direct enumeration of orbit-type multisets.
 
     Sums n! * prod_i w_i^{m_i} / (m_i! c_i^{m_i}) over all (m_i) whose orbit
     sizes tile n.  Exponential in the number of classes; capped accordingly.
     """
-    if n > cap:
+    if n > DIRECT_CAP:
         raise SizeCapError(
-            f"direct enumeration capped at n={cap}; use hom_count_wreath for n={n}"
+            f"direct enumeration capped at n={DIRECT_CAP}; use hom_count_wreath for n={n}"
         )
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

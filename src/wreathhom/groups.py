@@ -12,11 +12,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-DEFAULT_SIZE_CAP = 20000
+GROUP_SIZE_CAP = 20000
 
 BUILTIN_GROUP_NAMES = ("C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8")
 
@@ -110,6 +110,32 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return frozenset(elems)
+
+    @cached_property
+    def closing_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Cayley edges (x, x s, index of s) off the BFS tree of the generator
+        words; the tree's own edges hold for any map pushed along the words."""
+        return tuple(
+            (x, row[s], gi)
+            for x, row in enumerate(self.mul_table)
+            for gi, s in enumerate(self.generators)
+            if self.parent_word[row[s]] != (x, gi)
+        )
+
+    def hom_images(self, mul, identity, gen_images: Sequence) -> Optional[list]:
+        """Images of all elements under the map with these generator images,
+        pushed along the generator words, or None if it is not a homomorphism.
+        It is one iff every Cayley edge x -> x s goes to right multiplication
+        by the image of s (induction on word length).  Only ``closing_edges``
+        need checking: fewer than |G| |S| products, not |G|^2."""
+        img = [identity] * self.order
+        for x in self.eval_order[1:]:
+            parent, gi = self.parent_word[x]
+            img[x] = mul(img[parent], gen_images[gi])
+        for x, y, gi in self.closing_edges:
+            if img[y] != mul(img[x], gen_images[gi]):
+                return None
+        return img
 
     def __len__(self) -> int:
         return self.order
@@ -262,8 +288,8 @@ def group_from_table(
     """
     rows = tuple(tuple(int(x) for x in row) for row in table)
     _validate_table_shape(rows)
-    if len(rows) > DEFAULT_SIZE_CAP:
-        raise SizeCapError(f"table has {len(rows)} elements, exceeding cap {DEFAULT_SIZE_CAP}")
+    if len(rows) > GROUP_SIZE_CAP:
+        raise SizeCapError(f"table has {len(rows)} elements, exceeding cap {GROUP_SIZE_CAP}")
     d = len(rows)
     ident = next(
         (e for e in range(d) if all(rows[e][j] == j for j in range(d)) and all(rows[j][e] == j for j in range(d))),
@@ -308,7 +334,6 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
 def group_from_permutations(
     perm_generators: Sequence[Sequence[int]],
     name: str = "G",
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> FiniteGroup:
     """Build a group by BFS closure of permutation generators on 0..m-1."""
     gens = [tuple(int(x) for x in p) for p in perm_generators]
@@ -328,8 +353,8 @@ def group_from_permutations(
         for p in gens:
             prod = tuple(base[p[i]] for i in range(m))
             if prod not in index:
-                if len(elems) >= size_cap:
-                    raise SizeCapError(f"closure exceeded size cap {size_cap}")
+                if len(elems) >= GROUP_SIZE_CAP:
+                    raise SizeCapError(f"closure exceeded size cap {GROUP_SIZE_CAP}")
                 index[prod] = len(elems)
                 elems.append(prod)
     d = len(elems)

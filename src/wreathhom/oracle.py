@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .groups import (
     AbelianGroup,
@@ -21,8 +20,8 @@ from .groups import (
 from .homs import hom_group
 from .counting import DistributionTable
 
-DEFAULT_WREATH_CAP = 10**6
-DEFAULT_TUPLE_CAP = 10**8
+WREATH_ORDER_CAP = 10**6
+TUPLE_CAP = 10**8
 
 
 class ExplicitWreath:
@@ -34,12 +33,12 @@ class ExplicitWreath:
     the right factor's permutation.
     """
 
-    def __init__(self, coeffs: AbelianGroup, degree: int, size_cap: int = DEFAULT_WREATH_CAP):
+    def __init__(self, coeffs: AbelianGroup, degree: int):
         a = coeffs.order
         order = a**degree * math.factorial(degree)
-        if order > size_cap:
+        if order > WREATH_ORDER_CAP:
             raise SizeCapError(
-                f"wreath product order {order} = {a}^{degree} * {degree}! exceeds cap {size_cap}"
+                f"wreath product order {order} = {a}^{degree} * {degree}! exceeds cap {WREATH_ORDER_CAP}"
             )
         self.coeffs = coeffs
         self.degree = degree
@@ -106,66 +105,48 @@ class ExplicitWreath:
         return f"ExplicitWreath({list(self.coeffs.invariant_factors)} wr S_{self.degree}, order={self.order})"
 
 
-def build_wreath_group(
-    coeffs: AbelianGroup, degree: int, size_cap: int = DEFAULT_WREATH_CAP
-) -> ExplicitWreath:
-    return ExplicitWreath(coeffs, degree, size_cap=size_cap)
+def build_wreath_group(coeffs: AbelianGroup, degree: int) -> ExplicitWreath:
+    return ExplicitWreath(coeffs, degree)
 
 
-def enumerate_homs(group: FiniteGroup, target, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[int, ...]]:
+def enumerate_homs(group: FiniteGroup, target) -> list[tuple[int, ...]]:
     """All homomorphisms from ``group`` into a mul-capable target, as full maps.
 
-    Depth-first over generator-image tuples, pruned by element order; each
-    surviving tuple is pushed to a full map along the stored generator
-    words and accepted iff the map respects every product.
+    Every tuple of generator images, pruned by element order, is pushed to
+    a full map and accepted by its Cayley edges (``FiniteGroup.hom_images``).
     """
     gens = group.generators
-    if target.order ** len(gens) > tuple_cap:
+    if target.order ** len(gens) > TUPLE_CAP:
         raise SizeCapError(
-            f"search space {target.order}^{len(gens)} exceeds cap {tuple_cap}"
+            f"search space {target.order}^{len(gens)} exceeds cap {TUPLE_CAP}"
         )
     mul, e = target.mul, target.identity
     candidates = []
     for g in gens:
         o = group.element_order(g)
         candidates.append([t for t in range(target.order) if _fn_power(mul, e, t, o) == e])
-    d = group.order
     homs: list[tuple[int, ...]] = []
     for images in itertools.product(*candidates):
-        img = [0] * d
-        img[0] = target.identity
-        for x in group.eval_order[1:]:
-            p, gi = group.parent_word[x]
-            img[x] = mul(img[p], images[gi])
-        ok = True
-        for a in range(1, d):
-            row = group.mul_table[a]
-            ia = img[a]
-            for b in range(1, d):
-                if mul(ia, img[b]) != img[row[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        img = group.hom_images(mul, e, images)
+        if img is not None:
             homs.append(tuple(img))
     return homs
 
 
-def oracle_delta(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> DistributionTable:
-    """Exact fold-value distribution by exhaustive enumeration."""
-    target = build_wreath_group(coeffs, n)
-    homs = enumerate_homs(group, target)
+def oracle_delta(
+    group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs: list
+) -> DistributionTable:
+    """Exact fold-value distribution of the enumerated ``homs`` into ``target``."""
+    return DistributionTable(n=target.degree, fiber_counts=_fold_fibers(group, coeffs, target, homs))
+
+
+def _fold_fibers(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs) -> tuple[int, ...]:
+    """How many of ``homs`` have each fold value, in HomGroup order."""
     hg = hom_group(group, coeffs)
     fibers = [0] * hg.size
     for img in homs:
         fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
-    total = len(homs)
-    return DistributionTable(
-        n=n,
-        probs=tuple(Fraction(f, total) for f in fibers),
-        fiber_counts=tuple(fibers),
-    )
+    return tuple(fibers)
 
 
 def fixed_point_strata_uniform(
@@ -178,7 +159,6 @@ def fixed_point_strata_uniform(
     such a stratum the fold values must hit each element of Hom(G, A)
     equally often.
     """
-    hg = hom_group(group, coeffs)
     strata: dict[tuple, list] = {}
     for img in homs:
         key = tuple(target.active(img[g]) for g in group.generators)
@@ -187,10 +167,7 @@ def fixed_point_strata_uniform(
         has_fixed = any(all(p[i] == i for p in key) for i in range(target.degree))
         if not has_fixed:
             continue
-        fibers = [0] * hg.size
-        for img in members:
-            fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
-        if len(set(fibers)) != 1:
+        if len(set(_fold_fibers(group, coeffs, target, members))) != 1:
             return False
     return True
 

@@ -142,31 +142,25 @@ def _wreath_mul(e1, e2, add):
     )
 
 
-def full_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> list:
-    """Image of every group element, pushed along the stored generator words."""
+def _hom_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom):
     add, _ = abelian_index_tables(coeffs)
     identity = (tuple(range(hom.n)), (0,) * hom.n)
-    imgs = [identity] * group.order
-    for x in group.eval_order[1:]:
-        parent, gi = group.parent_word[x]
-        imgs[x] = _wreath_mul(imgs[parent], (hom.perms[gi], hom.decors[gi]), add)
+    return group.hom_images(lambda x, y: _wreath_mul(x, y, add), identity, list(zip(hom.perms, hom.decors)))
+
+
+def full_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> list:
+    """Image of every group element, pushed along the stored generator words;
+    ValueError if the generator images do not define a homomorphism."""
+    imgs = _hom_images(group, coeffs, hom)
+    if imgs is None:
+        raise ValueError("generator images do not define a homomorphism")
     return imgs
 
 
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:
-    """Check the generator images satisfy every relation of the group.
-
-    The images pushed along the generator words form a homomorphism iff
-    every Cayley edge x -> x s maps to right multiplication by s's image.
-    """
-    add, _ = abelian_index_tables(coeffs)
-    imgs = full_images(group, coeffs, hom)
-    gen_imgs = list(zip(hom.perms, hom.decors))
-    return all(
-        imgs[group.mul(x, s)] == _wreath_mul(img, gen_img, add)
-        for x, img in enumerate(imgs)
-        for s, gen_img in zip(group.generators, gen_imgs)
-    )
+    """Check the generator images satisfy every relation of the group, by
+    the Cayley edges of ``FiniteGroup.hom_images``."""
+    return _hom_images(group, coeffs, hom) is not None
 
 
 def fold_values(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> tuple[int, ...]:

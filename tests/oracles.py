@@ -4,8 +4,9 @@ These deliberately avoid the package's own algorithms: subgroups by subset
 enumeration, abelian invariants by order counting, hom counts by direct
 solution counting, the counting recurrence class by class in Fraction,
 subgroup classes by joining pairs of subgroups until nothing new appears,
-the transfer evaluated on every element of G, and centralizers by trying
-every permutation.
+the transfer evaluated on every element of G, centralizers by trying
+every permutation, and homomorphisms by trying every tuple of generator
+images against every product.
 """
 
 from __future__ import annotations
@@ -326,3 +327,27 @@ def is_homomorphism(group, coeffs, hom) -> bool:
         for a in range(group.order)
         for b in range(group.order)
     )
+
+
+def reference_enumerate_homs(group, target) -> set[tuple[int, ...]]:
+    """All homomorphisms into a mul-capable target, as full maps: every tuple
+    of target elements as generator images, no order pruning, each extended
+    by its own breadth-first walk and checked on all |G|^2 products."""
+    d = group.order
+    homs = set()
+    for images in itertools.product(range(target.order), repeat=len(group.generators)):
+        img = {0: target.identity}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, t in zip(group.generators, images):
+                    y = group.mul(x, s)
+                    if y not in img:
+                        img[y] = target.mul(img[x], t)
+                        nxt.append(y)
+            frontier = nxt
+        full = tuple(img[x] for x in range(d))
+        if all(target.mul(full[a], full[b]) == full[group.mul(a, b)] for a in range(d) for b in range(d)):
+            homs.add(full)
+    return homs

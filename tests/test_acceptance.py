@@ -28,6 +28,7 @@ from wreathhom import (
     hom_count_wreath,
     hom_group,
     index_two_subgroup_count,
+    oracle_delta,
     sample_hom,
     subgroup_classes,
     weyl_hom_count,
@@ -61,22 +62,17 @@ def _cells():
         return _cells_cache
     for gname in GRID_GROUPS:
         group = builtin_group(gname)
-        hg_cache = {}
         for factors in GRID_COEFFS:
             coeffs = AbelianGroup(factors)
-            hg = hg_cache.setdefault(factors, hom_group(group, coeffs))
             for n in _grid_ns(coeffs):
-                target = build_wreath_group(coeffs, n, size_cap=ORACLE_SIZE_CAP)
+                target = build_wreath_group(coeffs, n)
                 homs = enumerate_homs(group, target)
-                fibers = [0] * hg.size
-                for img in homs:
-                    fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
                 _cells_cache[(gname, factors, n)] = {
                     "group": group,
                     "coeffs": coeffs,
                     "n": n,
                     "oracle_count": len(homs),
-                    "oracle_fibers": tuple(fibers),
+                    "oracle_fibers": oracle_delta(group, coeffs, target, homs).fiber_counts,
                     "strata_uniform": fixed_point_strata_uniform(group, coeffs, target, homs),
                 }
     return _cells_cache

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -262,6 +263,43 @@ def test_oracle_check_loads_group_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert [l["n"] for l in lines[:-1]] == [1, 2, 3]
     assert len(built) == 1
+
+
+def test_oracle_check_enumerates_each_cell_once(capsys, monkeypatch):
+    from wreathhom import oracle
+
+    calls = []
+    real_enumerate = oracle.enumerate_homs
+
+    def counted(*args):
+        calls.append(args)
+        return real_enumerate(*args)
+
+    monkeypatch.setattr(cli, "enumerate_homs", counted)
+    monkeypatch.setattr(oracle, "enumerate_homs", counted)
+    assert execute(["oracle-check", "--group", "C2", "--n", "1:3"]) == EXIT_OK
+    assert len(calls) == 3
+
+
+def s5_plain_table():
+    """S5 as a 120 x 120 table in the order of itertools.permutations."""
+    perms = list(itertools.permutations(range(5)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(5))] for b in perms] for a in perms]
+
+
+def test_oracle_check_bytes_pinned(tmp_path, capsysbinary):
+    # the S5 digest is the benchmark's newgroup reference; the default grid's
+    # was recorded before the oracle enumerated each cell once
+    spec = tmp_path / "s5.json"
+    spec.write_text(json.dumps({"name": "S5", "table": s5_plain_table()}))
+    for argv, digest in (
+        (["oracle-check", "--group", str(spec), "--A", "2", "--n", "1:2"],
+         "74c2c853ce6089e3d55f29afeda1e334aca0f6da50216ef6c0f84f19961c55d5"),
+        (["oracle-check"], "b854d9520318a3913bf48b7c1cdd6aefa5aaf0acd3ffcbbc5a69aa97a6eb7c4a"),
+    ):
+        assert execute(argv) == EXIT_OK
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 def test_fit_decay_negative_slope(capsys):

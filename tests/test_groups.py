@@ -142,8 +142,9 @@ def test_identity_relabeled_to_zero():
 
 
 def test_closure_size_cap():
+    # S8, from an 8-cycle and a transposition, has 40320 > 20000 elements
     with pytest.raises(SizeCapError, match="cap"):
-        group_from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], size_cap=10)
+        group_from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
 def test_generators_must_generate():

@@ -13,7 +13,7 @@ from wreathhom import (
     oracle_delta,
     subgroup_classes,
 )
-from oracles import centralizer_order
+from oracles import centralizer_order, reference_enumerate_homs
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
@@ -26,8 +26,9 @@ def test_wreath_orders():
 
 
 def test_wreath_size_cap():
+    # 2^10 * 10! is past the 10^6 wreath-order limit
     with pytest.raises(SizeCapError, match="cap"):
-        build_wreath_group(C2, 10, size_cap=10**5)
+        build_wreath_group(C2, 10)
 
 
 def test_wreath_group_axioms_small():
@@ -76,18 +77,38 @@ def test_enumerate_homs_are_homomorphisms():
                 assert t.mul(img[a], img[b]) == img[g.mul(a, b)]
 
 
+@pytest.mark.parametrize("target", ["S3", "D4", "C2wrS2", "C2wrS3", "C3wrS2"])
+@pytest.mark.parametrize("name", ["C1", "C2", "C3", "V4", "S3", "Q8"])
+def test_enumerate_homs_matches_reference(name, target):
+    g = builtin_group(name)
+    if "wr" in target:
+        a, n = target.split("wrS")
+        t = build_wreath_group(AbelianGroup((int(a[1:]),)), int(n))
+    else:
+        t = builtin_group(target)
+    homs = enumerate_homs(g, t)
+    assert len(set(homs)) == len(homs)
+    assert set(homs) == reference_enumerate_homs(g, t)
+
+
 def test_enumerate_homs_cap():
     with pytest.raises(SizeCapError, match="cap"):
-        enumerate_homs(builtin_group("V4"), build_wreath_group(C2, 3), tuple_cap=1000)
+        # two generators into an order-46080 target: 46080^2 tuples, past 10^8
+        enumerate_homs(builtin_group("V4"), build_wreath_group(C2, 6))
+
+
+def brute_delta(group, coeffs, n):
+    target = build_wreath_group(coeffs, n)
+    return oracle_delta(group, coeffs, target, enumerate_homs(group, target))
 
 
 def test_oracle_delta_examples():
     c2 = builtin_group("C2")
-    assert oracle_delta(c2, C2, 2).fiber_counts == (4, 2)
-    assert oracle_delta(c2, C2, 3).fiber_counts == (10, 10)
+    assert brute_delta(c2, C2, 2).fiber_counts == (4, 2)
+    assert brute_delta(c2, C2, 3).fiber_counts == (10, 10)
     c3 = builtin_group("C3")
     # Hom(C3, C2) is trivial, so all mass sits on the trivial fold value
-    table = oracle_delta(c3, C2, 2)
+    table = brute_delta(c3, C2, 2)
     assert table.fiber_counts == (table.total,)
 
 
@@ -100,8 +121,9 @@ def test_oracle_delta_matches_engine():
         ("D4", AbelianGroup((2, 2)), 2),
     ]:
         g = builtin_group(name)
-        assert oracle_delta(g, coeffs, n).fiber_counts == delta_distribution(g, coeffs, n).fiber_counts
-        assert hom_count_wreath(g, coeffs, n) == oracle_delta(g, coeffs, n).total
+        brute = brute_delta(g, coeffs, n)
+        assert brute.fiber_counts == delta_distribution(g, coeffs, n).fiber_counts
+        assert hom_count_wreath(g, coeffs, n) == brute.total
 
 
 def test_weyl_count_equals_fold_kernel_enumeration():

@@ -119,6 +119,8 @@ def test_verify_rejects_broken_relation(name, perm, decor):
     g = builtin_group(name)
     hom = WreathHom(n=len(perm), perms=(perm,), decors=(decor,))
     assert not verify_wreath_hom(g, C2, hom)
+    with pytest.raises(ValueError, match="homomorphism"):
+        full_images(g, C2, hom)
 
 
 def test_sampler_uniform_over_all_homs_c2_n2():

@@ -31,3 +31,22 @@ def test_benchmark_tracer_finds_every_entry_point():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == []
+
+
+def test_only_the_cli_cap_is_a_parameter():
+    # Fixed limits are module constants: a per-call limit that only tests set
+    # hides which limit is documented.  The one limit parameter is the largest
+    # n, which --cap passes to hom_count_wreath; in cli.py, ``cap`` is that
+    # resolved --cap value on its way there.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg):
+                    if arg is None or not (arg.arg == "cap" or arg.arg.endswith("_cap")):
+                        continue
+                    if path.name == "cli.py" and arg.arg == "cap":
+                        continue
+                    found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}.{arg.arg}")
+    assert found == ["counting.hom_count_wreath.cap"]
