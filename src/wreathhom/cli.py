@@ -109,8 +109,11 @@ def _emit(rows: Iterable[dict], out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.writelines(lines)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:

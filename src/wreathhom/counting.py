@@ -35,15 +35,6 @@ DIRECT_CAP = 60
 
 
 @dataclass(frozen=True)
-class CountTable:
-    """t[n] = |Hom(G, A wr S_n)| for n = 0..n_max, with the per-class weights."""
-
-    n_max: int
-    counts: tuple[int, ...]
-    strata_coefficients: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class DistributionTable:
     """Exact fold-value distribution at one n: the homomorphism count per
     fold value, indexed by HomGroup order."""
@@ -288,15 +279,6 @@ def hom_count_direct(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> int:
     return int(result)
 
 
-def count_table(group: FiniteGroup, coeffs: AbelianGroup, n_max: int) -> CountTable:
-    counter = counter_for(group, coeffs)
-    return CountTable(
-        n_max=n_max,
-        counts=tuple(counter.count(n) for n in range(n_max + 1)),
-        strata_coefficients=tuple(Fraction(od.weight, od.c) for od in counter.orbit_data),
-    )
-
-
 def fixed_point_free_probability(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> Fraction:
     """Probability that the active image of a uniform homomorphism has no fixed point."""
     return counter_for(group, coeffs).fixed_point_free_probability(n)
@@ -317,11 +299,6 @@ def weyl_limit_ratio(group: FiniteGroup) -> Fraction:
     """1 / |Hom(G, C2)|, the limiting fraction of homomorphisms with trivial fold."""
     c2 = AbelianGroup((2,))
     return Fraction(1, hom_group(group, c2).size)
-
-
-def index_two_subgroup_count(group: FiniteGroup) -> int:
-    """Number of index-2 subgroups, summed over conjugates (each is normal)."""
-    return sum(c.conjugate_count for c in subgroup_classes(group) if c.index == 2)
 
 
 def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:

@@ -137,9 +137,6 @@ class FiniteGroup:
                 return None
         return img
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
@@ -246,15 +243,19 @@ class GroupSpec:
     perm_generators: Optional[tuple[tuple[int, ...], ...]] = None
 
     @staticmethod
-    def from_json(data: dict) -> "GroupSpec":
+    def from_json(data) -> "GroupSpec":
+        if not isinstance(data, dict):
+            raise GroupTableError("group spec must be a JSON object")
         name = data.get("name", "G")
+        if not isinstance(name, str):
+            raise GroupTableError("group spec 'name' must be a string")
         table = data.get("table")
         perms = data.get("permGenerators")
         if (table is None) == (perms is None):
             raise GroupTableError("group spec needs exactly one of 'table' or 'permGenerators'")
         if table is not None:
-            return GroupSpec(name, table=tuple(tuple(int(x) for x in r) for r in table))
-        return GroupSpec(name, perm_generators=tuple(tuple(int(x) for x in p) for p in perms))
+            return GroupSpec(name, table=_int_rows("table", table))
+        return GroupSpec(name, perm_generators=_int_rows("permGenerators", perms))
 
     @staticmethod
     def from_path(path: str | Path) -> "GroupSpec":
@@ -265,6 +266,18 @@ class GroupSpec:
         if self.table is not None:
             return {"name": self.name, "table": [list(r) for r in self.table]}
         return {"name": self.name, "permGenerators": [list(p) for p in self.perm_generators]}
+
+
+def _int_rows(key: str, rows) -> tuple[tuple[int, ...], ...]:
+    """A spec field that must be a JSON list of lists of integers: no
+    booleans, floats, strings or nulls, which int() would coerce."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise GroupTableError(f"'{key}' must be a list of lists of integers")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise GroupTableError(f"'{key}' entry {json.dumps(x)} is not an integer")
+    return tuple(tuple(row) for row in rows)
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:

@@ -95,16 +95,10 @@ class HomGroup:
             for v1 in gen_values
         )
 
-    def add(self, i: int, j: int) -> int:
-        return self.add_table[i][j]
-
     def index_of(self, gen_values: Sequence[int]) -> int:
         """Index of the homomorphism sending ``group.generators[i]`` to the
         A-element index ``gen_values[i]``."""
         return self._index[tuple(gen_values)]
-
-    def __len__(self) -> int:
-        return self.size
 
     def __repr__(self) -> str:
         return f"HomGroup({self.group.name} -> {list(self.coeffs.invariant_factors)}, size={self.size})"

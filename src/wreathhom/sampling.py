@@ -132,20 +132,33 @@ def sample_hom(
     )
 
 
-def _wreath_mul(e1, e2, add):
-    p1, d1 = e1
-    p2, d2 = e2
-    n = len(p1)
-    return (
-        tuple(p1[i] for i in p2),
-        tuple(add[d1[p2[i]]][d2[i]] for i in range(n)),
-    )
+def wreath_ops(coeffs: AbelianGroup):
+    """(mul, fold) on elements of A wr S_n held as (permutation, decorations)
+    pairs, with decorations as A-element indices, the format of ``WreathHom``.
+
+    ``mul`` permutes the left factor's decorations by the right factor's
+    permutation; ``fold`` sums the decorations, a homomorphism onto A.
+    """
+    add, _ = abelian_index_tables(coeffs)
+
+    def mul(x, y):
+        p1, d1 = x
+        p2, d2 = y
+        return tuple([p1[i] for i in p2]), tuple([add[d1[i]][b] for i, b in zip(p2, d2)])
+
+    def fold(x) -> int:
+        acc = 0
+        for digit in x[1]:
+            acc = add[acc][digit]
+        return acc
+
+    return mul, fold
 
 
 def _hom_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom):
-    add, _ = abelian_index_tables(coeffs)
+    mul, _ = wreath_ops(coeffs)
     identity = (tuple(range(hom.n)), (0,) * hom.n)
-    return group.hom_images(lambda x, y: _wreath_mul(x, y, add), identity, list(zip(hom.perms, hom.decors)))
+    return group.hom_images(mul, identity, list(zip(hom.perms, hom.decors)))
 
 
 def full_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> list:
@@ -165,12 +178,5 @@ def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) 
 
 def fold_values(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> tuple[int, ...]:
     """Fold (decoration sum) of every element's image, as A-element indices."""
-    add, _ = abelian_index_tables(coeffs)
-    imgs = full_images(group, coeffs, hom)
-    out = []
-    for _, decor in imgs:
-        acc = 0
-        for digit in decor:
-            acc = add[acc][digit]
-        out.append(acc)
-    return tuple(out)
+    _, fold = wreath_ops(coeffs)
+    return tuple(fold(x) for x in full_images(group, coeffs, hom))

@@ -329,13 +329,24 @@ def is_homomorphism(group, coeffs, hom) -> bool:
     )
 
 
-def reference_enumerate_homs(group, target) -> set[tuple[int, ...]]:
-    """All homomorphisms into a mul-capable target, as full maps: every tuple
-    of target elements as generator images, no order pruning, each extended
-    by its own breadth-first walk and checked on all |G|^2 products."""
+class TableTarget:
+    """A FiniteGroup as a homomorphism target, with ``elements`` 0..order-1
+    in the place of an ExplicitWreath's pairs."""
+
+    def __init__(self, group):
+        self.order = group.order
+        self.elements = range(group.order)
+        self.identity = group.identity
+        self.mul = group.mul
+
+
+def reference_enumerate_homs(group, target) -> set[tuple]:
+    """All homomorphisms into a target with ``elements``, as full maps: every
+    tuple of target elements as generator images, no order pruning, each
+    extended by its own breadth-first walk and checked on all |G|^2 products."""
     d = group.order
     homs = set()
-    for images in itertools.product(range(target.order), repeat=len(group.generators)):
+    for images in itertools.product(target.elements, repeat=len(group.generators)):
         img = {0: target.identity}
         frontier = [0]
         while frontier:

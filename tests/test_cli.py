@@ -114,6 +114,39 @@ def test_bad_spec_exit_code(tmp_path):
     assert execute(["count", "--group", str(path), "--A", "2", "--n", "1"]) == EXIT_BAD_SPEC
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"table": 5},
+        [1, 2],
+        {"permGenerators": [5]},
+        {"table": [[0, None]]},
+        {"permGenerators": [[0, 1.5]]},
+        {"permGenerators": [["1", "0"]]},
+        {"permGenerators": [[True, False]]},
+        {"name": {"a": 1}, "table": [[0]]},
+    ],
+    ids=json.dumps,
+)
+def test_malformed_spec_json_exits_3_with_one_line(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert execute(["count", "--group", str(path), "--A", "2", "--n", "1"]) == EXIT_BAD_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.jsonl", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2_with_one_line(target, tmp_path, capsys):
+    out = tmp_path / target
+    assert execute(["sample", "--group", "C2", "--n", "3", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+
+
 def test_cap_exceeded_exit_code(capsys):
     assert execute(["count", "--group", "C2", "--A", "2", "--n", "50", "--cap", "10"]) == EXIT_CAP_EXCEEDED
 

@@ -15,7 +15,6 @@ from wreathhom import (
     SizeCapError,
     WreathHomCounter,
     builtin_group,
-    count_table,
     decay_constant,
     delta_distribution,
     fixed_point_free_probability,
@@ -76,10 +75,9 @@ def test_trivial_coeffs_counts_permutation_homs():
 
 
 def test_count_table():
-    table = count_table(builtin_group("C2"), C2, 4)
-    assert table.counts == (1, 2, 6, 20, 76)
-    assert table.counts[0] == 1
-    assert table.strata_coefficients == (Fraction(1), Fraction(2))
+    counter = WreathHomCounter(builtin_group("C2"), C2)
+    assert [counter.count(n) for n in range(5)] == [1, 2, 6, 20, 76]
+    assert [Fraction(od.weight, od.c) for od in counter.orbit_data] == [1, 2]
 
 
 def test_pfree_examples():

@@ -13,7 +13,8 @@ from wreathhom import (
     oracle_delta,
     subgroup_classes,
 )
-from oracles import centralizer_order, reference_enumerate_homs
+from oracles import TableTarget, centralizer_order, reference_enumerate_homs
+from wreathhom.groups import abelian_index_tables
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
@@ -33,45 +34,50 @@ def test_wreath_size_cap():
 
 def test_wreath_group_axioms_small():
     w = build_wreath_group(C2, 2)
-    for x in range(w.order):
+    for x in w.elements:
         assert w.mul(x, w.identity) == x
         assert w.mul(w.identity, x) == x
-        assert w.mul(x, w.inv(x)) == w.identity
-    for x in range(w.order):
-        for y in range(w.order):
-            for z in range(w.order):
+        assert sum(w.mul(x, y) == w.identity for y in w.elements) == 1
+    for x in w.elements:
+        for y in w.elements:
+            for z in w.elements:
                 assert w.mul(w.mul(x, y), z) == w.mul(x, w.mul(y, z))
 
 
 def test_wreath_projection_and_fold_are_homomorphisms():
     w = build_wreath_group(C2, 3)
-    add, _ = __import__("wreathhom.groups", fromlist=["abelian_index_tables"]).abelian_index_tables(C2)
-    for x in range(w.order):
-        for y in range(w.order):
+    add, _ = abelian_index_tables(C2)
+    for x in w.elements:
+        for y in w.elements:
             xy = w.mul(x, y)
-            assert w.active(xy) == tuple(w.active(x)[i] for i in w.active(y))
+            assert xy[0] == tuple(x[0][i] for i in y[0])
             assert w.fold(xy) == add[w.fold(x)][w.fold(y)]
 
 
-def test_wreath_encode_decode_roundtrip():
+def test_wreath_elements_listed_once_in_order():
     w = build_wreath_group(AbelianGroup((2, 2)), 3)
-    for e in (0, 1, 17, w.order - 1):
-        perm, decor = w.decode(e)
-        assert w.encode(perm, decor) == e
+    assert len(w.elements) == w.order == 384
+    assert len(set(w.elements)) == w.order
+    assert w.elements[0] == w.identity == ((0, 1, 2), (0, 0, 0))
+    # permutations lexicographic, then decorations big-endian: the order
+    # in which enumerate_homs tries candidates
+    assert w.elements[1] == ((0, 1, 2), (0, 0, 1))
+    assert w.elements[17] == ((0, 1, 2), (1, 0, 1))
+    assert w.elements[-1] == ((2, 1, 0), (3, 3, 3))
 
 
 def test_enumerate_homs_examples():
     c2 = builtin_group("C2")
-    assert len(enumerate_homs(c2, builtin_group("S3"))) == 4
+    assert len(enumerate_homs(c2, TableTarget(builtin_group("S3")))) == 4
     assert len(enumerate_homs(c2, build_wreath_group(C2, 2))) == 6
-    for target in (builtin_group("S3"), build_wreath_group(C2, 2)):
+    for target in (TableTarget(builtin_group("S3")), build_wreath_group(C2, 2)):
         assert len(enumerate_homs(builtin_group("C1"), target)) == 1
 
 
 def test_enumerate_homs_are_homomorphisms():
     g = builtin_group("S3")
     t = builtin_group("D4")
-    for img in enumerate_homs(g, t):
+    for img in enumerate_homs(g, TableTarget(t)):
         for a in range(g.order):
             for b in range(g.order):
                 assert t.mul(img[a], img[b]) == img[g.mul(a, b)]
@@ -85,7 +91,7 @@ def test_enumerate_homs_matches_reference(name, target):
         a, n = target.split("wrS")
         t = build_wreath_group(AbelianGroup((int(a[1:]),)), int(n))
     else:
-        t = builtin_group(target)
+        t = TableTarget(builtin_group(target))
     homs = enumerate_homs(g, t)
     assert len(set(homs)) == len(homs)
     assert set(homs) == reference_enumerate_homs(g, t)
@@ -137,7 +143,7 @@ def test_weyl_count_equals_fold_kernel_enumeration():
             in_kernel = sum(
                 1
                 for img in homs
-                if all(w.fold(img[x]) == 0 for x in range(g.order))
+                if all(w.fold(x) == 0 for x in img)
             )
             assert in_kernel == weyl_hom_count(g, n)
 

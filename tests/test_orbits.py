@@ -177,9 +177,9 @@ def _extensions_of_coset_action(group, coeffs, cls):
         # a generator's image must have the generator's order dividing it
         candidate_lists.append(
             [
-                x
-                for x in (target.encode(sigma, d) for d in itertools.product(range(coeffs.order), repeat=k))
-                if _fn_power(target.mul, target.identity, x, order) == target.identity
+                (sigma, d)
+                for d in itertools.product(range(coeffs.order), repeat=k)
+                if _fn_power(target.mul, target.identity, (sigma, d), order) == target.identity
             ]
         )
     homs = []

@@ -134,7 +134,7 @@ def test_sampler_uniform_over_all_homs_c2_n2():
     total = 30000
     for _ in range(total):
         hom = sample_hom(g, C2, 2, rng)
-        draws[target.encode(hom.perms[0], hom.decors[0])] += 1
+        draws[hom.perms[0], hom.decors[0]] += 1
     observed = [draws[img[gen]] for img in all_homs]
     assert sum(observed) == total
     result = stats.chisquare(observed)
@@ -151,12 +151,19 @@ def test_sampler_uniform_over_all_homs_s3_n3():
     counts = [0] * len(all_homs)
     for _ in range(total):
         hom = sample_hom(g, C2, 3, rng)
-        imgs = full_images(g, C2, hom)
-        key = tuple(target.encode(p, d) for p, d in imgs)
-        counts[index[key]] += 1
+        counts[index[tuple(full_images(g, C2, hom))]] += 1
     assert sum(counts) == total
     result = stats.chisquare(counts)
     assert result.pvalue > 0.001
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_images_are_oracle_homs(seed):
+    # the sampler's pairs and the oracle's elements are one format
+    g = builtin_group("S3")
+    homs = set(enumerate_homs(g, build_wreath_group(C2, 3)))
+    hom = sample_hom(g, C2, 3, random.Random(seed))
+    assert tuple(full_images(g, C2, hom)) in homs
 
 
 def test_sampler_fold_matches_exact_distribution():
