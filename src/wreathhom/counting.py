@@ -13,10 +13,13 @@ counts; the fibers give the count of homomorphisms with trivial fold
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .groups import (
@@ -32,6 +35,9 @@ from .orbits import OrbitTypeData, orbit_type_data
 
 DEFAULT_RECURRENCE_CAP = 10**5
 DIRECT_CAP = 60
+# How far, in units of the top 64 bits, a draw must sit from an estimated
+# class bound before ``choose_class`` trusts the estimate; see there.
+WALK_SLACK = 3
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,9 @@ class WreathHomCounter:
     ending at the same n.  A query ahead of the cursor advances it; a query
     behind the window, or the first query of a table, restarts it from
     n = 0.  Only the sampler's backward walk reads every t_s; it keeps its
-    own list, ``walk_totals``.
+    own list, ``walk_totals``, and per s the bit length of L t_s
+    (``walk_bits``) and the top 64 bits of the walk's cumulative weight at
+    the end of each orbit size (``choose_class``).
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup):
@@ -106,6 +114,18 @@ class WreathHomCounter:
         self.scale = math.lcm(*(od.c for od in self.orbit_data))
         # (k_i, w_i * scale / c_i) per class, in class order: the sampler's stratum weights.
         self._class_terms = tuple((od.k, od.weight * (self.scale // od.c)) for od in self.orbit_data)
+        # The walk's runs, one per orbit size in class order: the first class
+        # and the prefix sums 0, a_1, a_1 + a_2, ... of the run's class terms.
+        # Classes come sorted by subgroup order, so each k is one run.
+        runs: list[tuple[int, int, list[int]]] = []
+        for i, (k, a) in enumerate(self._class_terms):
+            if runs and runs[-1][0] == k:
+                runs[-1][2].append(runs[-1][2][-1] + a)
+            elif any(run[0] == k for run in runs):
+                raise InvariantError(f"the classes of orbit size {k} are not contiguous")
+            else:
+                runs.append((k, i, [0, a]))
+        self._runs = tuple((start, tuple(prefix)) for _, start, prefix in runs)
         merged = {od.k: [0] * h for od in self.orbit_data}
         for od in self.orbit_data:
             for psi, x in enumerate(od.fiber):
@@ -120,6 +140,12 @@ class WreathHomCounter:
         self._restart(free=False, fibers=False)
         self.walk_totals: list[int] = [1]
         self._strata_checked = 0  # stratum weights verified for every s up to here
+        # Per checked s: the bit length of L t_s, the shift that leaves 64 of
+        # them, and at [s * runs + g] the cumulative weight through run g,
+        # shifted by it.
+        self.walk_bits = array("Q", [self.scale.bit_length()])
+        self._walk_shift = array("Q", [0])
+        self._walk_tops = array("Q", [0] * len(self._runs))
 
     def _restart(self, *, free: bool, fibers: bool) -> None:
         """Put the cursor at n = 0 with the windows of the tables in use."""
@@ -202,14 +228,74 @@ class WreathHomCounter:
             yield k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0
 
     def check_strata(self, n: int) -> None:
-        """Extend ``walk_totals`` to n and check each stratum sum once per s."""
+        """Extend ``walk_totals`` to n and check each stratum sum once per s,
+        keeping the top 64 bits of the running sum at the end of each run
+        for ``choose_class``."""
         table = self.walk_totals
         while len(table) <= n:
             table.append(self._scalar_step(self._total_terms, table, len(table), "count"))
         for s in range(self._strata_checked + 1, n + 1):
-            if sum(self.stratum_weights(s)) != table[s] * self.scale:
+            total = table[s] * self.scale
+            bits = total.bit_length()
+            shift = max(0, bits - 64)
+            weights = self.stratum_weights(s)
+            acc, tops = 0, []
+            for _, prefix in self._runs:
+                acc += sum(islice(weights, len(prefix) - 1))
+                tops.append(acc >> shift)
+            if acc != total:
                 raise InvariantError(f"stratum weights do not sum to the count at n={s}")
+            self.walk_bits.append(bits)
+            self._walk_shift.append(shift)
+            self._walk_tops.extend(tops)
             self._strata_checked = s
+
+    def choose_class(self, s: int, r: int) -> int | None:
+        """The class whose stratum holds r at size s: the first i with
+        r < w_0 + ... + w_i over ``stratum_weights(s)``, or None when r is
+        at least their sum ``scale * walk_totals[s]``.  The walk draws r
+        below 2 ** ``walk_bits[s]`` until it gets a class.  s must already
+        be checked by ``check_strata``.
+
+        Decided from r's top bits where they suffice.  A bisection over the
+        run tops picks the orbit size; inside the run, every class weight
+        carries the same factor k (s-1)_(k-1) t_(s-k), so a class bound is
+        the run's lower bound plus the run's weight times P / A, where P is
+        the prefix sum of the class terms before it and A the run's sum.
+
+        Why a slack of 3 is safe.  Put D = 2^shift, and let B' < B be the
+        run's cumulative bounds, so lo = B' >> shift and hi = B >> shift
+        are exact.  A class bound C = B' + (B - B') P / A is estimated as
+        E = lo + (hi - lo) P // A.  As lo > B'/D - 1 and hi > B/D - 1,
+        E > C/D - 2, and E <= C/D: so E is C >> shift or one less.  Then
+        r >> shift >= E + 2 gives r >= ((C >> shift) + 1) D > C, and
+        r >> shift < E gives r < (C >> shift) D <= C.  A draw whose top bits
+        are not at least 3 above its class's lower estimate and 3 below its
+        upper one takes the exact scan instead.
+        """
+        top = r >> self._walk_shift[s]
+        tops = self._walk_tops
+        base = s * len(self._runs)
+        end = base + len(self._runs)
+        g = bisect_right(tops, top, base, end)  # r's run is g - base
+        if g < end:
+            lo = tops[g - 1] if g > base else 0
+            width = tops[g] - lo  # > 0, as lo <= top < hi
+            start, prefix = self._runs[g - base]
+            a = prefix[-1]
+            # the last class j with lo + width * prefix[j] // a <= top
+            j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
+            if lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK:
+                return start + j
+        elif top > tops[g - 1]:
+            return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s
+        if r >= self.scale * self.walk_totals[s]:
+            return None
+        for i, w in enumerate(self.stratum_weights(s)):
+            if r < w:
+                return i
+            r -= w
+        raise InvariantError(f"stratum walk chose no class at n={s}")
 
     def count(self, n: int) -> int:
         self.extend_to(n)

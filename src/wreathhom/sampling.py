@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .counting import counter_for
-from .groups import AbelianGroup, FiniteGroup, InvariantError, abelian_index_tables, coset_action
+from .groups import AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
 from .orbits import cocycle_table
 
 
@@ -32,10 +32,7 @@ class WreathHom:
     decors: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        return {
-            "perm": [list(p) for p in self.perms],
-            "decor": [list(d) for d in self.decors],
-        }
+        return {"perm": self.perms, "decor": self.decors}
 
 
 @dataclass(frozen=True)
@@ -61,6 +58,16 @@ def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembl
     return tuple(out)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n), n > 0, drawn as CPython's
+    ``Random._randbelow(n)`` (so ``randrange(n)``) draws it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_orbit_type(
     group: FiniteGroup, coeffs: AbelianGroup, n: int, rng: random.Random
 ) -> tuple[int, ...]:
@@ -68,26 +75,25 @@ def sample_orbit_type(
 
     Backward walk on the counting table: at size s, class i is chosen with
     probability k_i (s-1)_(k_i-1) (w_i / c_i) t_(s-k_i) / t_s, realized by
-    one integer draw over the counter's common denominator.  The draw comes
-    first; the class weights are then computed in class order only until
-    the draw falls below one.  The counter checks once per s that the
-    weights sum to the count.
+    one integer draw over the counter's common denominator, the draw that
+    ``rng.randrange`` would make.  ``WreathHomCounter.choose_class`` turns
+    it into a class, from its top bits where they suffice.  The counter
+    checks once per s that the weights sum to the count.
     """
     counter = counter_for(group, coeffs)
     counter.check_strata(n)
-    table = counter.walk_totals
-    m = [0] * len(counter.classes)
+    bits, getrandbits = counter.walk_bits, rng.getrandbits
+    sizes = [od.k for od in counter.orbit_data]
+    m = [0] * len(sizes)
     s = n
     while s > 0:
-        r = rng.randrange(table[s] * counter.scale)
-        for i, w in enumerate(counter.stratum_weights(s)):
-            if r < w:
-                m[i] += 1
-                s -= counter.orbit_data[i].k
-                break
-            r -= w
-        else:
-            raise InvariantError(f"stratum walk chose no class at n={s}")
+        # _randbelow(L t_s): redraw as many bits until they fall below L t_s
+        k = bits[s]
+        i = counter.choose_class(s, getrandbits(k))
+        while i is None:
+            i = counter.choose_class(s, getrandbits(k))
+        m[i] += 1
+        s -= sizes[i]
     return tuple(m)
 
 
@@ -98,38 +104,62 @@ def sample_hom(
 
     Samples a stratum, shuffles points into typed orbit blocks, then per
     orbit draws u in Hom(U, A) and free decorations x and assembles the
-    coordinates x[g.j] + u(cocycle) - x[j].
+    coordinates x[g.j] + u(cocycle) - x[j].  The draws are those of
+    ``rng.shuffle`` and ``rng.randrange``, made on ``rng.getrandbits`` by
+    CPython's rejection loop, in the same order.
+
+    The blocks are consecutive positions of the shuffled list.  Per class
+    and generator, one comprehension over the class's blocks and the coset
+    action lists each point's image and coordinate in position order, and
+    inverting ``points`` once puts them in point order.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
     assemblies = _assemblies(group, coeffs)
     add, neg = abelian_index_tables(coeffs)
-    a_order = coeffs.order
+    getrandbits = rng.getrandbits
     num_gens = len(group.generators)
-    perms = [list(range(n)) for _ in range(num_gens)]
-    decors = [[0] * n for _ in range(num_gens)]
+    # rng.shuffle(points): the same swaps, each index drawn by _randbelow(i + 1)
     points = list(range(n))
-    rng.shuffle(points)
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        points[i], points[j] = points[j], points[i]
+    # per generator, in position order: each point's image and coordinate
+    images: list[list[int]] = [[] for _ in range(num_gens)]
+    coords: list[list[int]] = [[] for _ in range(num_gens)]
+    a_order = coeffs.order
+    a_bits = a_order.bit_length()
     pos = 0
-    for ci, count in enumerate(m):
-        asm = assemblies[ci]
-        for _ in range(count):
-            block = points[pos : pos + asm.k]
-            pos += asm.k
-            u_idx = rng.randrange(len(asm.u_eval))
-            u_tab = asm.u_eval[u_idx]
-            xs = [0] + [rng.randrange(a_order) for _ in range(asm.k - 1)]
-            for gi in range(num_gens):
-                act = asm.gen_points[gi]
-                u_gen = u_tab[gi]
-                for j in range(asm.k):
-                    p = block[j]
-                    perms[gi][p] = block[act[j]]
-                    decors[gi][p] = add[add[xs[act[j]]][u_gen[j]]][neg[xs[j]]]
-    return WreathHom(
-        n=n,
-        perms=tuple(tuple(p) for p in perms),
-        decors=tuple(tuple(d) for d in decors),
-    )
+    for asm, count in zip(assemblies, m):
+        if not count:
+            continue
+        k = asm.k
+        blocks = [points[b : b + k] for b in range(pos, pos + count * k, k)]
+        pos += count * k
+        # per orbit, in this order: u, then the k - 1 free decorations
+        u_tabs, x_blocks = [], []
+        for _ in blocks:
+            u_tabs.append(asm.u_eval[_below(getrandbits, len(asm.u_eval))])
+            x_block = [0]
+            for _ in range(k - 1):
+                x = getrandbits(a_bits)  # _below(getrandbits, a_order), inlined
+                while x >= a_order:
+                    x = getrandbits(a_bits)
+                x_block.append(x)
+            x_blocks.append(x_block)
+        for gi, act in enumerate(asm.gen_points):
+            images[gi] += [block[a] for block in blocks for a in act]
+            coords[gi] += [
+                add[add[xs[a]][c]][neg[x]] for xs, u_tab in zip(x_blocks, u_tabs) for a, c, x in zip(act, u_tab[gi], xs)
+            ]
+    where = [0] * n
+    for q, p in enumerate(points):
+        where[p] = q
+    perms = [tuple([image[q] for q in where]) for image in images]
+    decors = [tuple([coord[q] for q in where]) for coord in coords]
+    return WreathHom(n=n, perms=tuple(perms), decors=tuple(decors))
 
 
 def wreath_ops(coeffs: AbelianGroup):

@@ -5,8 +5,9 @@ enumeration, abelian invariants by order counting, hom counts by direct
 solution counting, the counting recurrence class by class in Fraction,
 subgroup classes by joining pairs of subgroups until nothing new appears,
 the transfer evaluated on every element of G, centralizers by trying
-every permutation, and homomorphisms by trying every tuple of generator
-images against every product.
+every permutation, homomorphisms by trying every tuple of generator
+images against every product, and the sampler on ``random``'s own
+``randrange`` and ``shuffle``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, abelianization, coset_action
+from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, WreathHom, abelianization, coset_action
+from wreathhom.counting import counter_for
 from wreathhom.groups import abelian_index_tables
 from wreathhom.homs import abelian_homs, evaluate_abelian_hom, hom_count_abelian
+from wreathhom.orbits import cocycle_table
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -184,6 +187,54 @@ def reference_orbit_type(orbit_data, totals, n, rng):
                 break
             r -= w
     return tuple(m)
+
+
+def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
+    """The sampler as first written, on ``random``'s own methods.
+
+    The backward walk draws ``rng.randrange(L t_s)`` and scans the class
+    weights in class order; ``rng.shuffle`` places the points, and each
+    orbit in turn draws its u and its free decorations by ``rng.randrange``
+    and writes its coordinates point by point.
+    """
+    counter = counter_for(group, coeffs)
+    counter.check_strata(n)
+    table = counter.walk_totals
+    m = [0] * len(counter.classes)
+    s = n
+    while s > 0:
+        r = rng.randrange(table[s] * counter.scale)
+        for i, w in enumerate(counter.stratum_weights(s)):
+            if r < w:
+                m[i] += 1
+                s -= counter.orbit_data[i].k
+                break
+            r -= w
+        else:
+            raise AssertionError(f"no class holds the draw at n={s}")
+    add, neg = abelian_index_tables(coeffs)
+    num_gens = len(group.generators)
+    perms = [list(range(n)) for _ in range(num_gens)]
+    decors = [[0] * n for _ in range(num_gens)]
+    points = list(range(n))
+    rng.shuffle(points)
+    pos = 0
+    for cls, count in zip(counter.classes, m):
+        act_perms = coset_action(group, cls).perms
+        u_eval = cocycle_table(group, coeffs, cls)
+        k = cls.index
+        for _ in range(count):
+            block = points[pos : pos + k]
+            pos += k
+            u_tab = u_eval[rng.randrange(len(u_eval))]
+            xs = [0] + [rng.randrange(coeffs.order) for _ in range(k - 1)]
+            for gi in range(num_gens):
+                act = act_perms[gi]
+                for j in range(k):
+                    p = block[j]
+                    perms[gi][p] = block[act[j]]
+                    decors[gi][p] = add[add[xs[act[j]]][u_tab[gi][j]]][neg[xs[j]]]
+    return WreathHom(n=n, perms=tuple(tuple(p) for p in perms), decors=tuple(tuple(d) for d in decors))
 
 
 def _conjugate(group, subgroup, g):

@@ -365,6 +365,33 @@ def test_sample_bytes_pinned(tmp_path):
     assert digest == "8bbe581e77fa0b684c4d38d2ff0870ab1a733eb51d3352ddc0f2056743ea6524"
 
 
+C2_4_PERMS = [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7], [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+@pytest.mark.parametrize(
+    "group,a,n,digest",
+    [
+        # |Hom(U, A)| = 1 for every U != 1: S3^ab = C2 has no map onto C3
+        ("S3", "3", 400, "be294ba739fdd1ec85ff99d155b9bd963a2046bf17019c2c307653d6e5b6c887"),
+        # a non-power-of-two modulus |A| = 4 on two generators
+        ("V4", "2,2", 300, "0e3beb35627948d4acb39961dfe4122511aa334bc11d34d83dee6c16bcaa8c3a"),
+        ("Q8", "4", 500, "ca48193afb1fa2b08a98f757ebdb32358e427421d09cf23018ca311077e8ad3b"),
+        # 67 classes in 5 orbit sizes, given as permutation generators
+        ("c2_4.json", "2", 200, "3b3c795318ffcfbb00df688e11e6319391c0dea1651f70c3e367d00c6039f73b"),
+    ],
+)
+def test_sample_bytes_pinned_across_groups(group, a, n, digest, tmp_path, capsysbinary):
+    # recorded before the sampler's direct draws and prefix-bound walk:
+    # several classes share each orbit size, so every draw path is covered
+    if group.endswith(".json"):
+        spec = tmp_path / group
+        spec.write_text(json.dumps({"name": "C2^4", "permGenerators": C2_4_PERMS}))
+        group = str(spec)
+    argv = ["sample", "--group", group, "--A", a, "--n", str(n), "--samples", "5", "--seed", "7"]
+    assert execute(argv) == EXIT_OK
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
+
 def test_sample_bytes_pinned_under_python_O():
     # the stratum check and the lazy walk are not asserts: -O draws the same
     proc = run_module("sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7",

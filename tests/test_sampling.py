@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from scipy import stats
 
-from oracles import reference_orbit_type, reference_tables
+from oracles import reference_orbit_type, reference_sample_hom, reference_tables
 from wreathhom import (
     AbelianGroup,
     InvariantError,
@@ -21,11 +23,12 @@ from wreathhom import (
     sample_orbit_type,
     verify_wreath_hom,
 )
-from wreathhom import sampling
+from wreathhom import counting, sampling
 from wreathhom.counting import counter_for
 from wreathhom.groups import BUILTIN_GROUP_NAMES
 
 C2 = AbelianGroup((2,))
+C3A = AbelianGroup((3,))
 V4A = AbelianGroup((2, 2))
 
 
@@ -67,6 +70,55 @@ def test_orbit_type_matches_eager_reference_walk(name, coeffs):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert sample_orbit_type(g, coeffs, n, rng) == reference_orbit_type(counter.orbit_data, totals, n, ref_rng)
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_choose_class_at_every_bound(name, coeffs):
+    # r = B - 1, B, B + 1 at every cumulative class weight B, and the largest
+    # draw: the top-bit estimates and the exact scan must pick the class an
+    # exact bisection does, and refuse every r from the total on
+    counter = counter_for(builtin_group(name), coeffs)
+    counter.check_strata(300)
+    for s in [*range(1, 61), 150, 300]:
+        total = counter.scale * counter.walk_totals[s]
+        assert counter.walk_bits[s] == total.bit_length()
+        bounds = list(accumulate(counter.stratum_weights(s)))
+        assert bounds[-1] == total
+        for r in {max(0, b + d) for b in bounds for d in (-1, 0, 1)} | {2 ** counter.walk_bits[s] - 1}:
+            expected = bisect_right(bounds, r) if r < total else None
+            assert counter.choose_class(s, r) == expected, (s, r)
+
+
+def test_walk_refuses_classes_of_one_size_apart(monkeypatch):
+    # V4's three subgroups of order 2 share k = 2; one moved past the
+    # trivial subgroup (k = 4) would split their run
+    g = builtin_group("V4")
+    classes = counting.subgroup_classes(g)
+    assert [c.index for c in classes] == [4, 2, 2, 2, 1]
+    monkeypatch.setattr(counting, "subgroup_classes", lambda group: (classes[1], classes[0], *classes[2:]))
+    with pytest.raises(InvariantError, match="the classes of orbit size 2 are not contiguous"):
+        WreathHomCounter(g, C2)
+
+
+@pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_sample_hom_matches_reference_draws(name, coeffs):
+    # the written-out draws must consume the stream as randrange and shuffle
+    # do: a Python whose _randbelow or shuffle changes fails here
+    g = builtin_group(name)
+    for seed in range(5):
+        for n in (0, 1, 2, 17, 40):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert sample_hom(g, coeffs, n, rng) == reference_sample_hom(g, coeffs, n, ref_rng)
+            assert rng.random() == ref_rng.random()
+
+
+def test_sample_hom_matches_reference_draws_at_large_n():
+    g = builtin_group("D4")
+    rng, ref_rng = random.Random(3), random.Random(3)
+    assert sample_hom(g, C2, 3000, rng) == reference_sample_hom(g, C2, 3000, ref_rng)
+    assert rng.random() == ref_rng.random()
 
 
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
