@@ -3,11 +3,12 @@
 Two independent evaluations of the stratified orbit-type sum: direct
 enumeration of weighted compositions, and a linear recurrence obtained as
 the log-derivative of exp(sum_k a_k x^k), with the classes merged by orbit
-size k and run in integers over one common denominator.  The same
-recurrence run in the group algebra of Hom(G, A) yields the exact
-fold-value distribution, and without the k = 1 term the fixed-point-free
-counts; the fibers give the count of homomorphisms with trivial fold
-(type-D Weyl groups for A = C2).
+size k and run in integers over one common denominator.  Without the k = 1
+term it gives the fixed-point-free counts.  The same recurrence pushed to
+each cyclic quotient Z/d of H = Hom(G, A) and inverted by integer
+Ramanujan sums yields the exact fold-value distribution; its trivial fold
+class counts the homomorphisms with trivial fold (type-D Weyl groups for
+A = C2).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from itertools import chain, compress, islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -80,6 +81,36 @@ class DecayConstant:
     reference_value: float
 
 
+@lru_cache(maxsize=None)
+def _ramanujan_sum(d: int, m: int) -> int:
+    """c_d(m), the sum of z^m over the roots of unity z of order exactly d.
+    Over the divisors e of d the c_e(m) add up to the sum over all d-th
+    roots, which is d if d divides m and 0 otherwise: an integer recursion."""
+    return (d if m % d == 0 else 0) - sum(_ramanujan_sum(e, m % e) for e in range(1, d) if d % e == 0)
+
+
+class FiberQuotients(NamedTuple):
+    """The fiber recurrence of Z[H], H = Hom(G, A), run on cyclic quotients.
+
+    Pushing forward along a surjection c: H ->> Z/d is a ring map, so the
+    fibers pushed to Z/d, X_c[j], obey the same recurrence with the terms
+    P_k[j] = sum of the merged fiber terms over c(psi) = j.  With one c per
+    Galois orbit of characters, Fourier inversion on H is
+    h F(psi) = sum_c sum_j X_c[j] c_d(j - c(psi)), c_d a Ramanujan sum.
+    Quotients with equal (d, P) have equal sequences and run once.
+
+    ``seqs``: per distinct sequence beyond the totals (d = 1), its d and
+    terms (k, ((j, P_k[j]) for P_k[j] != 0)).  ``classes``: per class of
+    fold values with equal fibers at every n, the coefficients of
+    (t_n, X_1[0], ..., X_1[d_1 - 1], X_2[0], ...) that sum to h F(psi).
+    ``class_of[psi]``: psi's class.
+    """
+
+    seqs: tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+
+
 class WreathHomCounter:
     """Shared exact tables for one (G, A) pair, extended on demand.
 
@@ -88,8 +119,10 @@ class WreathHomCounter:
     the fibers (totals refined by fold value) are each n! [x^n] of
     exp(sum_k a_k x^k), where a_k sums w_i / c_i (or fiber_i / c_i) over
     the classes of orbit size k, so classes are merged by k once, over the
-    common denominator ``scale`` = lcm(c_i).  Every step checks that its
-    division by ``scale`` is exact, and fibers must sum to the total.
+    common denominator ``scale`` = lcm(c_i).  Fibers run as the sequences
+    of ``fiber_quotients``, one per distinct push-forward to a cyclic
+    quotient of Hom(G, A).  Every step checks that its division by
+    ``scale`` is exact and that each such sequence sums to the total.
 
     A step reads only the last ``max k`` entries, so the tables live in one
     forward cursor: a window of that many entries of each table in use, all
@@ -110,7 +143,6 @@ class WreathHomCounter:
             orbit_type_data(group, coeffs, cls, self.homs, class_id=i)
             for i, cls in enumerate(self.classes)
         )
-        h = self.homs.size
         self.scale = math.lcm(*(od.c for od in self.orbit_data))
         # (k_i, w_i * scale / c_i) per class, in class order: the sampler's stratum weights.
         self._class_terms = tuple((od.k, od.weight * (self.scale // od.c)) for od in self.orbit_data)
@@ -126,17 +158,13 @@ class WreathHomCounter:
             else:
                 runs.append((k, i, [0, a]))
         self._runs = tuple((start, tuple(prefix)) for _, start, prefix in runs)
-        merged = {od.k: [0] * h for od in self.orbit_data}
-        for od in self.orbit_data:
-            for psi, x in enumerate(od.fiber):
-                merged[od.k][psi] += x * (self.scale // od.c)
-        terms = sorted(merged.items())
-        self._total_terms = tuple((k, sum(vec)) for k, vec in terms)  # fibers sum to weights
+        merged: dict[int, int] = {}
+        for k, a in self._class_terms:
+            merged[k] = merged.get(k, 0) + a
+        self._total_terms = tuple(sorted(merged.items()))
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = self._total_terms[1:]
-        self._fiber_terms = tuple((k, [(psi, x) for psi, x in enumerate(vec) if x]) for k, vec in terms)
-        self._width = terms[-1][0]  # the largest orbit size, |G|
-        self._fiber_unit = tuple(1 if i == 0 else 0 for i in range(h))
+        self._width = self._total_terms[-1][0]  # the largest orbit size, |G|
         self._restart(free=False, fibers=False)
         self.walk_totals: list[int] = [1]
         self._strata_checked = 0  # stratum weights verified for every s up to here
@@ -147,14 +175,50 @@ class WreathHomCounter:
         self._walk_shift = array("Q", [0])
         self._walk_tops = array("Q", [0] * len(self._runs))
 
+    @cached_property
+    def fiber_quotients(self) -> FiberQuotients:
+        """Built on the first fiber query, so other queries never pay for it."""
+        h = self.homs.size
+        merged = {k: [0] * h for k, _ in self._total_terms}
+        for od in self.orbit_data:
+            vec, m = merged[od.k], self.scale // od.c
+            for psi, x in enumerate(od.fiber):
+                vec[psi] += x * m
+        # (d, P) -> the rows j of sum over its quotients c of c_d(j - c(psi))
+        seqs: dict[tuple, list[list[int]]] = {}
+        for d, c in self.homs.cyclic_quotients():
+            # P_k[j] for j > 0 by masks; P_k[0] is the rest of A_k = sum(vec)
+            masks = [[x == j for x in c] for j in range(1, d)]
+            pushed = []
+            for (k, a), vec in zip(self._total_terms, merged.values()):
+                rest = [sum(compress(vec, mask)) for mask in masks]
+                pushed.append((k, (a - sum(rest), *rest)))
+            rows = seqs.setdefault((d, tuple(pushed)), [[0] * h for _ in range(d)])
+            for j, row in enumerate(rows):
+                sums = [_ramanujan_sum(d, (j - x) % d) for x in range(d)]
+                row[:] = [r + sums[x] for r, x in zip(row, c)]
+        (d, terms), *rest = seqs
+        if d != 1 or terms != tuple((k, (a,)) for k, a in self._total_terms):
+            raise InvariantError("the trivial quotient does not carry the totals")
+        columns = list(zip(*chain.from_iterable(seqs.values())))
+        index: dict[tuple[int, ...], int] = {}
+        class_of = tuple(index.setdefault(col, len(index)) for col in columns)
+        return FiberQuotients(
+            seqs=tuple((d, tuple((k, tuple((j, x) for j, x in enumerate(p) if x)) for k, p in terms))
+                       for d, terms in rest),
+            classes=tuple(index),
+            class_of=class_of,
+        )
+
     def _restart(self, *, free: bool, fibers: bool) -> None:
         """Put the cursor at n = 0 with the windows of the tables in use."""
         self._n = 0
         self._totals: deque[int] = deque([1], maxlen=self._width)
         self._free: deque[int] | None = deque([1], maxlen=self._width) if free else None
-        self._fibers: deque[tuple[int, ...]] | None = (
-            deque([self._fiber_unit], maxlen=self._width) if fibers else None
-        )
+        self._fibers: deque[tuple[tuple[int, ...], ...]] | None = None
+        if fibers:
+            unit = tuple((1,) + (0,) * (d - 1) for d, _ in self.fiber_quotients.seqs)
+            self._fibers = deque([unit], maxlen=self._width)
 
     def _exact(self, acc: int, s: int, what: str) -> int:
         value, rest = divmod(acc, self.scale)
@@ -172,21 +236,19 @@ class WreathHomCounter:
             acc += k * math.perm(s - 1, k - 1) * a * prev[-k]
         return self._exact(acc, s, what)
 
-    def _fiber_step(self, s: int) -> tuple[int, ...]:
-        """The same step with a_k in the group algebra of Hom(G, A)."""
-        add_table = self.homs.add_table
-        acc = [0] * self.homs.size
-        for k, vec in self._fiber_terms:
+    def _quotient_step(self, q: int, s: int) -> tuple[int, ...]:
+        """The step of quotient sequence q, with a_k and the entries in
+        Z[Z/d]: length-d vectors multiplied cyclically."""
+        d, terms = self.fiber_quotients.seqs[q]
+        acc = [0] * d
+        for k, vec in terms:
             if k > s:
                 break
-            prev = self._fibers[-k]
             step = k * math.perm(s - 1, k - 1)
-            for psi, a in vec:
-                row = add_table[psi]
-                c = step * a
-                for j, b in enumerate(prev):
-                    if b:
-                        acc[row[j]] += c * b
+            prev = [step * x for x in self._fibers[-k][q]]
+            for i, a in vec:
+                for j, x in enumerate(prev):
+                    acc[(i + j) % d] += a * x
         return tuple(self._exact(x, s, "fiber") for x in acc)
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False) -> None:
@@ -204,8 +266,8 @@ class WreathHomCounter:
             if self._free is not None:
                 free_count = self._scalar_step(self._free_terms, self._free, s, "fixed-point-free count")
             if self._fibers is not None:
-                fiber = self._fiber_step(s)
-                if sum(fiber) != total:
+                fiber = tuple(self._quotient_step(q, s) for q in range(len(self.fiber_quotients.seqs)))
+                if any(sum(x) != total for x in fiber):
                     raise InvariantError(f"fiber sum mismatch at n={s}")
                 self._fibers.append(fiber)
             if self._free is not None:
@@ -305,13 +367,33 @@ class WreathHomCounter:
         self.extend_to(n, free=True)
         return Fraction(self._at(self._free, n), self._at(self._totals, n))
 
-    def fiber_counts(self, n: int) -> tuple[int, ...]:
+    def _fiber_classes(self, n: int, classes: Sequence[int]) -> list[int]:
+        """The fiber of each given class of fold values at n: h F divided
+        exactly by h."""
         self.extend_to(n, fibers=True)
-        return self._at(self._fibers, n)
+        values = (self._at(self._totals, n), *chain.from_iterable(self._at(self._fibers, n)))
+        out = []
+        for i in classes:
+            acc = sum(c * x for c, x in zip(self.fiber_quotients.classes[i], values))
+            fiber, rest = divmod(acc, self.homs.size)
+            if rest:
+                raise InvariantError(f"non-integral fiber at n={n}")
+            if fiber < 0:
+                raise InvariantError(f"negative fiber at n={n}")
+            out.append(fiber)
+        return out
+
+    def fiber_count(self, n: int, psi: int) -> int:
+        """The homomorphisms whose fold is the HomGroup element psi."""
+        (fiber,) = self._fiber_classes(n, [self.fiber_quotients.class_of[psi]])
+        return fiber
+
+    def fiber_counts(self, n: int) -> tuple[int, ...]:
+        values = self._fiber_classes(n, range(len(self.fiber_quotients.classes)))
+        return tuple(values[i] for i in self.fiber_quotients.class_of)
 
     def delta(self, n: int) -> DistributionTable:
-        self.extend_to(n, fibers=True)
-        return DistributionTable(n=n, fiber_counts=self._at(self._fibers, n))
+        return DistributionTable(n=n, fiber_counts=self.fiber_counts(n))
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +460,7 @@ def delta_distribution(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> Dist
 def weyl_hom_count(group: FiniteGroup, n: int) -> int:
     """|Hom(G, W_n)| where W_n <= C2 wr S_n is the kernel of the fold map."""
     c2 = AbelianGroup((2,))
-    return counter_for(group, c2).fiber_counts(n)[0]
+    return counter_for(group, c2).fiber_count(n, 0)
 
 
 def weyl_limit_ratio(group: FiniteGroup) -> Fraction:
@@ -407,15 +489,23 @@ def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:
 # JSON forms: big integers as decimal strings, rationals as num/den strings
 
 
-def fraction_to_json(fr: Fraction) -> dict:
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+def ratio_to_json(num: int, den: int) -> dict:
+    """num / den in lowest terms, for den > 0: the numerator and
+    denominator ``Fraction(num, den)`` would hold."""
+    g = math.gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
 
 
 def distribution_to_json(table: DistributionTable) -> dict:
+    """Each distinct fiber value is rendered once; fold values in one
+    class of the counter share theirs."""
+    fibers, total = table.fiber_counts, table.total
+    h = len(fibers)
+    rendered = {f: (str(f), ratio_to_json(f, total)) for f in set(fibers)}
     return {
         "n": table.n,
-        "fibers": [str(f) for f in table.fiber_counts],
-        "probs": [fraction_to_json(p) for p in table.probs],
-        "supDistance": fraction_to_json(table.sup_distance_to_uniform()),
+        "fibers": [rendered[f][0] for f in fibers],
+        "probs": [rendered[f][1] for f in fibers],
+        "supDistance": ratio_to_json(max(abs(h * f - total) for f in rendered), h * total),
     }
 

@@ -11,12 +11,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groups import (
     AbelianGroup,
     FiniteGroup,
     InvariantError,
+    _abelian_decomposition,
     abelian_index_tables,
     abelianization,
     full_group_class,
@@ -48,14 +49,29 @@ def abelian_homs(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple
     return homs
 
 
-def evaluate_abelian_hom(
-    coeffs: AbelianGroup, images: Sequence[tuple[int, ...]], vec: Sequence[int]
-) -> tuple[int, ...]:
-    """Apply a hom given by generator images to a mixed-radix source vector."""
-    out = coeffs.zero()
-    for c, img in zip(vec, images):
-        out = coeffs.add(out, coeffs.scalar_mul(c, img))
-    return out
+def abelian_hom_evaluator(
+    coeffs: AbelianGroup, images: Sequence[tuple[int, ...]]
+) -> Callable[[Sequence[int]], int]:
+    """The A-element index of sum_i vec_i images_i, for a hom given by the
+    images of the cyclic generators, read off the index tables: one lookup
+    per coordinate once each image's multiples are listed."""
+    add, _ = abelian_index_tables(coeffs)
+    rows = []
+    for img in images:
+        x = coeffs.index_of(img)
+        row, y = [0], x
+        while y:  # 0, x, 2x, ... up to the order of x
+            row.append(y)
+            y = add[y][x]
+        rows.append(row)
+
+    def value(vec: Sequence[int]) -> int:
+        acc = 0
+        for c, row in zip(vec, rows):
+            acc = add[acc][row[c % len(row)]]
+        return acc
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,7 @@ class HomGroup:
 
     Elements are in lexicographic value-vector order, so index 0 is the
     trivial homomorphism.  A homomorphism is fixed by its values on the
-    generators, so ``index_of`` and the add table key elements by those.
+    generators, so ``index_of`` and ``add`` key elements by those.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[AbelianHom]):
@@ -87,18 +103,48 @@ class HomGroup:
         self.size = len(self.elements)
         if self.elements[0].values != (0,) * group.order:
             raise InvariantError("trivial homomorphism missing or not first")
-        gen_values = [tuple(h.values[s] for s in group.generators) for h in self.elements]
-        self._index = {v: i for i, v in enumerate(gen_values)}
-        add_idx, _ = abelian_index_tables(coeffs)
-        self.add_table = tuple(
-            tuple(self._index[tuple(add_idx[x][y] for x, y in zip(v1, v2))] for v2 in gen_values)
-            for v1 in gen_values
-        )
+        self._gen_values = [tuple(h.values[s] for s in group.generators) for h in self.elements]
+        self._index = {v: i for i, v in enumerate(self._gen_values)}
+        self._add_a, _ = abelian_index_tables(coeffs)
+
+    def add(self, i: int, j: int) -> int:
+        """Index of the pointwise sum of elements i and j."""
+        add = self._add_a
+        return self._index[tuple(add[x][y] for x, y in zip(self._gen_values[i], self._gen_values[j]))]
 
     def index_of(self, gen_values: Sequence[int]) -> int:
         """Index of the homomorphism sending ``group.generators[i]`` to the
         A-element index ``gen_values[i]``."""
         return self._index[tuple(gen_values)]
+
+    def cyclic_quotients(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """One surjection c: H ->> Z/d per Galois orbit of characters of
+        H = Hom(G, A), as (d, (c(psi) for every psi in order)); the trivial
+        character comes first, with d = 1.
+
+        In invariant-factor coordinates x of H = Z/e_1 x ... x Z/e_r, a
+        character is a vector a, chi(x) = exp(2 pi i sum_i a_i x_i / e_i).
+        Its order d is the lcm of the orders of the a_i, and it factors as a
+        faithful character of Z/d after c(x) = sum_i (a_i d / e_i) x_i mod d,
+        whose coefficients are integers because each a_i has order dividing d.
+        Its Galois conjugates u a, for u prime to d, share its kernel and so
+        its quotient; one a per orbit is kept.
+        """
+        factors, _, coords = _abelian_decomposition(range(self.size), self.add, 0)
+        grid = list(itertools.product(*(range(e) for e in factors)))
+        place = {x: i for i, x in enumerate(grid)}
+        order = [place[coords[psi]] for psi in range(self.size)]
+        seen: set[tuple[int, ...]] = set()
+        for a in grid:
+            if a in seen:
+                continue
+            d = math.lcm(*(e // math.gcd(x, e) for x, e in zip(a, factors)))
+            seen.update(tuple(u * x % e for x, e in zip(a, factors)) for u in range(d) if math.gcd(u, d) == 1)
+            values = [0]  # c at each coordinate vector, in ``grid`` order
+            for x, e in zip(a, factors):
+                step = x * d // e
+                values = [(v + step * y) % d for v in values for y in range(e)]
+            yield d, tuple(values[i] for i in order)
 
     def __repr__(self) -> str:
         return f"HomGroup({self.group.name} -> {list(self.coeffs.invariant_factors)}, size={self.size})"
@@ -110,11 +156,8 @@ def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     ab = abelianization(group, full_group_class(group))
     homs = []
     for images in abelian_homs(ab.group, coeffs):
-        values = tuple(
-            coeffs.index_of(evaluate_abelian_hom(coeffs, images, ab.projection[g]))
-            for g in range(group.order)
-        )
-        homs.append(AbelianHom(values))
+        value = abelian_hom_evaluator(coeffs, images)
+        homs.append(AbelianHom(tuple(value(ab.projection[g]) for g in range(group.order))))
     if len({h.values for h in homs}) != len(homs):
         raise InvariantError("distinct abelian homs lift to equal maps on G")
     return HomGroup(group, coeffs, homs)

@@ -23,7 +23,7 @@ from .groups import (
     abelianization,
     coset_action,
 )
-from .homs import HomGroup, abelian_homs, evaluate_abelian_hom, hom_count_abelian
+from .homs import HomGroup, abelian_hom_evaluator, abelian_homs, hom_count_abelian
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +52,8 @@ def cocycle_table(
     distinct = set().union(*cocycle)  # at most |U^ab| vectors, however many (s, j)
     table = []
     for images in abelian_homs(ab.group, coeffs):
-        value = {vec: coeffs.index_of(evaluate_abelian_hom(coeffs, images, vec)) for vec in distinct}
+        evaluate = abelian_hom_evaluator(coeffs, images)
+        value = {vec: evaluate(vec) for vec in distinct}
         table.append(tuple(tuple(value[vec] for vec in row) for row in cocycle))
     return tuple(table)
 

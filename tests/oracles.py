@@ -19,7 +19,7 @@ from fractions import Fraction
 from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, WreathHom, abelianization, coset_action
 from wreathhom.counting import counter_for
 from wreathhom.groups import abelian_index_tables
-from wreathhom.homs import abelian_homs, evaluate_abelian_hom, hom_count_abelian
+from wreathhom.homs import abelian_homs, hom_count_abelian
 from wreathhom.orbits import cocycle_table
 
 DEFAULT_DEGREE_CAP = 8
@@ -126,14 +126,35 @@ def compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def reference_tables(orbit_data, add_table, n):
+def evaluate_abelian_hom(coeffs, images, vec) -> tuple[int, ...]:
+    """Apply a hom given by generator images to a mixed-radix source vector,
+    in tuple arithmetic."""
+    out = coeffs.zero()
+    for c, img in zip(vec, images):
+        out = coeffs.add(out, coeffs.scalar_mul(c, img))
+    return out
+
+
+def reference_add_table(homs) -> list[list[int]]:
+    """The addition table of Hom(G, A), each sum found by its full values."""
+    add_idx, _ = abelian_index_tables(homs.coeffs)
+    by_values = {h.values: i for i, h in enumerate(homs.elements)}
+    return [
+        [by_values[tuple(add_idx[x][y] for x, y in zip(a.values, b.values))] for b in homs.elements]
+        for a in homs.elements
+    ]
+
+
+def reference_tables(orbit_data, homs, n):
     """Totals, fixed-point-free counts and fold fibers for 0..n, per class.
 
     The recurrence t_s = sum_i (k_i w_i / c_i) (s-1)_(k_i-1) t_(s-k_i) in
     Fraction, one term per subgroup class (no merging by orbit size), with
-    a group-algebra convolution per class per step for the fibers and the
-    U = G class (the only one with k = 1) left out of the free sequence.
+    a convolution in the group algebra of Hom(G, A) per class per step for
+    the fibers and the U = G class (the only one with k = 1) left out of
+    the free sequence.
     """
+    add_table = reference_add_table(homs)
     h = len(add_table)
     totals, free, fibers = [1], [1], [tuple(1 if i == 0 else 0 for i in range(h))]
     for s in range(1, n + 1):

@@ -392,6 +392,26 @@ def test_sample_bytes_pinned_across_groups(group, a, n, digest, tmp_path, capsys
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # exponent 4: quotients Z/2 only (D4^ab = C2 x C2), but A = C4
+        (["delta", "--group", "D4", "--A", "4", "--n", "1:40"],
+         "5d21b3d8b509bb840a21832751e1be7dde11979ae7ce911f441b1ac611ef981c"),
+        # exponent 3: one quotient Z/3, whose two characters are Galois conjugate
+        (["delta", "--group", "C3", "--A", "3", "--n", "1:40"],
+         "a5b364fe6ff6a92ae955e62301ffb6d81a6bce02fc3a9cd0c4342239a64fe604"),
+        (["weyl", "--group", "D4", "--n", "1:40"],
+         "3ebb9fba67c165b343e982d96c843d17a713de0d4e4fbe9d9acd09c997647331"),
+    ],
+    ids=["delta-D4-A4", "delta-C3-A3", "weyl-D4"],
+)
+def test_fiber_bytes_pinned_beyond_exponent_2(argv, digest, capsysbinary):
+    # recorded while fibers ran in the group algebra of Hom(G, A)
+    assert execute(argv) == EXIT_OK
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
+
 def test_sample_bytes_pinned_under_python_O():
     # the stratum check and the lazy walk are not asserts: -O draws the same
     proc = run_module("sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7",

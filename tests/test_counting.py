@@ -7,8 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_tables
+from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
     InvariantError,
@@ -24,11 +26,13 @@ from wreathhom import (
     weyl_hom_count,
     weyl_limit_ratio,
 )
-from wreathhom.counting import DistributionTable, distribution_to_json, fraction_to_json
+from wreathhom.counting import DistributionTable, distribution_to_json, ratio_to_json
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
 V4A = AbelianGroup((2, 2))
+C4A = AbelianGroup((4,))
+C2C4A = AbelianGroup((2, 4))
 
 
 def test_hyperoctahedral_involution_counts():
@@ -176,13 +180,24 @@ def fraction_from_json(data: dict) -> Fraction:
 
 
 def test_json_roundtrips():
-    fr = Fraction(10, 21)
-    assert fraction_from_json(fraction_to_json(fr)) == fr
+    assert ratio_to_json(20, 42) == {"num": "10", "den": "21"}
+    assert ratio_to_json(0, 42) == {"num": "0", "den": "1"}
     table = delta_distribution(builtin_group("C2"), C2, 2)
     data = distribution_to_json(table)
     assert data["fibers"] == ["4", "2"]
     assert fraction_from_json(data["probs"][0]) == Fraction(2, 3)
     assert fraction_from_json(data["supDistance"]) == table.sup_distance_to_uniform()
+
+
+@pytest.mark.parametrize("name, coeffs", [("D4", C4A), ("Q8", C2C4A), ("S3", C3A)], ids=str)
+def test_distribution_json_renders_each_fiber_as_fraction_would(name, coeffs):
+    for n in range(8):
+        table = delta_distribution(builtin_group(name), coeffs, n)
+        data = distribution_to_json(table)
+        assert data["fibers"] == [str(f) for f in table.fiber_counts]
+        assert [fraction_from_json(p) for p in data["probs"]] == list(table.probs)
+        assert all(math.gcd(int(p["num"]), int(p["den"])) == 1 for p in data["probs"])
+        assert fraction_from_json(data["supDistance"]) == table.sup_distance_to_uniform()
 
 
 def test_negative_n_rejected():
@@ -194,7 +209,7 @@ def test_negative_n_rejected():
 
 def _check_against_reference(group, coeffs, n):
     counter = WreathHomCounter(group, coeffs)
-    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs, n)
     for s in range(n + 1):
         assert counter.count(s) == totals[s], s
         assert counter.fixed_point_free_probability(s) == Fraction(free[s], totals[s]), s
@@ -202,7 +217,7 @@ def _check_against_reference(group, coeffs, n):
 
 
 @pytest.mark.parametrize("name", ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
-@pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=str)
+@pytest.mark.parametrize("coeffs", [C2, C3A, V4A, C4A, C2C4A], ids=str)
 def test_kernel_matches_reference_recurrence(name, coeffs):
     _check_against_reference(builtin_group(name), coeffs, 40)
 
@@ -223,7 +238,7 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
     # the first time restarts it with the tables already in use
     counter = WreathHomCounter(builtin_group(name), coeffs)
     n = 40
-    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs, n)
     ns = list(range(n, -1, -1))
     if order == "shuffled":
         random.Random(0).shuffle(ns)
@@ -239,14 +254,92 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
 
 def test_corrupted_fiber_term_raises_sum_mismatch():
     counter = WreathHomCounter(builtin_group("S3"), C2)
-    k, vec = counter._fiber_terms[1]
-    (psi, x), *rest = vec
+    quotients = counter.fiber_quotients
+    (d, terms), *other_seqs = quotients.seqs
+    k, vec = terms[1]
+    (j, x), *rest = vec
     # adding scale keeps the division exact, so only the sum check can fail
-    counter._fiber_terms = (counter._fiber_terms[0], (k, [(psi, x + counter.scale), *rest]),
-                            *counter._fiber_terms[2:])
+    corrupted = (d, (terms[0], (k, ((j, x + counter.scale), *rest)), *terms[2:]))
+    counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
     assert counter.count(10) == hom_count_wreath(builtin_group("S3"), C2, 10)
     with pytest.raises(InvariantError, match=f"fiber sum mismatch at n={k}"):
         counter.fiber_counts(10)
+
+
+def test_inexact_quotient_division_raises():
+    counter = WreathHomCounter(builtin_group("S3"), C2)
+    assert counter.scale > 1
+    quotients = counter.fiber_quotients
+    (d, ((k, ((j, x), *rest)), *terms)), *other_seqs = quotients.seqs
+    # one more than a multiple of scale at n = k = 1
+    corrupted = (d, ((k, ((j, x + 1), *rest)), *terms))
+    counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
+    with pytest.raises(InvariantError, match="non-integral fiber at n=1"):
+        counter.fiber_counts(1)
+
+
+def test_weyl_reads_only_the_trivial_class(monkeypatch):
+    def whole_vector(self, n):
+        raise AssertionError("weyl built the whole fiber vector")
+
+    monkeypatch.setattr(WreathHomCounter, "fiber_counts", whole_vector)
+    assert [weyl_hom_count(builtin_group("C2"), n) for n in (2, 3)] == [4, 10]
+
+
+@pytest.mark.parametrize("query", ["fiber_counts", "weyl"])
+def test_inexact_division_by_h_raises(query):
+    counter = WreathHomCounter(builtin_group("D4"), C2)
+    quotients = counter.fiber_quotients
+    first, *others = quotients.classes
+    # h F(0) = 1 * t_0 + (coefficients of the X at n = 0) is h; one more is not a multiple of h
+    counter.fiber_quotients = quotients._replace(classes=((first[0] + 1, *first[1:]), *others))
+    with pytest.raises(InvariantError, match="non-integral fiber at n=0"):
+        counter.fiber_counts(0) if query == "fiber_counts" else counter.fiber_count(0, 0)
+
+
+def test_negative_fiber_raises():
+    counter = WreathHomCounter(builtin_group("D4"), C2)
+    quotients = counter.fiber_quotients
+    first, *others = quotients.classes
+    counter.fiber_quotients = quotients._replace(classes=(tuple(-c for c in first), *others))
+    with pytest.raises(InvariantError, match="negative fiber at n=3"):
+        counter.fiber_counts(3)
+
+
+def test_c2_4_fiber_quotients():
+    # the 16 characters of Hom(C2^4, C2) give 16 quotients but two sequences
+    # (the totals and one of d = 2), and the fold values fall in two classes
+    transpositions = [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+                      [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
+    counter = WreathHomCounter(group_from_permutations(transpositions), C2)
+    quotients = counter.fiber_quotients
+    assert len(list(counter.homs.cyclic_quotients())) == 16
+    assert [d for d, _ in quotients.seqs] == [2]
+    assert len(quotients.classes) == 2
+    assert quotients.class_of == (0,) + (1,) * 15
+
+
+def test_fiber_quotients_built_only_for_fibers():
+    counter = WreathHomCounter(builtin_group("D4"), C2)
+    counter.count(30)
+    counter.fixed_point_free_probability(30)
+    assert "fiber_quotients" not in vars(counter)
+    counter.fiber_counts(3)
+    assert "fiber_quotients" in vars(counter)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(permutation_lists, st.sampled_from(["2", "3", "4", "2,2", "6"]))
+@example(perms=[[1, 2, 3, 0]], factors="4")  # a character of order 2 on Z/4
+def test_fibers_match_group_algebra_reference_random_groups(perms, factors):
+    group = group_from_permutations(perms)
+    coeffs = AbelianGroup(tuple(int(e) for e in factors.split(",")))
+    counter = WreathHomCounter(group, coeffs)
+    n = 25
+    _, _, fibers = reference_tables(counter.orbit_data, counter.homs, n)
+    for s in range(n + 1):
+        assert counter.fiber_counts(s) == fibers[s], s
+        assert counter.fiber_count(s, 0) == fibers[s][0], s
 
 
 def test_kernel_inexact_division_raises():

@@ -9,7 +9,7 @@ from wreathhom import (
     subgroup_classes,
 )
 from wreathhom.homs import abelian_homs
-from oracles import brute_hom_count_abelian, is_homomorphism
+from oracles import brute_hom_count_abelian, is_homomorphism, reference_add_table
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
@@ -61,11 +61,13 @@ def test_hom_group_elements_are_homomorphisms(name, coeffs):
     for h in hg.elements:
         assert is_homomorphism(g, coeffs, h)
     # closed under pointwise addition, with 0 the neutral element
+    table = reference_add_table(hg)
     for i in range(hg.size):
-        assert hg.add_table[0][i] == i
-        assert hg.add_table[i].count(0) == 1
+        assert hg.add(0, i) == i
+        assert [hg.add(i, j) for j in range(hg.size)] == table[i]
+        assert table[i].count(0) == 1
         for j in range(hg.size):
-            assert hg.add_table[i][j] == hg.add_table[j][i]
+            assert table[i][j] == table[j][i]
 
 
 @pytest.mark.parametrize(

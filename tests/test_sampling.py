@@ -65,7 +65,7 @@ def test_orbit_type_matches_eager_reference_walk(name, coeffs):
     g = builtin_group(name)
     counter = counter_for(g, coeffs)
     n = 40
-    totals, _, _ = reference_tables(counter.orbit_data, counter.homs.add_table, n)
+    totals, _, _ = reference_tables(counter.orbit_data, counter.homs, n)
     for seed in range(5):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert sample_orbit_type(g, coeffs, n, rng) == reference_orbit_type(counter.orbit_data, totals, n, ref_rng)
