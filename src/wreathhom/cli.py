@@ -58,6 +58,7 @@ EXIT_UNKNOWN_BUILTIN = 5
 EXIT_INVARIANT = 6
 
 CAP_ENV_VAR = "WREATHHOM_CAP"
+WALK_TABLE_BUDGET_BITS = 8 * 2**30  # 1 GiB: sample refuses, before any work, a larger walk table
 
 
 class UsageError(Exception):
@@ -103,9 +104,9 @@ def _parse_n_range(text: str, cap: int) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(rows: Iterable[dict], out: Optional[str]) -> None:
-    """Write one JSON line per row, and nothing unless every row is made."""
-    lines = [json.dumps(row) + "\n" for row in rows]
+def _emit(rows: Iterable[str], out: Optional[str]) -> None:
+    """Write each row's JSON text as a line, and nothing unless every row is made."""
+    lines = [row + "\n" for row in rows]
     if out is None or out == "-":
         sys.stdout.writelines(lines)
     else:
@@ -143,7 +144,7 @@ def _cmd_table(args, ns: range, cap: int) -> int:
     """One JSON line per n from the subcommand's row function."""
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    _emit((args.row(group, coeffs, n, cap) for n in ns), args.out)
+    _emit((json.dumps(args.row(group, coeffs, n, cap)) for n in ns), args.out)
     return EXIT_OK
 
 
@@ -154,8 +155,14 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
         raise UsageError(f"sample takes a single n, not the range {args.n!r}")
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
+    n = ns[0]
+    # The walk keeps every t_s <= |Hom(G, A wr S_n)| <= |A wr S_n|^#gens, so
+    # its table holds at most n #gens (n log2|A| + log2 n!) bits.
+    bits = n * len(group.generators) * (n * math.log2(coeffs.order) + math.lgamma(n + 1) / math.log(2))
+    if bits > WALK_TABLE_BUDGET_BITS:
+        raise SizeCapError(f"sample at n={n} may need a {bits / 2**33:.1f} GiB walk table, over the 1 GiB budget")
     rng = random.Random(args.seed)
-    _emit((sample_hom(group, coeffs, ns[0], rng).to_json() for _ in range(args.samples)), args.out)
+    _emit((sample_hom(group, coeffs, n, rng).to_json() for _ in range(args.samples)), args.out)
     return EXIT_OK
 
 
@@ -198,7 +205,7 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
             }
         )
     lines.append({"ok": all_ok, "cells": len(lines)})
-    _emit(lines, args.out)
+    _emit(map(json.dumps, lines), args.out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -240,7 +247,7 @@ def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> di
 def _cmd_fit_decay(args, ns: range, cap: int) -> int:
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    _emit([fit_decay(group, coeffs, list(ns))], args.out)
+    _emit([json.dumps(fit_decay(group, coeffs, list(ns)))], args.out)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress
 from typing import Iterator, NamedTuple, Sequence
 
 from .groups import (
@@ -56,16 +56,6 @@ class DistributionTable:
     @property
     def total(self) -> int:
         return sum(self.fiber_counts)
-
-    @property
-    def probs(self) -> tuple[Fraction, ...]:
-        total = self.total
-        return tuple(Fraction(f, total) for f in self.fiber_counts)
-
-    def sup_distance_to_uniform(self) -> Fraction:
-        """max |f / total - 1/h| over the fibers, as max |h f - total| / (h total)."""
-        h, total = len(self.fiber_counts), self.total
-        return Fraction(max(abs(h * f - total) for f in self.fiber_counts), h * total)
 
 
 @dataclass(frozen=True)
@@ -146,8 +136,8 @@ class WreathHomCounter:
         self.scale = math.lcm(*(od.c for od in self.orbit_data))
         # (k_i, w_i * scale / c_i) per class, in class order: the sampler's stratum weights.
         self._class_terms = tuple((od.k, od.weight * (self.scale // od.c)) for od in self.orbit_data)
-        # The walk's runs, one per orbit size in class order: the first class
-        # and the prefix sums 0, a_1, a_1 + a_2, ... of the run's class terms.
+        # The walk's runs, one per orbit size k in class order: k, the first
+        # class and the prefix sums 0, a_1, a_1 + a_2, ... of the class terms.
         # Classes come sorted by subgroup order, so each k is one run.
         runs: list[tuple[int, int, list[int]]] = []
         for i, (k, a) in enumerate(self._class_terms):
@@ -157,11 +147,9 @@ class WreathHomCounter:
                 raise InvariantError(f"the classes of orbit size {k} are not contiguous")
             else:
                 runs.append((k, i, [0, a]))
-        self._runs = tuple((start, tuple(prefix)) for _, start, prefix in runs)
-        merged: dict[int, int] = {}
-        for k, a in self._class_terms:
-            merged[k] = merged.get(k, 0) + a
-        self._total_terms = tuple(sorted(merged.items()))
+        self._runs = tuple((k, start, tuple(prefix)) for k, start, prefix in runs)
+        # the merged A_k, each the sum prefix[-1] of its run
+        self._total_terms = tuple(sorted((k, prefix[-1]) for k, _, prefix in runs))
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = self._total_terms[1:]
         self._width = self._total_terms[-1][0]  # the largest orbit size, |G|
@@ -282,34 +270,35 @@ class WreathHomCounter:
     def stratum_weights(self, s: int) -> Iterator[int]:
         """Per-class weights k (s-1)_(k-1) (w_i L / c_i) t_(s-k) of the backward
         walk at size s, in class order, each computed only when the next is
-        asked for.  They sum to ``scale * walk_totals[s]``; ``check_strata``
-        verifies that.
+        asked for.  Each run's weights sum to its one product in
+        ``check_strata``, so all of them sum to ``scale * walk_totals[s]``.
         """
         table = self.walk_totals
         for k, a in self._class_terms:
             yield k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0
 
     def check_strata(self, n: int) -> None:
-        """Extend ``walk_totals`` to n and check each stratum sum once per s,
-        keeping the top 64 bits of the running sum at the end of each run
-        for ``choose_class``."""
+        """Extend ``walk_totals`` to n in one pass over the runs: per s, one
+        product per orbit size with the run's summed terms, keeping the top
+        64 bits of the running sum at the end of each run for
+        ``choose_class``.  A new t_s is that sum divided exactly by L; an
+        entry already in the list must equal it."""
         table = self.walk_totals
-        while len(table) <= n:
-            table.append(self._scalar_step(self._total_terms, table, len(table), "count"))
         for s in range(self._strata_checked + 1, n + 1):
-            total = table[s] * self.scale
+            bounds = list(accumulate(
+                k * math.perm(s - 1, k - 1) * prefix[-1] * table[s - k] if k <= s else 0
+                for k, _, prefix in self._runs
+            ))
+            total = bounds[-1]
+            if s == len(table):
+                table.append(self._exact(total, s, "count"))
+            elif total != self.scale * table[s]:
+                raise InvariantError(f"stratum weights do not sum to the count at n={s}")
             bits = total.bit_length()
             shift = max(0, bits - 64)
-            weights = self.stratum_weights(s)
-            acc, tops = 0, []
-            for _, prefix in self._runs:
-                acc += sum(islice(weights, len(prefix) - 1))
-                tops.append(acc >> shift)
-            if acc != total:
-                raise InvariantError(f"stratum weights do not sum to the count at n={s}")
             self.walk_bits.append(bits)
             self._walk_shift.append(shift)
-            self._walk_tops.extend(tops)
+            self._walk_tops.extend([b >> shift for b in bounds])
             self._strata_checked = s
 
     def choose_class(self, s: int, r: int) -> int | None:
@@ -343,7 +332,7 @@ class WreathHomCounter:
         if g < end:
             lo = tops[g - 1] if g > base else 0
             width = tops[g] - lo  # > 0, as lo <= top < hi
-            start, prefix = self._runs[g - base]
+            _, start, prefix = self._runs[g - base]
             a = prefix[-1]
             # the last class j with lo + width * prefix[j] // a <= top
             j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1

@@ -89,11 +89,6 @@ class FiniteGroup:
             order += 1
         return order
 
-    def element_name(self, a: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[a]
-        return str(a)
-
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by ``seed`` (closure of words, identity included)."""
         gens = sorted(set(seed) | {0})
@@ -473,13 +468,6 @@ class AbelianGroup:
         for a, e in zip(x, self.invariant_factors):
             idx = idx * e + (a % e)
         return idx
-
-    def vector_of(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for e in reversed(self.invariant_factors):
-            idx, r = divmod(idx, e)
-            out.append(r)
-        return tuple(reversed(out))
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         return iter(itertools.product(*(range(e) for e in self.invariant_factors)))

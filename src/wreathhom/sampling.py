@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .counting import counter_for
 from .groups import AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
@@ -31,8 +32,23 @@ class WreathHom:
     perms: tuple[tuple[int, ...], ...]
     decors: tuple[tuple[int, ...], ...]
 
-    def to_json(self) -> dict:
-        return {"perm": self.perms, "decor": self.decors}
+    def to_json(self) -> str:
+        """The row as JSON line text: the bytes ``json.dumps`` writes for
+        {"perm": perms, "decor": decors}, joined from a table of decimal
+        strings that covers every entry (below max(n, |A|))."""
+        names = _decimals(max(self.n, 1 + max(map(max, filter(None, self.decors)), default=0)))
+
+        def vector(v) -> str:
+            # one index makes itemgetter return a bare item, and none is refused
+            return "[" + ", ".join(itemgetter(*v)(names) if len(v) > 1 else [names[i] for i in v]) + "]"
+
+        perm, decor = ", ".join(map(vector, self.perms)), ", ".join(map(vector, self.decors))
+        return '{"perm": [' + perm + '], "decor": [' + decor + "]}"
+
+
+@lru_cache(maxsize=1)
+def _decimals(size: int) -> tuple[str, ...]:
+    return tuple(map(str, range(size)))
 
 
 @dataclass(frozen=True)
@@ -56,16 +72,6 @@ def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembl
             _ClassAssembly(k=action.degree, gen_points=action.perms, u_eval=cocycle_table(group, coeffs, cls))
         )
     return tuple(out)
-
-
-def _below(getrandbits, n: int) -> int:
-    """A uniform integer in [0, n), n > 0, drawn as CPython's
-    ``Random._randbelow(n)`` (so ``randrange(n)``) draws it."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def sample_orbit_type(
@@ -109,23 +115,25 @@ def sample_hom(
     CPython's rejection loop, in the same order.
 
     The blocks are consecutive positions of the shuffled list.  Per class
-    and generator, one comprehension over the class's blocks and the coset
-    action lists each point's image and coordinate in position order, and
-    inverting ``points`` once puts them in point order.
+    and generator, the coset action lists each point's image in position
+    order by one strided slice per coset, and one comprehension lists the
+    coordinates; a gather by the inverse of ``points`` puts them in point
+    order.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
     assemblies = _assemblies(group, coeffs)
     add, neg = abelian_index_tables(coeffs)
     getrandbits = rng.getrandbits
     num_gens = len(group.generators)
-    # rng.shuffle(points): the same swaps, each index drawn by _randbelow(i + 1)
+    # rng.shuffle(points): the same swaps, each index drawn by _randbelow(i + 1),
+    # in runs of i whose i + 1 has the same bit length k
     points = list(range(n))
-    for i in range(n - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
+    for k in range(n.bit_length(), 1, -1):
+        for i in range(min(n, (1 << k) - 1) - 1, (1 << (k - 1)) - 2, -1):
             j = getrandbits(k)
-        points[i], points[j] = points[j], points[i]
+            while j > i:
+                j = getrandbits(k)
+            points[i], points[j] = points[j], points[i]
     # per generator, in position order: each point's image and coordinate
     images: list[list[int]] = [[] for _ in range(num_gens)]
     coords: list[list[int]] = [[] for _ in range(num_gens)]
@@ -136,30 +144,38 @@ def sample_hom(
         if not count:
             continue
         k = asm.k
-        blocks = [points[b : b + k] for b in range(pos, pos + count * k, k)]
+        span = points[pos : pos + count * k]  # the class's blocks, one after another
         pos += count * k
         # per orbit, in this order: u, then the k - 1 free decorations
         u_tabs, x_blocks = [], []
-        for _ in blocks:
-            u_tabs.append(asm.u_eval[_below(getrandbits, len(asm.u_eval))])
+        u_eval = asm.u_eval
+        u_bits = len(u_eval).bit_length()
+        for _ in range(count):
+            u = getrandbits(u_bits)  # _randbelow(len(u_eval)), written out
+            while u >= len(u_eval):
+                u = getrandbits(u_bits)
+            u_tabs.append(u_eval[u])
             x_block = [0]
             for _ in range(k - 1):
-                x = getrandbits(a_bits)  # _below(getrandbits, a_order), inlined
+                x = getrandbits(a_bits)  # _randbelow(a_order)
                 while x >= a_order:
                     x = getrandbits(a_bits)
                 x_block.append(x)
             x_blocks.append(x_block)
         for gi, act in enumerate(asm.gen_points):
-            images[gi] += [block[a] for block in blocks for a in act]
+            image = span[:]
+            for a, b in enumerate(act):  # slot a of every block gets that block's slot act[a]
+                image[a::k] = span[b::k]
+            images[gi] += image
             coords[gi] += [
                 add[add[xs[a]][c]][neg[x]] for xs, u_tab in zip(x_blocks, u_tabs) for a, c, x in zip(act, u_tab[gi], xs)
             ]
     where = [0] * n
     for q, p in enumerate(points):
         where[p] = q
-    perms = [tuple([image[q] for q in where]) for image in images]
-    decors = [tuple([coord[q] for q in where]) for coord in coords]
-    return WreathHom(n=n, perms=tuple(perms), decors=tuple(decors))
+    # one index makes itemgetter return the item itself, and none is refused
+    gather = itemgetter(*where) if n > 1 else tuple
+    return WreathHom(n=n, perms=tuple(map(gather, images)), decors=tuple(map(gather, coords)))
 
 
 def wreath_ops(coeffs: AbelianGroup):

@@ -135,6 +135,17 @@ def evaluate_abelian_hom(coeffs, images, vec) -> tuple[int, ...]:
     return out
 
 
+def probs(table) -> tuple[Fraction, ...]:
+    """The fold-value probabilities f / total of a DistributionTable."""
+    return tuple(Fraction(f, table.total) for f in table.fiber_counts)
+
+
+def sup_distance_to_uniform(table) -> Fraction:
+    """max |f / total - 1/h| over the fibers of a DistributionTable."""
+    h = len(table.fiber_counts)
+    return max(abs(p - Fraction(1, h)) for p in probs(table))
+
+
 def reference_add_table(homs) -> list[list[int]]:
     """The addition table of Hom(G, A), each sum found by its full values."""
     add_idx, _ = abelian_index_tables(homs.coeffs)

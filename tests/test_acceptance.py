@@ -34,7 +34,7 @@ from wreathhom import (
 )
 from wreathhom.counting import WreathHomCounter
 from wreathhom.cli import fit_decay
-from oracles import centralizer_order
+from oracles import centralizer_order, sup_distance_to_uniform
 
 GRID_GROUPS = ("C1", "C2", "C3", "C4", "V4", "S3")
 GRID_COEFFS = ((2,), (3,), (2, 2))
@@ -126,7 +126,7 @@ def test_criterion_4_sup_distance_bound_to_300():
     for n in range(1, 301):
         table = delta_distribution(group, coeffs, n)
         p = fixed_point_free_probability(group, coeffs, n)
-        if table.sup_distance_to_uniform() > p:
+        if sup_distance_to_uniform(table) > p:
             bad.append(n)
         if n % 2 == 1 and p != 0:
             bad.append(n)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,36 @@ def test_large_n_count_bytes_in_100_mb(group, n, digest):
     proc = run_module("count", "--group", group, "--A", "2", "--n", n, preexec_fn=limit_address_space)
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_sample_past_walk_table_budget_refused_before_any_work(capsys, monkeypatch):
+    # C2 at n = 100000 (the default cap) may need about 19 GiB of t_s
+    def no_draws(*args):
+        raise AssertionError("sample_hom called")
+
+    monkeypatch.setattr(cli, "sample_hom", no_draws)
+    start = time.perf_counter()
+    assert execute(["sample", "--group", "C2", "--n", "100000"]) == EXIT_CAP_EXCEEDED
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "1 GiB" in err and err.count("\n") == 1
+
+
+def test_sample_bytes_in_1_gib():
+    # within the walk-table budget, the table fits under the budget as an
+    # address-space limit; the digest was recorded before the one-pass table
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("sample", "--group", "C2", "--n", "10000", "--samples", "1", "--seed", "0",
+                      preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "34fe3bdfa9e6ad5d14b565f30af91c719745da897781b9563faf470d3accd613"
 
 
 def test_python_m_entry_point():

@@ -83,5 +83,5 @@ def test_index_two_identity(group):
 def test_hom_json_vectors():
     a = AbelianGroup((2, 2))
     hg = hom_group(builtin_group("C2"), a)
-    vecs = [list(a.vector_of(v)) for v in hg.elements[-1].values]
+    vecs = [list(list(a.vectors())[v]) for v in hg.elements[-1].values]
     assert len(vecs) == 2 and vecs[0] == [0, 0]

@@ -1,3 +1,4 @@
+import json
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -6,7 +7,7 @@ from itertools import accumulate
 import pytest
 from scipy import stats
 
-from oracles import reference_orbit_type, reference_sample_hom, reference_tables
+from oracles import probs, reference_orbit_type, reference_sample_hom, reference_tables
 from wreathhom import (
     AbelianGroup,
     InvariantError,
@@ -230,7 +231,7 @@ def test_sampler_fold_matches_exact_distribution():
         hom = sample_hom(g, C2, n, rng)
         values = fold_values(g, C2, hom)
         counts[hg.index_of([values[s] for s in g.generators])] += 1
-    expected = [float(p) * total for p in table.probs]
+    expected = [float(p) * total for p in probs(table)]
     result = stats.chisquare(counts, f_exp=expected)
     assert result.pvalue > 0.001
 
@@ -256,8 +257,67 @@ def test_full_images_identity_and_closure():
 def test_hom_json_shape():
     g = builtin_group("V4")
     hom = sample_hom(g, V4A, 3, random.Random(11))
-    data = hom.to_json()
+    data = json.loads(hom.to_json())
     assert set(data) == {"perm", "decor"}
     assert len(data["perm"]) == len(g.generators)
     assert all(len(p) == 3 for p in data["perm"])
     assert all(len(d) == 3 for d in data["decor"])
+
+
+@pytest.mark.parametrize("coeffs", [C2, C3A, AbelianGroup((4,)), V4A], ids=["C2", "C3", "C4", "V4"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_to_json_is_json_dumps_of_the_dict_form(name, coeffs):
+    # n < |A| lets decoration indices reach n or past it, n <= 1 gives
+    # vectors of one entry or none, and C1 has no generators
+    g = builtin_group(name)
+    for n in (0, 1, 2, 3, 17):
+        for seed in range(3):
+            hom = sample_hom(g, coeffs, n, random.Random(seed))
+            assert hom.to_json() == json.dumps({"perm": hom.perms, "decor": hom.decors}), (n, seed)
+
+
+@pytest.mark.parametrize(
+    "n, perms, decors",
+    [
+        (1, ((0,),), ((3,),)),
+        (1, ((0,), (0,)), ((12,), (5,))),  # a one-entry vector of two digits
+        (2, ((1, 0), (0, 1)), ((0, 11), (12, 3))),
+        (0, ((), ()), ((), ())),
+        (3, (), ()),
+    ],
+)
+def test_to_json_renders_decorations_past_n(n, perms, decors):
+    hom = WreathHom(n=n, perms=perms, decors=decors)
+    assert hom.to_json() == json.dumps({"perm": perms, "decor": decors})
+
+
+def test_corrupted_run_term_raises_non_integral_count():
+    # the walk table divides each one-pass sum by L = 6: a run term one
+    # too large leaves a remainder at the first s that reads it (k = 2)
+    counter = WreathHomCounter(builtin_group("S3"), C2)  # not the cached counter_for one
+    assert counter.scale == 6
+    runs = list(counter._runs)
+    k, start, prefix = runs[2]
+    assert k == 2
+    runs[2] = (k, start, (*prefix[:-1], prefix[-1] + 1))
+    counter._runs = tuple(runs)
+    with pytest.raises(InvariantError, match="non-integral count at n=2"):
+        counter.check_strata(5)
+
+
+@pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_walk_table_matches_class_weights(name, coeffs):
+    # the one-pass table against the per-class weights: the bit length of
+    # L t_s, and the top 64 bits of the cumulative weight after each run
+    counter = counter_for(builtin_group(name), coeffs)
+    counter.check_strata(300)
+    width = len(counter._runs)
+    for s in range(1, 301):
+        bounds = list(accumulate(counter.stratum_weights(s)))
+        bits = bounds[-1].bit_length()
+        shift = max(0, bits - 64)
+        assert counter.walk_bits[s] == bits
+        assert counter._walk_shift[s] == shift
+        ends = [bounds[start + len(prefix) - 2] >> shift for _, start, prefix in counter._runs]
+        assert list(counter._walk_tops[s * width : (s + 1) * width]) == ends, s
