@@ -36,21 +36,22 @@ from .counting import (
     weyl_hom_count,
     weyl_limit_ratio,
 )
-from .oracle import (
-    ExplicitWreath,
-    build_wreath_group,
-    enumerate_homs,
-    fixed_point_strata_uniform,
-    oracle_delta,
-)
-from .sampling import (
-    WreathHom,
-    fold_values,
-    full_images,
-    sample_hom,
-    sample_orbit_type,
-    verify_wreath_hom,
-)
+
+_ORACLE = ("ExplicitWreath", "build_wreath_group", "enumerate_homs", "fixed_point_strata_uniform", "oracle_delta")
+_SAMPLING = ("WreathHom", "fold_values", "full_images", "sample_hom", "sample_orbit_type", "verify_wreath_hom")
+
+
+def __getattr__(name: str):
+    """The oracle's and the sampler's names, imported on first use (PEP 562)
+    so that a run that counts does not compile those modules."""
+    if name in _ORACLE:
+        from . import oracle as module
+    elif name in _SAMPLING:
+        from . import sampling as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
 
 __version__ = "0.1.0"
 

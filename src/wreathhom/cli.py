@@ -11,12 +11,9 @@ import argparse
 import json
 import math
 import os
-import random
-import statistics
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -41,13 +38,9 @@ from .counting import (
     weyl_hom_count,
     weyl_limit_ratio,
 )
-from .oracle import (
-    build_wreath_group,
-    enumerate_homs,
-    fixed_point_strata_uniform,
-    oracle_delta,
-)
-from .sampling import sample_hom
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,8 +74,11 @@ def _load_group(spec: str) -> FiniteGroup:
 
 
 def _parse_coeffs(text: str) -> AbelianGroup:
-    factors = [int(x) for x in text.split(",") if x.strip() != ""]
-    return AbelianGroup(tuple(e for e in factors if e != 1))
+    try:
+        factors = [int(x) for x in text.split(",") if x.strip() != ""]
+        return AbelianGroup(e for e in factors if e != 1)
+    except ValueError as exc:
+        raise ValueError(f"--A {text!r}: {exc}") from None
 
 
 def _parse_n_range(text: str, cap: int) -> range:
@@ -130,6 +126,7 @@ def _delta_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> di
 
 
 def _weyl_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+    from fractions import Fraction
     count = weyl_hom_count(group, n)
     total = hom_count_wreath(group, coeffs, n, cap=cap)
     return {
@@ -149,6 +146,8 @@ def _cmd_table(args, ns: range, cap: int) -> int:
 
 
 def _cmd_sample(args, ns: range, cap: int) -> int:
+    import random
+    from .sampling import sample_hom
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if len(ns) != 1:
@@ -167,6 +166,7 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
 
 
 def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
+    from .oracle import build_wreath_group, enumerate_homs, fixed_point_strata_uniform, oracle_delta
     if ns is None:
         ns = _parse_n_range("1:3", cap)
     elif args.group is None:
@@ -222,6 +222,7 @@ def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> di
     Points with p_n = 0 are skipped (their logs are undefined); the
     exponent d is the group order, matching the decay shape exp(-c n^(1/d)).
     """
+    import statistics
     d = group.order
     xs, ys = [], []
     for n in ns:
@@ -307,15 +308,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    text = os.environ.get(CAP_ENV_VAR)
-    if not text:
-        return DEFAULT_RECURRENCE_CAP
+    source, text = "--cap", args.cap
+    if text is None:
+        source, text = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
+        if not text:
+            return DEFAULT_RECURRENCE_CAP
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
-        raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+    if cap < 0:
+        raise UsageError(f"{source} must be nonnegative, got {cap}")
+    return cap
 
 
 def execute(argv: Optional[Sequence[str]] = None) -> int:

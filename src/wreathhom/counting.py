@@ -17,22 +17,24 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .groups import (
     AbelianGroup,
     FiniteGroup,
     InvariantError,
     SizeCapError,
+    _Record,
     abelianization,
     subgroup_classes,
 )
 from .homs import HomGroup, hom_count_abelian, hom_group
 from .orbits import OrbitTypeData, orbit_type_data
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_RECURRENCE_CAP = 10**5
 DIRECT_CAP = 60
@@ -41,15 +43,14 @@ DIRECT_CAP = 60
 WALK_SLACK = 3
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(_Record):
     """Exact fold-value distribution at one n: the homomorphism count per
     fold value, indexed by HomGroup order."""
 
-    n: int
-    fiber_counts: tuple[int, ...]
+    __slots__ = ("n", "fiber_counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, fiber_counts: tuple[int, ...]) -> None:
+        super().__init__(n, fiber_counts)
         if self.total <= 0 or any(f < 0 for f in self.fiber_counts):
             raise InvariantError(f"fold probabilities at n={self.n} are not a distribution")
 
@@ -58,8 +59,7 @@ class DistributionTable:
         return sum(self.fiber_counts)
 
 
-@dataclass(frozen=True)
-class DecayConstant:
+class DecayConstant(NamedTuple):
     """Exponential decay rate for the fixed-point-free probability.
 
     ``reference_value`` is the real constant 1/(e * d * l * |A| * max|Hom(U,A)|);
@@ -353,6 +353,7 @@ class WreathHomCounter:
         return self._at(self._totals, n)
 
     def fixed_point_free_probability(self, n: int) -> Fraction:
+        from fractions import Fraction
         self.extend_to(n, free=True)
         return Fraction(self._at(self._free, n), self._at(self._totals, n))
 
@@ -411,6 +412,7 @@ def hom_count_direct(group: FiniteGroup, coeffs: AbelianGroup, n: int) -> int:
         )
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    from fractions import Fraction
     counter = counter_for(group, coeffs)
     data = counter.orbit_data
     total = Fraction(0)
@@ -454,12 +456,14 @@ def weyl_hom_count(group: FiniteGroup, n: int) -> int:
 
 def weyl_limit_ratio(group: FiniteGroup) -> Fraction:
     """1 / |Hom(G, C2)|, the limiting fraction of homomorphisms with trivial fold."""
+    from fractions import Fraction
     c2 = AbelianGroup((2,))
     return Fraction(1, hom_group(group, c2).size)
 
 
 def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:
     """Decay rate of the fixed-point-free probability in exp(-c n^(1/d))."""
+    from fractions import Fraction
     classes = subgroup_classes(group)
     d = group.order
     num_classes = len(classes)

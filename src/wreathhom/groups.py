@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 GROUP_SIZE_CAP = 20000
 
@@ -229,8 +228,7 @@ def _generator_words(
 # construction
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Input description of a finite group: a full table or permutation generators."""
 
     name: str
@@ -426,8 +424,35 @@ def builtin_group(name: str) -> FiniteGroup:
 # abelian groups by invariant factors
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _Record:
+    """An immutable value over ``__slots__``, equal and hashed by its fields:
+    the form of a record that validates itself or overrides indexing."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+
+class AbelianGroup(_Record):
     """Finite abelian group as a chain of invariant factors e1 | e2 | ... | es.
 
     Elements are mixed-radix vectors, addressed big-endian so that
@@ -435,17 +460,17 @@ class AbelianGroup:
     The empty chain is the trivial group.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self) -> None:
-        fs = tuple(int(e) for e in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+    def __init__(self, invariant_factors: Iterable[int]) -> None:
+        fs = tuple(int(e) for e in invariant_factors)
         for e in fs:
             if e < 2:
                 raise ValueError(f"invariant factor {e} must be at least 2")
         for a, b in zip(fs, fs[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factor {a} does not divide successor {b}")
+        super().__init__(fs)
 
     @property
     def order(self) -> int:
@@ -494,8 +519,7 @@ def abelian_index_tables(coeffs: AbelianGroup) -> tuple[tuple[tuple[int, ...], .
 # subgroup conjugacy classes
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups, held by its canonical representative."""
 
     elements: tuple[int, ...]
@@ -580,8 +604,7 @@ def full_group_class(group: FiniteGroup) -> SubgroupClass:
 # coset actions
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(NamedTuple):
     """Transitive action of a group on the cosets of a subgroup.
 
     ``perms[i][j]`` is the image of point j under the generator
@@ -628,8 +651,7 @@ def coset_action(group: FiniteGroup, cls: SubgroupClass) -> PermutationAction:
 # abelianization
 
 
-@dataclass
-class Abelianization:
+class Abelianization(NamedTuple):
     """Quotient U/[U,U] in invariant-factor form plus the projection map.
 
     ``projection`` sends each element of U to its mixed-radix vector in

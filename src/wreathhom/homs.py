@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
@@ -17,6 +16,7 @@ from .groups import (
     AbelianGroup,
     FiniteGroup,
     InvariantError,
+    _Record,
     _abelian_decomposition,
     abelian_index_tables,
     abelianization,
@@ -74,15 +74,14 @@ def abelian_hom_evaluator(
     return value
 
 
-@dataclass(frozen=True)
-class AbelianHom:
+class AbelianHom(_Record):
     """A homomorphism G -> A stored as the full value vector.
 
     ``values[g]`` is the element index in A of the image of group element g;
     full storage keeps evaluation O(1) inside the counting loops.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
     def __getitem__(self, g: int) -> int:
         return self.values[g]

@@ -11,8 +11,8 @@ u(h_j(s)) over generators s and cosets j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groups import (
     AbelianGroup,
@@ -58,8 +58,7 @@ def cocycle_table(
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class OrbitTypeData:
+class OrbitTypeData(NamedTuple):
     """Extension weight and fold-fiber vector of one subgroup class.
 
     ``weight`` is |A|^(k-1) * |Hom(U, A)|, the number of decorated

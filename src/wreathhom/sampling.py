@@ -11,17 +11,16 @@ reproducible per seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .counting import counter_for
 from .groups import AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
 from .orbits import cocycle_table
 
 
-@dataclass(frozen=True)
-class WreathHom:
+class WreathHom(NamedTuple):
     """A homomorphism G -> A wr S_n stored as generator images.
 
     Per generator: a permutation of 0..n-1 and a length-n vector of
@@ -51,8 +50,7 @@ def _decimals(size: int) -> tuple[str, ...]:
     return tuple(map(str, range(size)))
 
 
-@dataclass(frozen=True)
-class _ClassAssembly:
+class _ClassAssembly(NamedTuple):
     """Precomputed per-class data for decorating one orbit."""
 
     k: int

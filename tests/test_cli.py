@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wreathhom import cli
+from wreathhom import cli, oracle, sampling
 from wreathhom.cli import (
     EXIT_BAD_SPEC,
     EXIT_CAP_EXCEEDED,
@@ -240,9 +240,9 @@ def test_malformed_n_is_usage_error(argv, no_group_loads, capsys):
     assert out == "" and err.startswith("error: ")
 
 
-def _fail_on_call(monkeypatch, name, bad_call):
-    """Patch cli.<name> to raise InvariantError on its ``bad_call``-th call."""
-    real, calls = getattr(cli, name), []
+def _fail_on_call(monkeypatch, module, name, bad_call):
+    """Patch module.<name> to raise InvariantError on its ``bad_call``-th call."""
+    real, calls = getattr(module, name), []
 
     def flaky(*args):
         calls.append(args)
@@ -250,28 +250,30 @@ def _fail_on_call(monkeypatch, name, bad_call):
             raise InvariantError(f"{name} failed on call {bad_call}")
         return real(*args)
 
-    monkeypatch.setattr(cli, name, flaky)
+    monkeypatch.setattr(module, name, flaky)
 
 
+# The module whose binding each subcommand reads: the sampler is imported
+# when ``sample`` runs, so its draws are looked up in ``sampling``.
 MID_RUN_FAILURES = [
-    ("sample_hom", ["sample", "--group", "S3", "--n", "6", "--samples", "5", "--seed", "1"]),
-    ("delta_distribution", ["delta", "--group", "S3", "--n", "1:5"]),
+    (sampling, "sample_hom", ["sample", "--group", "S3", "--n", "6", "--samples", "5", "--seed", "1"]),
+    (cli, "delta_distribution", ["delta", "--group", "S3", "--n", "1:5"]),
 ]
 
 
-@pytest.mark.parametrize("name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
-def test_failure_mid_run_writes_nothing(name, argv, tmp_path, capsys, monkeypatch):
-    _fail_on_call(monkeypatch, name, 3)
+@pytest.mark.parametrize("module, name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
+def test_failure_mid_run_writes_nothing(module, name, argv, tmp_path, capsys, monkeypatch):
+    _fail_on_call(monkeypatch, module, name, 3)
     assert execute(argv) == EXIT_INVARIANT
     assert capsys.readouterr().out == ""
     out = tmp_path / "rows.jsonl"
-    _fail_on_call(monkeypatch, name, 3)
+    _fail_on_call(monkeypatch, module, name, 3)
     assert execute(argv + ["--out", str(out)]) == EXIT_INVARIANT
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
-def test_out_file_bytes_equal_stdout(name, argv, tmp_path, capsysbinary):
+@pytest.mark.parametrize("module, name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
+def test_out_file_bytes_equal_stdout(module, name, argv, tmp_path, capsysbinary):
     assert execute(argv) == EXIT_OK
     printed = capsysbinary.readouterr().out
     out = tmp_path / "rows.jsonl"
@@ -300,8 +302,6 @@ def test_oracle_check_loads_group_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_check_enumerates_each_cell_once(capsys, monkeypatch):
-    from wreathhom import oracle
-
     calls = []
     real_enumerate = oracle.enumerate_homs
 
@@ -309,7 +309,7 @@ def test_oracle_check_enumerates_each_cell_once(capsys, monkeypatch):
         calls.append(args)
         return real_enumerate(*args)
 
-    monkeypatch.setattr(cli, "enumerate_homs", counted)
+    # oracle-check imports the oracle when it runs, so it reads this binding
     monkeypatch.setattr(oracle, "enumerate_homs", counted)
     assert execute(["oracle-check", "--group", "C2", "--n", "1:3"]) == EXIT_OK
     assert len(calls) == 3
@@ -429,6 +429,30 @@ def test_cap_env_var_not_an_integer(capsys, monkeypatch):
     assert err.startswith("error: WREATHHOM_CAP") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_cap_is_usage_error(source, capsys, monkeypatch):
+    argv = ["count", "--group", "C2", "--n", "0"]
+    if source == "flag":
+        monkeypatch.delenv("WREATHHOM_CAP", raising=False)
+        argv += ["--cap", "-5"]
+    else:
+        monkeypatch.setenv("WREATHHOM_CAP", "-5")
+    assert execute(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    name = "--cap" if source == "flag" else "WREATHHOM_CAP"
+    assert out == "" and err == f"error: {name} must be nonnegative, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [("x", "invalid literal for int() with base 10: 'x'"), ("2,3", "invariant factor 2 does not divide successor 3")],
+)
+def test_bad_a_names_the_flag(a, message, capsys):
+    assert execute(["count", "--group", "C2", "--A", a, "--n", "1"]) == EXIT_BAD_SPEC
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --A {a!r}: {message}\n"
+
+
 def test_invariant_error_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantError("non-integral count at n=1")
@@ -476,7 +500,7 @@ def test_sample_past_walk_table_budget_refused_before_any_work(capsys, monkeypat
     def no_draws(*args):
         raise AssertionError("sample_hom called")
 
-    monkeypatch.setattr(cli, "sample_hom", no_draws)
+    monkeypatch.setattr(sampling, "sample_hom", no_draws)
     start = time.perf_counter()
     assert execute(["sample", "--group", "C2", "--n", "100000"]) == EXIT_CAP_EXCEEDED
     assert time.perf_counter() - start < 1.0
@@ -521,3 +545,60 @@ def test_counts_beyond_str_digit_limit():
         assert digits == str(count)
     finally:
         set_limit(limit)
+
+
+# One run of each subcommand in a fresh interpreter: in-process tests import
+# every module up front, so only a child sees a lazily imported path fail.
+# The pfree and fit-decay digests were recorded before the lazy imports; the
+# others are the pinned digests above.  fit-decay prints floats, so its case
+# is one whose regression prints the same bytes on Python 3.10 to 3.13.
+FRESH_RUNS = [
+    (["count", "--group", "S3", "--A", "2", "--n", "6000"],
+     "954e75d6955d4046c82d174b408286b7f8b065b9d9974adfaa47fe514d71d8de"),
+    (["pfree", "--group", "D4", "--n", "1:40"], "a9c525a75e4f0d22e5aade66bce500e6ebc3e7ec35c0d82dd7d74a1cda431a63"),
+    (["delta", "--group", "D4", "--A", "4", "--n", "1:40"],
+     "5d21b3d8b509bb840a21832751e1be7dde11979ae7ce911f441b1ac611ef981c"),
+    (["weyl", "--group", "D4", "--n", "1:40"], "3ebb9fba67c165b343e982d96c843d17a713de0d4e4fbe9d9acd09c997647331"),
+    (["sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "5", "--seed", "7"],
+     "8bbe581e77fa0b684c4d38d2ff0870ab1a733eb51d3352ddc0f2056743ea6524"),
+    (["oracle-check"], "b854d9520318a3913bf48b7c1cdd6aefa5aaf0acd3ffcbbc5a69aa97a6eb7c4a"),
+    (["fit-decay", "--group", "S3", "--A", "2", "--n", "1:30"],
+     "52d4fb3513913907627574c8aca31d59c07e4532cbba92ba73ceff5c9a2b89f7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FRESH_RUNS, ids=[argv[0] for argv, _ in FRESH_RUNS])
+def test_subcommand_bytes_in_fresh_interpreter(argv, digest):
+    proc = run_module(*argv)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# Prints, on stderr, the modules that running the CLI added to sys.modules.
+IMPORTS_OF_A_RUN = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "from wreathhom.cli import execute\n"
+    "code = execute(sys.argv[1:])\n"
+    "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+NEVER_FOR_COUNTING = {"dataclasses", "inspect", "statistics", "wreathhom.sampling", "wreathhom.oracle"}
+UNUSED_MODULES = {
+    "count": NEVER_FOR_COUNTING,
+    "pfree": NEVER_FOR_COUNTING,
+    "delta": NEVER_FOR_COUNTING,
+    "weyl": NEVER_FOR_COUNTING,
+    "sample": {"dataclasses", "statistics", "wreathhom.oracle"},
+}
+
+
+@pytest.mark.parametrize("command", UNUSED_MODULES)
+def test_subcommand_imports_only_what_it_runs(command):
+    argv, unused = [command, "--group", "S3", "--n", "3"], UNUSED_MODULES[command]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_RUN, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "wreathhom.counting" in loaded
+    assert loaded & unused == set()

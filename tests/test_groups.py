@@ -409,3 +409,62 @@ def test_abelian_group_arithmetic():
 def test_abelian_group_json():
     a = AbelianGroup((2, 6))
     assert AbelianGroup.from_json(a.to_json()) == a
+
+
+# --- records ----------------------------------------------------------------
+
+
+def test_equal_records_are_one_cache_key():
+    from wreathhom.counting import counter_for
+
+    a1, a2 = AbelianGroup((2, 4)), AbelianGroup([2, 4])
+    assert a1 is not a2 and a1 == a2 and hash(a1) == hash(a2)
+    assert a1 != AbelianGroup((8,)) and a1 != (2, 4)
+    g1, g2 = s3_x_c2(), s3_x_c2()
+    c1, c2 = full_group_class(g1), full_group_class(g2)
+    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    assert coset_action(g1, c1) is coset_action(g2, c2)
+    first = counter_for(g1, a1)
+    hits = counter_for.cache_info().hits
+    assert counter_for(g2, a2) is first
+    assert counter_for.cache_info().hits == hits + 1
+
+
+def _records():
+    from wreathhom import DistributionTable, builtin_group, delta_distribution, decay_constant, hom_group
+    from wreathhom import orbit_type_data, sample_hom
+
+    g, a = builtin_group("S3"), AbelianGroup((2,))
+    cls = subgroup_classes(g)[0]
+    homs = hom_group(g, a)
+    return {
+        "AbelianGroup": a,
+        "SubgroupClass": cls,
+        "PermutationAction": coset_action(g, cls),
+        "Abelianization": abelianization(g, cls),
+        "GroupSpec": GroupSpec("C1", table=((0,),)),
+        "AbelianHom": homs.elements[1],
+        "DistributionTable": delta_distribution(g, a, 3),
+        "DecayConstant": decay_constant(g, a),
+        "OrbitTypeData": orbit_type_data(g, a, cls, homs),
+        "WreathHom": sample_hom(g, a, 3, random.Random(0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["AbelianGroup", "SubgroupClass", "PermutationAction", "Abelianization", "GroupSpec",
+                                  "AbelianHom", "DistributionTable", "DecayConstant", "OrbitTypeData", "WreathHom"])
+def test_records_are_immutable(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    field = next(iter(getattr(record, "_fields", None) or type(record).__slots__))
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record).startswith(f"{name}({field}=")
+
+
+def test_abelian_group_keeps_its_validation_message():
+    with pytest.raises(ValueError) as info:
+        AbelianGroup((2, 3))
+    assert str(info.value) == "invariant factor 2 does not divide successor 3"

@@ -19,6 +19,23 @@ def test_no_asserts_in_package():
     assert found == []
 
 
+def test_no_dataclasses_in_package():
+    # importing dataclasses costs about 10 ms of every cold start (it pulls in
+    # inspect), and each frozen dataclass builds its methods through exec
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_benchmark_tracer_finds_every_entry_point():
     # perfbench/tracer.py wraps layer entry points by name; a renamed or
     # removed one silently drops out of the per-layer metrics
