@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -39,9 +39,6 @@ from .counting import (
     weyl_limit_ratio,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -51,7 +48,7 @@ EXIT_UNKNOWN_BUILTIN = 5
 EXIT_INVARIANT = 6
 
 CAP_ENV_VAR = "WREATHHOM_CAP"
-WALK_TABLE_BUDGET_BITS = 8 * 2**30  # 1 GiB: sample refuses, before any work, a larger walk table
+SPOOL_CHARS = 2**20  # output text past this size waits in a temporary file
 
 
 class UsageError(Exception):
@@ -101,16 +98,42 @@ def _parse_n_range(text: str, cap: int) -> range:
 
 
 def _emit(rows: Iterable[str], out: Optional[str]) -> None:
-    """Write each row's JSON text as a line, and nothing unless every row is made."""
-    lines = [row + "\n" for row in rows]
+    """Write each row's JSON text as a line, and nothing unless every row is made.
+
+    For ``--out`` the lines go to a new file beside it, renamed onto it at
+    the end.  For stdout they wait in memory up to ``SPOOL_CHARS``, then in
+    an unnamed temporary file.  A failure deletes either file."""
+    lines = (line for row in rows for line in (row, "\n"))
     if out is None or out == "-":
-        sys.stdout.writelines(lines)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+        held, size = [], 0
+        for line in lines:
+            held.append(line)
+            size += len(line)
+            if size > SPOOL_CHARS:
+                import shutil
+                import tempfile
+                with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+                    spool.writelines(held)
+                    held.clear()
+                    spool.writelines(lines)
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, sys.stdout)
+                return
+        sys.stdout.writelines(held)
+        return
+    path = None
+    try:
+        name = f"{out}.{os.urandom(4).hex()}.tmp"
+        with open(name, "x", encoding="utf-8") as fh:
+            path = name
+            fh.writelines(lines)
+        os.replace(path, out)
+        path = None
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+    finally:
+        if path is not None:
+            os.unlink(path)
 
 
 def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
@@ -155,11 +178,6 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
     group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
     n = ns[0]
-    # The walk keeps every t_s <= |Hom(G, A wr S_n)| <= |A wr S_n|^#gens, so
-    # its table holds at most n #gens (n log2|A| + log2 n!) bits.
-    bits = n * len(group.generators) * (n * math.log2(coeffs.order) + math.lgamma(n + 1) / math.log(2))
-    if bits > WALK_TABLE_BUDGET_BITS:
-        raise SizeCapError(f"sample at n={n} may need a {bits / 2**33:.1f} GiB walk table, over the 1 GiB budget")
     rng = random.Random(args.seed)
     _emit((sample_hom(group, coeffs, n, rng).to_json() for _ in range(args.samples)), args.out)
     return EXIT_OK
@@ -209,37 +227,34 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def log_fraction(fr: Fraction) -> float:
-    """log of a positive rational, safe for values far below float range."""
-    if fr <= 0:
-        raise ValueError("log of non-positive rational")
-    return math.log(fr.numerator) - math.log(fr.denominator)
-
-
 def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> dict:
     """Least-squares fit of log p_n against n^(1/d) over the given n.
 
-    Points with p_n = 0 are skipped (their logs are undefined); the
+    Points with p_n = 0 are skipped (their logs are undefined), and log p_n
+    is taken as two logs, since p_n may be far below float range.  The
     exponent d is the group order, matching the decay shape exp(-c n^(1/d)).
+    The fit is exact over the float points and rounded once, so every
+    Python prints the same bytes.
     """
-    import statistics
+    from fractions import Fraction
     d = group.order
     xs, ys = [], []
     for n in ns:
         p = fixed_point_free_probability(group, coeffs, n)
         if p > 0:
-            xs.append(n ** (1.0 / d))
-            ys.append(log_fraction(p))
+            xs.append(Fraction(n ** (1.0 / d)))
+            ys.append(Fraction(math.log(p.numerator) - math.log(p.denominator)))
     if len(xs) < 2:
         raise ValueError("need at least two n with positive fixed-point-free probability")
-    fit = statistics.linear_regression(xs, ys)
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
     constant = decay_constant(group, coeffs)
     return {
         "group": group.name,
         "A": list(coeffs.invariant_factors),
         "points": len(xs),
-        "slope": fit.slope,
-        "intercept": fit.intercept,
+        "slope": float(slope),
+        "intercept": float(mean_y - slope * mean_x),
         "referenceConstant": constant.reference_value,
         "conservativeConstant": str(constant.conservative),
     }

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -118,8 +118,8 @@ class WreathHomCounter:
     forward cursor: a window of that many entries of each table in use, all
     ending at the same n.  A query ahead of the cursor advances it; a query
     behind the window, or the first query of a table, restarts it from
-    n = 0.  Only the sampler's backward walk reads every t_s; it keeps its
-    own list, ``walk_totals``, and per s the bit length of L t_s
+    n = 0.  The sampler's backward walk keeps no t_s: the cursor's walk
+    mode records, the first time it reaches each s, the bit length of L t_s
     (``walk_bits``) and the top 64 bits of the walk's cumulative weight at
     the end of each orbit size (``choose_class``).
     """
@@ -154,11 +154,9 @@ class WreathHomCounter:
         self._free_terms = self._total_terms[1:]
         self._width = self._total_terms[-1][0]  # the largest orbit size, |G|
         self._restart(free=False, fibers=False)
-        self.walk_totals: list[int] = [1]
-        self._strata_checked = 0  # stratum weights verified for every s up to here
-        # Per checked s: the bit length of L t_s, the shift that leaves 64 of
-        # them, and at [s * runs + g] the cumulative weight through run g,
-        # shifted by it.
+        # Per s the walk has reached: the bit length of L t_s, the shift that
+        # leaves 64 of them, and at [s * runs + g] the cumulative weight
+        # through run g, shifted by it.
         self.walk_bits = array("Q", [self.scale.bit_length()])
         self._walk_shift = array("Q", [0])
         self._walk_tops = array("Q", [0] * len(self._runs))
@@ -239,18 +237,34 @@ class WreathHomCounter:
                     acc[(i + j) % d] += a * x
         return tuple(self._exact(x, s, "fiber") for x in acc)
 
-    def extend_to(self, n: int, *, free: bool = False, fibers: bool = False) -> None:
+    def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
-        every table in use advances with the totals."""
+        every table in use advances with the totals.  With ``walk``, an s
+        past the walk tables steps over the runs, one product per orbit size
+        with the run's summed terms, and appends the bit length and top 64
+        bits of the running sum, which ends at L t_s, to the walk tables."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        if n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None):
+        if (n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None)
+                or (walk and len(self.walk_bits) <= min(n, self._n))):
             self._restart(free=free or self._free is not None, fibers=fibers or self._fibers is not None)
         while self._n < n:
             # every check runs before any window moves, so a raised
             # InvariantError leaves the windows aligned
             s = self._n + 1
-            total = self._scalar_step(self._total_terms, self._totals, s, "count")
+            if walk and s == len(self.walk_bits):
+                bounds = list(accumulate(
+                    k * math.perm(s - 1, k - 1) * prefix[-1] * self._totals[-k] if k <= s else 0
+                    for k, _, prefix in self._runs
+                ))
+                total = self._exact(bounds[-1], s, "count")
+                # exact values, so a later failed check leaves nothing to undo
+                shift = max(0, bounds[-1].bit_length() - 64)
+                self.walk_bits.append(bounds[-1].bit_length())
+                self._walk_shift.append(shift)
+                self._walk_tops.extend([b >> shift for b in bounds])
+            else:
+                total = self._scalar_step(self._total_terms, self._totals, s, "count")
             if self._free is not None:
                 free_count = self._scalar_step(self._free_terms, self._free, s, "fixed-point-free count")
             if self._fibers is not None:
@@ -267,46 +281,27 @@ class WreathHomCounter:
         """Entry n of a window whose cursor has just been moved to n or past it."""
         return window[n - self._n - 1]
 
-    def stratum_weights(self, s: int) -> Iterator[int]:
+    def stratum_weights(self, s: int) -> list[int]:
         """Per-class weights k (s-1)_(k-1) (w_i L / c_i) t_(s-k) of the backward
-        walk at size s, in class order, each computed only when the next is
-        asked for.  Each run's weights sum to its one product in
-        ``check_strata``, so all of them sum to ``scale * walk_totals[s]``.
+        walk at size s, in class order, from the window that ends at t_(s-1)
+        (a cursor at s or past it restarts).  They must sum to L t_s, stepped
+        from the merged terms, with the top bits the walk tables hold for s.
         """
-        table = self.walk_totals
-        for k, a in self._class_terms:
-            yield k * math.perm(s - 1, k - 1) * a * table[s - k] if k <= s else 0
-
-    def check_strata(self, n: int) -> None:
-        """Extend ``walk_totals`` to n in one pass over the runs: per s, one
-        product per orbit size with the run's summed terms, keeping the top
-        64 bits of the running sum at the end of each run for
-        ``choose_class``.  A new t_s is that sum divided exactly by L; an
-        entry already in the list must equal it."""
-        table = self.walk_totals
-        for s in range(self._strata_checked + 1, n + 1):
-            bounds = list(accumulate(
-                k * math.perm(s - 1, k - 1) * prefix[-1] * table[s - k] if k <= s else 0
-                for k, _, prefix in self._runs
-            ))
-            total = bounds[-1]
-            if s == len(table):
-                table.append(self._exact(total, s, "count"))
-            elif total != self.scale * table[s]:
-                raise InvariantError(f"stratum weights do not sum to the count at n={s}")
-            bits = total.bit_length()
-            shift = max(0, bits - 64)
-            self.walk_bits.append(bits)
-            self._walk_shift.append(shift)
-            self._walk_tops.extend([b >> shift for b in bounds])
-            self._strata_checked = s
+        if self._n >= s:
+            self._restart(free=False, fibers=False)
+        self.extend_to(s - 1)
+        weights = [k * math.perm(s - 1, k - 1) * a * self._totals[-k] if k <= s else 0 for k, a in self._class_terms]
+        total = self.scale * self._scalar_step(self._total_terms, self._totals, s, "count")
+        if sum(weights) != total or total >> self._walk_shift[s] != self._walk_tops[(s + 1) * len(self._runs) - 1]:
+            raise InvariantError(f"stratum weights do not sum to the count at n={s}")
+        return weights
 
     def choose_class(self, s: int, r: int) -> int | None:
         """The class whose stratum holds r at size s: the first i with
         r < w_0 + ... + w_i over ``stratum_weights(s)``, or None when r is
-        at least their sum ``scale * walk_totals[s]``.  The walk draws r
-        below 2 ** ``walk_bits[s]`` until it gets a class.  s must already
-        be checked by ``check_strata``.
+        at least their sum L t_s.  The walk draws r below 2 ** ``walk_bits[s]``
+        until it gets a class.  The walk tables must already reach s
+        (``extend_to`` with ``walk``).
 
         Decided from r's top bits where they suffice.  A bisection over the
         run tops picks the orbit size; inside the run, every class weight
@@ -322,7 +317,7 @@ class WreathHomCounter:
         r >> shift >= E + 2 gives r >= ((C >> shift) + 1) D > C, and
         r >> shift < E gives r < (C >> shift) D <= C.  A draw whose top bits
         are not at least 3 above its class's lower estimate and 3 below its
-        upper one takes the exact scan instead.
+        upper one takes the exact scan of ``stratum_weights`` instead.
         """
         top = r >> self._walk_shift[s]
         tops = self._walk_tops
@@ -340,13 +335,11 @@ class WreathHomCounter:
                 return start + j
         elif top > tops[g - 1]:
             return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s
-        if r >= self.scale * self.walk_totals[s]:
-            return None
         for i, w in enumerate(self.stratum_weights(s)):
             if r < w:
                 return i
             r -= w
-        raise InvariantError(f"stratum walk chose no class at n={s}")
+        return None  # r >= L t_s, the weights' sum
 
     def count(self, n: int) -> int:
         self.extend_to(n)

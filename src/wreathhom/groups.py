@@ -81,12 +81,7 @@ class FiniteGroup:
         return self.inv_table[a]
 
     def element_order(self, a: int) -> int:
-        order = 1
-        x = a
-        while x != 0:
-            x = self.mul_table[x][a]
-            order += 1
-        return order
+        return _fn_order(self.mul, 0, a)
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by ``seed`` (closure of words, identity included)."""
@@ -723,10 +718,11 @@ def _abelian_decomposition(
     if n == 1:
         return (), (), {identity: ()}
     orders = {x: _fn_order(mul, identity, x) for x in labels}
-    primes = sorted({p for x in labels for p in _prime_factors(orders[x])})
+    factors_of = {x: _prime_factors(o) for x, o in orders.items()}
+    primes = sorted({p for factors in factors_of.values() for p in factors})
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for p in primes:
-        component = [x for x in labels if _is_prime_power_order(orders[x], p)]
+        component = [x for x in labels if factors_of[x] in ([], [p])]  # orders that are powers of p
         picked: list[tuple[int, int]] = []
         span = {identity}
         while len(span) < len(component):
@@ -781,9 +777,3 @@ def _prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def _is_prime_power_order(order: int, p: int) -> bool:
-    while order % p == 0:
-        order //= p
-    return order == 1

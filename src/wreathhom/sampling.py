@@ -81,11 +81,12 @@ def sample_orbit_type(
     probability k_i (s-1)_(k_i-1) (w_i / c_i) t_(s-k_i) / t_s, realized by
     one integer draw over the counter's common denominator, the draw that
     ``rng.randrange`` would make.  ``WreathHomCounter.choose_class`` turns
-    it into a class, from its top bits where they suffice.  The counter
-    checks once per s that the weights sum to the count.
+    it into a class, from its top bits where they suffice; the walk tables
+    it reads are built once per counter and s, in the counter's walk mode.
     """
     counter = counter_for(group, coeffs)
-    counter.check_strata(n)
+    if len(counter.walk_bits) <= n:
+        counter.extend_to(n, walk=True)
     bits, getrandbits = counter.walk_bits, rng.getrandbits
     sizes = [od.k for od in counter.orbit_data]
     m = [0] * len(sizes)

@@ -224,26 +224,14 @@ def reference_orbit_type(orbit_data, totals, n, rng):
 def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
     """The sampler as first written, on ``random``'s own methods.
 
-    The backward walk draws ``rng.randrange(L t_s)`` and scans the class
-    weights in class order; ``rng.shuffle`` places the points, and each
+    The backward walk is ``reference_orbit_type`` over the totals of
+    ``reference_tables``; ``rng.shuffle`` places the points, and each
     orbit in turn draws its u and its free decorations by ``rng.randrange``
     and writes its coordinates point by point.
     """
     counter = counter_for(group, coeffs)
-    counter.check_strata(n)
-    table = counter.walk_totals
-    m = [0] * len(counter.classes)
-    s = n
-    while s > 0:
-        r = rng.randrange(table[s] * counter.scale)
-        for i, w in enumerate(counter.stratum_weights(s)):
-            if r < w:
-                m[i] += 1
-                s -= counter.orbit_data[i].k
-                break
-            r -= w
-        else:
-            raise AssertionError(f"no class holds the draw at n={s}")
+    totals, _, _ = reference_tables(counter.orbit_data, counter.homs, n)
+    m = reference_orbit_type(counter.orbit_data, totals, n, rng)
     add, neg = abelian_index_tables(coeffs)
     num_gens = len(group.generators)
     perms = [list(range(n)) for _ in range(num_gens)]

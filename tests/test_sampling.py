@@ -80,9 +80,9 @@ def test_choose_class_at_every_bound(name, coeffs):
     # draw: the top-bit estimates and the exact scan must pick the class an
     # exact bisection does, and refuse every r from the total on
     counter = counter_for(builtin_group(name), coeffs)
-    counter.check_strata(300)
+    counter.extend_to(300, walk=True)
     for s in [*range(1, 61), 150, 300]:
-        total = counter.scale * counter.walk_totals[s]
+        total = counter.scale * counter.count(s)
         assert counter.walk_bits[s] == total.bit_length()
         bounds = list(accumulate(counter.stratum_weights(s)))
         assert bounds[-1] == total
@@ -122,13 +122,36 @@ def test_sample_hom_matches_reference_draws_at_large_n():
     assert rng.random() == ref_rng.random()
 
 
+def _exact_walk(monkeypatch, counter):
+    """Send every draw of the sampler through ``counter``'s exact scan."""
+    monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
+    monkeypatch.setattr(counting, "WALK_SLACK", 2**64)
+
+
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
+    # the exact scan at s = 6 reads the window that ends at t_5; with t_5
+    # bumped after the walk tables were built, its sum misses their top bits
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
-    counter.walk_totals.extend(counter.count(s) for s in range(1, 11))
-    counter.walk_totals[6] += 1
-    monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
+    counter.extend_to(10, walk=True)
+    counter._restart(free=False, fibers=False)
+    counter.extend_to(5)
+    counter._totals[-1] += 1
+    _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=6"):
+        counter.choose_class(6, 0)
+
+
+def test_corrupted_class_term_raises_stratum_error(monkeypatch):
+    # one class term one too large: the class weights no longer sum to L t_s
+    g = builtin_group("S3")
+    counter = WreathHomCounter(g, C2)  # not the cached counter_for one
+    terms = list(counter._class_terms)
+    k, a = terms[-1]
+    terms[-1] = (k, a + 1)
+    counter._class_terms = tuple(terms)
+    _exact_walk(monkeypatch, counter)
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=10"):
         sample_orbit_type(g, C2, 10, random.Random(0))
 
 
@@ -291,6 +314,22 @@ def test_to_json_renders_decorations_past_n(n, perms, decors):
     assert hom.to_json() == json.dumps({"perm": perms, "decor": decors})
 
 
+def test_walk_tables_do_not_depend_on_earlier_queries():
+    # a cursor past the first s the walk tables lack restarts; one behind
+    # it advances and appends from there
+    g = builtin_group("S3")
+    fresh = WreathHomCounter(g, C2)
+    fresh.extend_to(60, walk=True)
+    ahead, behind = WreathHomCounter(g, C2), WreathHomCounter(g, C2)
+    ahead.count(50)
+    behind.extend_to(30, walk=True)
+    behind.count(10)
+    for counter in (ahead, behind):
+        counter.extend_to(60, walk=True)
+        assert (counter.walk_bits, counter._walk_shift, counter._walk_tops) == (
+            fresh.walk_bits, fresh._walk_shift, fresh._walk_tops)
+
+
 def test_corrupted_run_term_raises_non_integral_count():
     # the walk table divides each one-pass sum by L = 6: a run term one
     # too large leaves a remainder at the first s that reads it (k = 2)
@@ -302,7 +341,7 @@ def test_corrupted_run_term_raises_non_integral_count():
     runs[2] = (k, start, (*prefix[:-1], prefix[-1] + 1))
     counter._runs = tuple(runs)
     with pytest.raises(InvariantError, match="non-integral count at n=2"):
-        counter.check_strata(5)
+        counter.extend_to(5, walk=True)
 
 
 @pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
@@ -311,7 +350,7 @@ def test_walk_table_matches_class_weights(name, coeffs):
     # the one-pass table against the per-class weights: the bit length of
     # L t_s, and the top 64 bits of the cumulative weight after each run
     counter = counter_for(builtin_group(name), coeffs)
-    counter.check_strata(300)
+    counter.extend_to(300, walk=True)
     width = len(counter._runs)
     for s in range(1, 301):
         bounds = list(accumulate(counter.stratum_weights(s)))
