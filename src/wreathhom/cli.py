@@ -100,40 +100,40 @@ def _parse_n_range(text: str, cap: int) -> range:
 def _emit(rows: Iterable[str], out: Optional[str]) -> None:
     """Write each row's JSON text as a line, and nothing unless every row is made.
 
-    For ``--out`` the lines go to a new file beside it, renamed onto it at
-    the end.  For stdout they wait in memory up to ``SPOOL_CHARS``, then in
-    an unnamed temporary file.  A failure deletes either file."""
+    The lines wait in memory up to ``SPOOL_CHARS``, then in an unnamed
+    temporary file; stdout or ``--out`` is written only after the last row."""
     lines = (line for row in rows for line in (row, "\n"))
-    if out is None or out == "-":
-        held, size = [], 0
-        for line in lines:
-            held.append(line)
-            size += len(line)
-            if size > SPOOL_CHARS:
-                import shutil
-                import tempfile
-                with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-                    spool.writelines(held)
-                    held.clear()
-                    spool.writelines(lines)
-                    spool.seek(0)
-                    shutil.copyfileobj(spool, sys.stdout)
-                return
-        sys.stdout.writelines(held)
+    held, size = [], 0
+    for line in lines:
+        held.append(line)
+        size += len(line)
+        if size > SPOOL_CHARS:
+            break
+    else:
+        _write(held, out)
         return
-    path = None
+    import tempfile
     try:
-        name = f"{out}.{os.urandom(4).hex()}.tmp"
-        with open(name, "x", encoding="utf-8") as fh:
-            path = name
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            spool.writelines(held)
+            held.clear()
+            spool.writelines(lines)
+            spool.seek(0)
+            _write(spool, out)
+    except OSError as exc:
+        raise UsageError(f"cannot write output through a temporary file: {exc.strerror or exc}") from None
+
+
+def _write(lines: Iterable[str], out: Optional[str]) -> None:
+    """Write ``lines`` to stdout, or to the file ``out`` opened only now."""
+    if out is None or out == "-":
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        os.replace(path, out)
-        path = None
     except OSError as exc:
         raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
-    finally:
-        if path is not None:
-            os.unlink(path)
 
 
 def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:

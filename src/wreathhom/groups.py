@@ -81,7 +81,12 @@ class FiniteGroup:
         return self.inv_table[a]
 
     def element_order(self, a: int) -> int:
-        return _fn_order(self.mul, 0, a)
+        order = 1
+        x = a
+        while x != 0:
+            x = self.mul_table[x][a]
+            order += 1
+        return order
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by ``seed`` (closure of words, identity included)."""
@@ -718,11 +723,10 @@ def _abelian_decomposition(
     if n == 1:
         return (), (), {identity: ()}
     orders = {x: _fn_order(mul, identity, x) for x in labels}
-    factors_of = {x: _prime_factors(o) for x, o in orders.items()}
-    primes = sorted({p for factors in factors_of.values() for p in factors})
+    primes = sorted({p for x in labels for p in _prime_factors(orders[x])})
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for p in primes:
-        component = [x for x in labels if factors_of[x] in ([], [p])]  # orders that are powers of p
+        component = [x for x in labels if _is_prime_power_order(orders[x], p)]
         picked: list[tuple[int, int]] = []
         span = {identity}
         while len(span) < len(component):
@@ -777,3 +781,9 @@ def _prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _is_prime_power_order(order: int, p: int) -> bool:
+    while order % p == 0:
+        order //= p
+    return order == 1

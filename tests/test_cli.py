@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -290,7 +292,7 @@ def test_out_file_bytes_equal_stdout(module, name, argv, tmp_path, capsysbinary,
 
 
 def test_out_file_takes_the_umask(tmp_path):
-    # the file renamed onto --out gets the mode open() gives a new file
+    # a new --out file gets the mode open() gives it
     out = tmp_path / "rows.jsonl"
     umask = os.umask(0o027)
     try:
@@ -298,6 +300,43 @@ def test_out_file_takes_the_umask(tmp_path):
     finally:
         os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("spool", SPOOL_SIZES, ids=["held", "spooled"])
+def test_out_writes_through_a_symlink_and_a_device(spool, tmp_path, capsysbinary, monkeypatch):
+    # --out is opened like open(out, "w"): a link keeps pointing at its
+    # target, /dev/null stays a device, and nothing appears beside either
+    monkeypatch.setattr(cli, "SPOOL_CHARS", spool)
+    argv = ["count", "--group", "C2", "--n", "1:3"]
+    assert execute(argv) == EXIT_OK
+    printed = capsysbinary.readouterr().out
+    target, link = tmp_path / "rows.jsonl", tmp_path / "link.jsonl"
+    target.write_text("older and longer text\n" * 10)
+    link.symlink_to(target)
+    assert execute(argv + ["--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and target.read_bytes() == printed
+    assert execute(argv + ["--out", os.devnull]) == EXIT_OK
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_unspoolable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # past SPOOL_CHARS the rows need a temporary file; without one the run
+    # reports it in one line and writes nothing
+    import tempfile
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", read_only)
+    monkeypatch.setattr(cli, "SPOOL_CHARS", 0)
+    out = tmp_path / "rows.jsonl"
+    for target in ([], ["--out", str(out)]):
+        assert execute(["count", "--group", "C2", "--n", "1:3", *target]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write output through a temporary file: {os.strerror(errno.EROFS)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):
