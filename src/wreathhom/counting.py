@@ -3,12 +3,13 @@
 Two independent evaluations of the stratified orbit-type sum: direct
 enumeration of weighted compositions, and a linear recurrence obtained as
 the log-derivative of exp(sum_k a_k x^k), with the classes merged by orbit
-size k and run in integers over one common denominator.  Without the k = 1
-term it gives the fixed-point-free counts.  The same recurrence pushed to
-each cyclic quotient Z/d of H = Hom(G, A) and inverted by integer
-Ramanujan sums yields the exact fold-value distribution; its trivial fold
-class counts the homomorphisms with trivial fold (type-D Weyl groups for
-A = C2).
+size k.  Its coefficients b_k = k a_k are integers, since each class's
+c_i = |N_G(U_i)/U_i| divides k_i = [G:U_i], so a step multiplies and adds
+and divides by nothing.  Without the k = 1 term it gives the
+fixed-point-free counts.  The same recurrence pushed to each cyclic
+quotient Z/d of H = Hom(G, A) and inverted by integer Ramanujan sums
+yields the exact fold-value distribution; its trivial fold class counts
+the homomorphisms with trivial fold (type-D Weyl groups for A = C2).
 """
 
 from __future__ import annotations
@@ -108,11 +109,13 @@ class WreathHomCounter:
     (homomorphisms whose active permutation image has no fixed point) and
     the fibers (totals refined by fold value) are each n! [x^n] of
     exp(sum_k a_k x^k), where a_k sums w_i / c_i (or fiber_i / c_i) over
-    the classes of orbit size k, so classes are merged by k once, over the
-    common denominator ``scale`` = lcm(c_i).  Fibers run as the sequences
-    of ``fiber_quotients``, one per distinct push-forward to a cyclic
-    quotient of Hom(G, A).  Every step checks that its division by
-    ``scale`` is exact and that each such sequence sums to the total.
+    the classes of orbit size k.  The constructor checks once per class
+    that c_i divides k_i, so the merged b_k = k a_k sum the integers
+    (k_i // c_i) w_i = [G:N_G(U_i)] w_i, and a step is
+    t_s = sum_k (s-1)_(k-1) b_k t_(s-k), with no division.  Fibers run as
+    the sequences of ``fiber_quotients``, one per distinct push-forward to
+    a cyclic quotient of Hom(G, A); each must sum to the total at every
+    step.  ``scale`` = lcm(c_i) is only the sampler's draw denominator.
 
     A step reads only the last ``max k`` entries, so the tables live in one
     forward cursor: a window of that many entries of each table in use, all
@@ -133,26 +136,29 @@ class WreathHomCounter:
             orbit_type_data(group, coeffs, cls, self.homs, class_id=i)
             for i, cls in enumerate(self.classes)
         )
+        for od in self.orbit_data:
+            if od.k % od.c:
+                raise InvariantError(f"c = {od.c} does not divide k = {od.k} in class {od.class_id}")
         self.scale = math.lcm(*(od.c for od in self.orbit_data))
-        # (k_i, w_i * scale / c_i) per class, in class order: the sampler's stratum weights.
-        self._class_terms = tuple((od.k, od.weight * (self.scale // od.c)) for od in self.orbit_data)
+        # (k_i, b_i = (k_i // c_i) w_i) per class, in class order: the integer class terms.
+        self._class_terms = tuple((od.k, od.k // od.c * od.weight) for od in self.orbit_data)
         # The walk's runs, one per orbit size k in class order: k, the first
-        # class and the prefix sums 0, a_1, a_1 + a_2, ... of the class terms.
+        # class and the prefix sums 0, b_1, b_1 + b_2, ... of the class terms.
         # Classes come sorted by subgroup order, so each k is one run.
         runs: list[tuple[int, int, list[int]]] = []
-        for i, (k, a) in enumerate(self._class_terms):
+        for i, (k, b) in enumerate(self._class_terms):
             if runs and runs[-1][0] == k:
-                runs[-1][2].append(runs[-1][2][-1] + a)
+                runs[-1][2].append(runs[-1][2][-1] + b)
             elif any(run[0] == k for run in runs):
                 raise InvariantError(f"the classes of orbit size {k} are not contiguous")
             else:
-                runs.append((k, i, [0, a]))
+                runs.append((k, i, [0, b]))
         self._runs = tuple((k, start, tuple(prefix)) for k, start, prefix in runs)
-        # the merged A_k, each the sum prefix[-1] of its run
-        self._total_terms = tuple(sorted((k, prefix[-1]) for k, _, prefix in runs))
+        # the merged b_k in run order, each the sum prefix[-1] of its run
+        self._total_terms = tuple((k, prefix[-1]) for k, _, prefix in runs)
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
-        self._free_terms = self._total_terms[1:]
-        self._width = self._total_terms[-1][0]  # the largest orbit size, |G|
+        self._free_terms = tuple(term for term in self._total_terms if term[0] != 1)
+        self._width = group.order  # the largest orbit size, that of U = 1
         self._restart(free=False, fibers=False)
         # Per s the walk has reached: the bit length of L t_s, the shift that
         # leaves 64 of them, and at [s * runs + g] the cumulative weight
@@ -167,7 +173,7 @@ class WreathHomCounter:
         h = self.homs.size
         merged = {k: [0] * h for k, _ in self._total_terms}
         for od in self.orbit_data:
-            vec, m = merged[od.k], self.scale // od.c
+            vec, m = merged[od.k], od.k // od.c
             for psi, x in enumerate(od.fiber):
                 vec[psi] += x * m
         # (d, P) -> the rows j of sum over its quotients c of c_d(j - c(psi))
@@ -206,43 +212,34 @@ class WreathHomCounter:
             unit = tuple((1,) + (0,) * (d - 1) for d, _ in self.fiber_quotients.seqs)
             self._fibers = deque([unit], maxlen=self._width)
 
-    def _exact(self, acc: int, s: int, what: str) -> int:
-        value, rest = divmod(acc, self.scale)
-        if rest:
-            raise InvariantError(f"non-integral {what} at n={s}")
-        return value
-
-    def _scalar_step(self, terms: tuple[tuple[int, int], ...], prev: Sequence[int], s: int, what: str) -> int:
-        """t_s by the log-derivative t_s = sum_k k (s-1)_(k-1) a_k t_(s-k),
-        where ``prev`` (a list or a window) ends at t_(s-1)."""
-        acc = 0
-        for k, a in terms:
-            if k > s:
-                break
-            acc += k * math.perm(s - 1, k - 1) * a * prev[-k]
-        return self._exact(acc, s, what)
+    @staticmethod
+    def _scalar_step(terms: tuple[tuple[int, int], ...], prev: Sequence[int], s: int) -> list[int]:
+        """The products (s-1)_(k-1) b_k t_(s-k) of the log-derivative step
+        t_s = sum_k (s-1)_(k-1) b_k t_(s-k), in the order of ``terms`` and
+        0 where k > s; ``prev`` (a list or a window) ends at t_(s-1)."""
+        return [math.perm(s - 1, k - 1) * b * prev[-k] if k <= s else 0 for k, b in terms]
 
     def _quotient_step(self, q: int, s: int) -> tuple[int, ...]:
-        """The step of quotient sequence q, with a_k and the entries in
+        """The step of quotient sequence q, with b_k and the entries in
         Z[Z/d]: length-d vectors multiplied cyclically."""
         d, terms = self.fiber_quotients.seqs[q]
         acc = [0] * d
         for k, vec in terms:
             if k > s:
-                break
-            step = k * math.perm(s - 1, k - 1)
+                continue
+            step = math.perm(s - 1, k - 1)
             prev = [step * x for x in self._fibers[-k][q]]
             for i, a in vec:
                 for j, x in enumerate(prev):
                     acc[(i + j) % d] += a * x
-        return tuple(self._exact(x, s, "fiber") for x in acc)
+        return tuple(acc)
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
         every table in use advances with the totals.  With ``walk``, an s
-        past the walk tables steps over the runs, one product per orbit size
-        with the run's summed terms, and appends the bit length and top 64
-        bits of the running sum, which ends at L t_s, to the walk tables."""
+        past the walk tables appends to them the bit length of L t_s and the
+        top 64 bits of L times the running sum of the step's products, one
+        per run."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         if (n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None)
@@ -252,21 +249,17 @@ class WreathHomCounter:
             # every check runs before any window moves, so a raised
             # InvariantError leaves the windows aligned
             s = self._n + 1
+            products = self._scalar_step(self._total_terms, self._totals, s)
+            total = sum(products)
             if walk and s == len(self.walk_bits):
-                bounds = list(accumulate(
-                    k * math.perm(s - 1, k - 1) * prefix[-1] * self._totals[-k] if k <= s else 0
-                    for k, _, prefix in self._runs
-                ))
-                total = self._exact(bounds[-1], s, "count")
                 # exact values, so a later failed check leaves nothing to undo
+                bounds = [self.scale * b for b in accumulate(products)]  # ends at L t_s
                 shift = max(0, bounds[-1].bit_length() - 64)
                 self.walk_bits.append(bounds[-1].bit_length())
                 self._walk_shift.append(shift)
                 self._walk_tops.extend([b >> shift for b in bounds])
-            else:
-                total = self._scalar_step(self._total_terms, self._totals, s, "count")
             if self._free is not None:
-                free_count = self._scalar_step(self._free_terms, self._free, s, "fixed-point-free count")
+                free_count = sum(self._scalar_step(self._free_terms, self._free, s))
             if self._fibers is not None:
                 fiber = tuple(self._quotient_step(q, s) for q in range(len(self.fiber_quotients.seqs)))
                 if any(sum(x) != total for x in fiber):
@@ -282,16 +275,18 @@ class WreathHomCounter:
         return window[n - self._n - 1]
 
     def stratum_weights(self, s: int) -> list[int]:
-        """Per-class weights k (s-1)_(k-1) (w_i L / c_i) t_(s-k) of the backward
-        walk at size s, in class order, from the window that ends at t_(s-1)
-        (a cursor at s or past it restarts).  They must sum to L t_s, stepped
-        from the merged terms, with the top bits the walk tables hold for s.
+        """Per-class weights L (s-1)_(k-1) b_i t_(s-k), b_i = (k_i // c_i) w_i,
+        of the backward walk at size s, in class order, from the window that
+        ends at t_(s-1) (a cursor at s or past it restarts).  They must sum to
+        L t_s, stepped from the merged terms, with the top bits the walk
+        tables hold for s.
         """
         if self._n >= s:
             self._restart(free=False, fibers=False)
         self.extend_to(s - 1)
-        weights = [k * math.perm(s - 1, k - 1) * a * self._totals[-k] if k <= s else 0 for k, a in self._class_terms]
-        total = self.scale * self._scalar_step(self._total_terms, self._totals, s, "count")
+        weights = [self.scale * math.perm(s - 1, k - 1) * b * self._totals[-k] if k <= s else 0
+                   for k, b in self._class_terms]
+        total = self.scale * sum(self._scalar_step(self._total_terms, self._totals, s))
         if sum(weights) != total or total >> self._walk_shift[s] != self._walk_tops[(s + 1) * len(self._runs) - 1]:
             raise InvariantError(f"stratum weights do not sum to the count at n={s}")
         return weights
@@ -305,9 +300,11 @@ class WreathHomCounter:
 
         Decided from r's top bits where they suffice.  A bisection over the
         run tops picks the orbit size; inside the run, every class weight
-        carries the same factor k (s-1)_(k-1) t_(s-k), so a class bound is
+        carries the same factor L (s-1)_(k-1) t_(s-k), so a class bound is
         the run's lower bound plus the run's weight times P / A, where P is
         the prefix sum of the class terms before it and A the run's sum.
+        At shift 0 the tops are exact, and so is each estimate, as the run's
+        weight is A times that factor: the draw needs no slack.
 
         Why a slack of 3 is safe.  Put D = 2^shift, and let B' < B be the
         run's cumulative bounds, so lo = B' >> shift and hi = B >> shift
@@ -315,11 +312,12 @@ class WreathHomCounter:
         E = lo + (hi - lo) P // A.  As lo > B'/D - 1 and hi > B/D - 1,
         E > C/D - 2, and E <= C/D: so E is C >> shift or one less.  Then
         r >> shift >= E + 2 gives r >= ((C >> shift) + 1) D > C, and
-        r >> shift < E gives r < (C >> shift) D <= C.  A draw whose top bits
-        are not at least 3 above its class's lower estimate and 3 below its
-        upper one takes the exact scan of ``stratum_weights`` instead.
+        r >> shift < E gives r < (C >> shift) D <= C.  A draw at a nonzero
+        shift whose top bits are not at least 3 above its class's lower
+        estimate and 3 below its upper one takes the exact scan of
+        ``stratum_weights`` instead.
         """
-        top = r >> self._walk_shift[s]
+        top = r >> (shift := self._walk_shift[s])
         tops = self._walk_tops
         base = s * len(self._runs)
         end = base + len(self._runs)
@@ -331,10 +329,11 @@ class WreathHomCounter:
             a = prefix[-1]
             # the last class j with lo + width * prefix[j] // a <= top
             j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
-            if lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK:
+            if (lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK
+                    or not shift):
                 return start + j
-        elif top > tops[g - 1]:
-            return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s
+        elif top > tops[g - 1] or not shift:
+            return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s, or r = top >= L t_s
         for i, w in enumerate(self.stratum_weights(s)):
             if r < w:
                 return i

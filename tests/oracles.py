@@ -6,14 +6,16 @@ solution counting, the counting recurrence class by class in Fraction,
 subgroup classes by joining pairs of subgroups until nothing new appears,
 the transfer evaluated on every element of G, centralizers by trying
 every permutation, homomorphisms by trying every tuple of generator
-images against every product, and the sampler on ``random``'s own
-``randrange`` and ``shuffle``.
+images against every product, the sampler on ``random``'s own
+``randrange`` and ``shuffle``, and counts at large n by multiplying out
+the exponential formula instead of running its log-derivative.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, WreathHom, abelianization, coset_action
@@ -192,6 +194,71 @@ def reference_tables(orbit_data, homs, n):
         free.append(int(free_s))
         fibers.append(tuple(int(f) for f in fiber))
     return totals, free, fibers
+
+
+def exponential_formula(orbit_data, n, weight=lambda od: od.weight):
+    """(t_n, free_n): n! [x^n] of the truncated product of exp(a_k x^k) over
+    the orbit sizes k, with and without the factor k = 1, where a_k sums
+    weight(od) / c over the classes of size k (Flajolet and Sedgewick,
+    *Analytic Combinatorics*, ch. II).  No log-derivative recurrence.
+
+    The running series over the factors k >= 2 holds n! [x^j] at j: an
+    integer, as the product's denominators k^m m! divide j!.  Each factor's
+    coefficients a_k^m / m! are scaled by one common denominator D, and
+    each entry of a product is divided by D, checked exact.  The k = 1
+    factor is applied to entry n alone: t_n = sum_j (n! [x^j] / (n-j)!) a_1^(n-j).
+    """
+    a: dict[int, Fraction] = {}
+    for od in orbit_data:
+        a[od.k] = a.get(od.k, 0) + Fraction(weight(od), od.c)
+    series = [math.factorial(n)] + [0] * n
+    for k, ak in a.items():
+        if k == 1:
+            continue
+        coeffs = [Fraction(1)]
+        for m in range(1, n // k + 1):
+            coeffs.append(coeffs[-1] * ak / m)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+        product = []
+        for i in range(n + 1):
+            terms = (series[i - k * m] * x for m, x in enumerate(scaled[: i // k + 1]) if series[i - k * m])
+            value, rest = divmod(sum(terms), den)
+            assert rest == 0, f"n! [x^{i}] is not an integer"
+            product.append(value)
+        series = product
+    a1 = a.get(1, Fraction(0))
+    assert a1.denominator == 1
+    total, factorial, power = 0, 1, 1  # (n-j)! and a_1^(n-j)
+    for j in range(n, -1, -1):
+        term, rest = divmod(series[j] * power, factorial)
+        assert rest == 0, f"n! [x^{j}] / (n-{j})! is not an integer"
+        total += term
+        factorial *= n - j + 1
+        power *= a1.numerator
+    return total, series[n]
+
+
+def exponential_formula_counts(orbit_data, homs, n):
+    """(t_n, free_n, |Hom(G, W_n)|) for A = C2, all from ``exponential_formula``.
+
+    The last is the trivial fold's fiber: (1/h) times the sum, over the
+    characters chi of H = Hom(G, C2), of t_n with the weights chi(fiber_i).
+    H has exponent 2, so its characters are the sign vectors that respect
+    the addition table of ``reference_add_table``; the first one found is
+    the trivial character, whose run gives t_n and free_n.
+    """
+    add = reference_add_table(homs)
+    h = len(add)
+    chars = [
+        chi for chi in itertools.product((1, -1), repeat=h)
+        if all(chi[add[x][y]] == chi[x] * chi[y] for x in range(h) for y in range(h))
+    ]
+    assert len(chars) == h and set(chars[0]) == {1}
+    runs = [exponential_formula(orbit_data, n, lambda od: sum(map(operator.mul, chi, od.fiber))) for chi in chars]
+    acc = sum(total for total, _ in runs)
+    assert acc % h == 0
+    return (*runs[0], acc // h)
 
 
 def reference_orbit_type(orbit_data, totals, n, rng):

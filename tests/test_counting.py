@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import probs, reference_tables, sup_distance_to_uniform
+from oracles import exponential_formula_counts, probs, reference_tables, sup_distance_to_uniform
 from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
@@ -26,6 +26,7 @@ from wreathhom import (
     weyl_hom_count,
     weyl_limit_ratio,
 )
+from wreathhom import counting
 from wreathhom.counting import DistributionTable, distribution_to_json, ratio_to_json
 
 C2 = AbelianGroup((2,))
@@ -258,23 +259,24 @@ def test_corrupted_fiber_term_raises_sum_mismatch():
     (d, terms), *other_seqs = quotients.seqs
     k, vec = terms[1]
     (j, x), *rest = vec
-    # adding scale keeps the division exact, so only the sum check can fail
-    corrupted = (d, (terms[0], (k, ((j, x + counter.scale), *rest)), *terms[2:]))
+    # no step divides, so the sum check is the one that fails
+    corrupted = (d, (terms[0], (k, ((j, x + 1), *rest)), *terms[2:]))
     counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
     assert counter.count(10) == hom_count_wreath(builtin_group("S3"), C2, 10)
     with pytest.raises(InvariantError, match=f"fiber sum mismatch at n={k}"):
         counter.fiber_counts(10)
 
 
-def test_inexact_quotient_division_raises():
+def test_corrupted_quotient_term_raises_at_first_step():
+    # a pushed k = 1 term one too large: the sequence misses the total at
+    # the first step, n = k = 1
     counter = WreathHomCounter(builtin_group("S3"), C2)
-    assert counter.scale > 1
     quotients = counter.fiber_quotients
-    (d, ((k, ((j, x), *rest)), *terms)), *other_seqs = quotients.seqs
-    # one more than a multiple of scale at n = k = 1
-    corrupted = (d, ((k, ((j, x + 1), *rest)), *terms))
+    (d, (*terms, (k, ((j, x), *rest)))), *other_seqs = quotients.seqs
+    assert k == 1
+    corrupted = (d, (*terms, (k, ((j, x + 1), *rest))))
     counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
-    with pytest.raises(InvariantError, match="non-integral fiber at n=1"):
+    with pytest.raises(InvariantError, match="fiber sum mismatch at n=1"):
         counter.fiber_counts(1)
 
 
@@ -342,11 +344,55 @@ def test_fibers_match_group_algebra_reference_random_groups(perms, factors):
         assert counter.fiber_count(s, 0) == fibers[s][0], s
 
 
-def test_kernel_inexact_division_raises():
-    counter = WreathHomCounter(builtin_group("C2"), C2)
-    counter._total_terms = ((1, 1),)  # a_1 = 1 / scale is not integral at n = 1
-    with pytest.raises(InvariantError, match="non-integral count at n=1"):
-        counter.count(1)
+def test_class_c_not_dividing_k_raises(monkeypatch):
+    # b_k = k a_k is an integer only if every c_i divides k_i; a class with
+    # c = 2 at k = 3 (in S3, U of order 2, which is its own normalizer) is
+    # refused before any step
+    real = counting.orbit_type_data
+
+    def corrupted(group, coeffs, cls, homs, class_id=0):
+        od = real(group, coeffs, cls, homs, class_id=class_id)
+        return od._replace(c=2) if od.k == 3 else od
+
+    monkeypatch.setattr(counting, "orbit_type_data", corrupted)
+    with pytest.raises(InvariantError, match="c = 2 does not divide k = 3 in class 1"):
+        WreathHomCounter(builtin_group("S3"), C2)
+
+
+def _check_integer_terms(group):
+    # b_k sums [G:N_G(U_i)] w_i over the classes of orbit size k, and
+    # k_i // c_i is that conjugate count
+    for coeffs in (C2, C3A):
+        counter = WreathHomCounter(group, coeffs)
+        expected: dict[int, int] = {}
+        for cls, od in zip(counter.classes, counter.orbit_data):
+            assert od.k // od.c == cls.conjugate_count
+            expected[od.k] = expected.get(od.k, 0) + cls.conjugate_count * od.weight
+        assert counter._total_terms == tuple(expected.items())
+
+
+@pytest.mark.parametrize("name", ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
+def test_integer_terms_are_conjugate_counts(name):
+    _check_integer_terms(builtin_group(name))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(permutation_lists)
+def test_integer_terms_are_conjugate_counts_random_groups(perms):
+    _check_integer_terms(group_from_permutations(perms))
+
+
+@pytest.mark.parametrize("name, n", [("C2", 1500), ("S3", 500), ("D4", 500), ("Q8", 500)])
+def test_kernel_matches_exponential_formula_at_large_n(name, n):
+    # a second exact route where no brute force reaches: the truncated
+    # product of exp(a_k x^k), with characters of Hom(G, C2) for the Weyl
+    # count; n is as large as keeps these cases near 2 s in all
+    group = builtin_group(name)
+    counter = WreathHomCounter(group, C2)
+    total, free, weyl = exponential_formula_counts(counter.orbit_data, counter.homs, n)
+    assert counter.count(n) == total
+    assert counter.fixed_point_free_probability(n) == Fraction(free, total)
+    assert weyl_hom_count(group, n) == weyl
 
 
 def test_distribution_table_rejects_non_distribution():

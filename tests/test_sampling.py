@@ -123,23 +123,25 @@ def test_sample_hom_matches_reference_draws_at_large_n():
 
 
 def _exact_walk(monkeypatch, counter):
-    """Send every draw of the sampler through ``counter``'s exact scan."""
+    """Send every draw of the sampler through ``counter``'s exact scan
+    where the walk tables hold a shift (at shift 0 the estimates are exact;
+    for S3 with A = C2, from s = 18 on)."""
     monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
     monkeypatch.setattr(counting, "WALK_SLACK", 2**64)
 
 
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
-    # the exact scan at s = 6 reads the window that ends at t_5; with t_5
-    # bumped after the walk tables were built, its sum misses their top bits
+    # the exact scan at s = 20 reads the window that ends at t_19; with t_19
+    # doubled after the walk tables were built, its sum misses their top bits
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
-    counter.extend_to(10, walk=True)
+    counter.extend_to(30, walk=True)
     counter._restart(free=False, fibers=False)
-    counter.extend_to(5)
-    counter._totals[-1] += 1
+    counter.extend_to(19)
+    counter._totals[-1] *= 2
     _exact_walk(monkeypatch, counter)
-    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=6"):
-        counter.choose_class(6, 0)
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
+        counter.choose_class(20, 0)
 
 
 def test_corrupted_class_term_raises_stratum_error(monkeypatch):
@@ -151,8 +153,8 @@ def test_corrupted_class_term_raises_stratum_error(monkeypatch):
     terms[-1] = (k, a + 1)
     counter._class_terms = tuple(terms)
     _exact_walk(monkeypatch, counter)
-    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=10"):
-        sample_orbit_type(g, C2, 10, random.Random(0))
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
+        sample_orbit_type(g, C2, 20, random.Random(0))
 
 
 def test_sample_trivial_group():
@@ -330,18 +332,20 @@ def test_walk_tables_do_not_depend_on_earlier_queries():
             fresh.walk_bits, fresh._walk_shift, fresh._walk_tops)
 
 
-def test_corrupted_run_term_raises_non_integral_count():
-    # the walk table divides each one-pass sum by L = 6: a run term one
-    # too large leaves a remainder at the first s that reads it (k = 2)
-    counter = WreathHomCounter(builtin_group("S3"), C2)  # not the cached counter_for one
-    assert counter.scale == 6
-    runs = list(counter._runs)
-    k, start, prefix = runs[2]
+def test_corrupted_run_term_raises_stratum_error(monkeypatch):
+    # a merged term b_2 one too large: the totals and the walk tables step
+    # with it, but the class terms still sum to the true b_2, so the
+    # exact scan's weights miss L t_s
+    g = builtin_group("S3")
+    counter = WreathHomCounter(g, C2)  # not the cached counter_for one
+    terms = list(counter._total_terms)
+    k, b = terms[2]
     assert k == 2
-    runs[2] = (k, start, (*prefix[:-1], prefix[-1] + 1))
-    counter._runs = tuple(runs)
-    with pytest.raises(InvariantError, match="non-integral count at n=2"):
-        counter.extend_to(5, walk=True)
+    terms[2] = (k, b + 1)
+    counter._total_terms = tuple(terms)
+    _exact_walk(monkeypatch, counter)
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
+        sample_orbit_type(g, C2, 20, random.Random(0))
 
 
 @pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
