@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +27,7 @@ from .groups import (
     UnknownGroupError,
     build_group,
     builtin_group,
+    check_coeff_order,
 )
 from .counting import (
     DEFAULT_RECURRENCE_CAP,
@@ -49,6 +51,7 @@ EXIT_INVARIANT = 6
 
 CAP_ENV_VAR = "WREATHHOM_CAP"
 SPOOL_CHARS = 2**20  # output text past this size waits in a temporary file
+COPY_CHARS = 2**16  # the temporary file is read back in chunks of this size
 
 
 class UsageError(Exception):
@@ -71,11 +74,14 @@ def _load_group(spec: str) -> FiniteGroup:
 
 
 def _parse_coeffs(text: str) -> AbelianGroup:
+    """The A of ``--A``, refused past ``COEFF_ORDER_CAP`` before any work."""
     try:
         factors = [int(x) for x in text.split(",") if x.strip() != ""]
-        return AbelianGroup(e for e in factors if e != 1)
+        coeffs = AbelianGroup(e for e in factors if e != 1)
     except ValueError as exc:
         raise ValueError(f"--A {text!r}: {exc}") from None
+    check_coeff_order(coeffs)
+    return coeffs
 
 
 def _parse_n_range(text: str, cap: int) -> range:
@@ -101,7 +107,8 @@ def _emit(rows: Iterable[str], out: Optional[str]) -> None:
     """Write each row's JSON text as a line, and nothing unless every row is made.
 
     The lines wait in memory up to ``SPOOL_CHARS``, then in an unnamed
-    temporary file; stdout or ``--out`` is written only after the last row."""
+    temporary file; stdout or ``--out`` is written only after the last row,
+    from the held lines or from ``COPY_CHARS`` reads of the file."""
     lines = (line for row in rows for line in (row, "\n"))
     held, size = [], 0
     for line in lines:
@@ -119,13 +126,13 @@ def _emit(rows: Iterable[str], out: Optional[str]) -> None:
             held.clear()
             spool.writelines(lines)
             spool.seek(0)
-            _write(spool, out)
+            _write(iter(partial(spool.read, COPY_CHARS), ""), out)
     except OSError as exc:
         raise UsageError(f"cannot write output through a temporary file: {exc.strerror or exc}") from None
 
 
 def _write(lines: Iterable[str], out: Optional[str]) -> None:
-    """Write ``lines`` to stdout, or to the file ``out`` opened only now."""
+    """Write the texts ``lines`` to stdout, or to the file ``out`` opened only now."""
     if out is None or out == "-":
         sys.stdout.writelines(lines)
         return
@@ -136,35 +143,37 @@ def _write(lines: Iterable[str], out: Optional[str]) -> None:
         raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
-def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
-    return {"n": n, "count": str(hom_count_wreath(group, coeffs, n, cap=cap))}
+# Each row function returns its row as JSON line text: the bytes json.dumps
+# writes for the dict of the same keys, in the same order.  Every value is
+# an int, or the str() of an int or a Fraction in quotes, so nothing needs
+# escaping.
 
 
-def _pfree_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
-    return {"n": n, "p": str(fixed_point_free_probability(group, coeffs, n))}
+def _count_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> str:
+    return f'{{"n": {n}, "count": "{hom_count_wreath(group, coeffs, n, cap=cap)}"}}'
 
 
-def _delta_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+def _pfree_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> str:
+    return f'{{"n": {n}, "p": "{fixed_point_free_probability(group, coeffs, n)!s}"}}'
+
+
+def _delta_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> str:
     return distribution_to_json(delta_distribution(group, coeffs, n))
 
 
-def _weyl_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> dict:
+def _weyl_row(group: FiniteGroup, coeffs: AbelianGroup, n: int, cap: int) -> str:
     from fractions import Fraction
     count = weyl_hom_count(group, n)
-    total = hom_count_wreath(group, coeffs, n, cap=cap)
-    return {
-        "n": n,
-        "count": str(count),
-        "ratio": str(Fraction(count, total)),
-        "limit": str(weyl_limit_ratio(group)),
-    }
+    ratio = Fraction(count, hom_count_wreath(group, coeffs, n, cap=cap))
+    return (f'{{"n": {n}, "count": "{count}", "ratio": "{ratio!s}", '
+            f'"limit": "{weyl_limit_ratio(group)!s}"}}')
 
 
 def _cmd_table(args, ns: range, cap: int) -> int:
     """One JSON line per n from the subcommand's row function."""
-    group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
-    _emit((json.dumps(args.row(group, coeffs, n, cap)) for n in ns), args.out)
+    group = _load_group(args.group)
+    _emit((args.row(group, coeffs, n, cap) for n in ns), args.out)
     return EXIT_OK
 
 
@@ -175,8 +184,8 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if len(ns) != 1:
         raise UsageError(f"sample takes a single n, not the range {args.n!r}")
-    group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
+    group = _load_group(args.group)
     n = ns[0]
     rng = random.Random(args.seed)
     _emit((sample_hom(group, coeffs, n, rng).to_json() for _ in range(args.samples)), args.out)
@@ -193,8 +202,8 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
         gnames, a_texts = ("C1", "C2", "C3", "V4", "S3"), ("2", "3")
     else:
         gnames, a_texts = (args.group,), (args.A,)
-    groups = [_load_group(gname) for gname in gnames]
     coeffs_list = [_parse_coeffs(a_text) for a_text in a_texts]
+    groups = [_load_group(gname) for gname in gnames]
     cells = [(group, coeffs, n) for group in groups for coeffs in coeffs_list for n in ns]
     lines = []
     all_ok = True
@@ -261,8 +270,8 @@ def fit_decay(group: FiniteGroup, coeffs: AbelianGroup, ns: Sequence[int]) -> di
 
 
 def _cmd_fit_decay(args, ns: range, cap: int) -> int:
-    group = _load_group(args.group)
     coeffs = _parse_coeffs(args.A)
+    group = _load_group(args.group)
     _emit([json.dumps(fit_decay(group, coeffs, list(ns)))], args.out)
     return EXIT_OK
 

@@ -471,26 +471,28 @@ def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms: big integers as decimal strings, rationals as num/den strings
+# JSON text: big integers as decimal strings, rationals as num/den strings
 
 
-def ratio_to_json(num: int, den: int) -> dict:
-    """num / den in lowest terms, for den > 0: the numerator and
-    denominator ``Fraction(num, den)`` would hold."""
+def ratio_to_json(num: int, den: int) -> str:
+    """num / den in lowest terms, for den > 0, as the JSON text of
+    {"num": ..., "den": ...} holding the decimal strings of the numerator
+    and denominator ``Fraction(num, den)`` would hold."""
     g = math.gcd(num, den)
-    return {"num": str(num // g), "den": str(den // g)}
+    return f'{{"num": "{num // g}", "den": "{den // g}"}}'
 
 
-def distribution_to_json(table: DistributionTable) -> dict:
-    """Each distinct fiber value is rendered once; fold values in one
-    class of the counter share theirs."""
+def distribution_to_json(table: DistributionTable) -> str:
+    """The row as JSON line text: the bytes ``json.dumps`` writes for
+    {"n": n, "fibers": [...], "probs": [...], "supDistance": ...}, with each
+    fiber as its decimal string and each ratio as ``ratio_to_json``.  Each
+    distinct fiber value is rendered once, and the h entries join references
+    to its texts; fold values in one class of the counter share theirs."""
     fibers, total = table.fiber_counts, table.total
     h = len(fibers)
-    rendered = {f: (str(f), ratio_to_json(f, total)) for f in set(fibers)}
-    return {
-        "n": table.n,
-        "fibers": [rendered[f][0] for f in fibers],
-        "probs": [rendered[f][1] for f in fibers],
-        "supDistance": ratio_to_json(max(abs(h * f - total) for f in rendered), h * total),
-    }
-
+    decimals = {f: f'"{f}"' for f in set(fibers)}
+    ratios = {f: ratio_to_json(f, total) for f in decimals}
+    sup = ratio_to_json(max(abs(h * f - total) for f in decimals), h * total)
+    fiber_text = ", ".join(map(decimals.__getitem__, fibers))
+    prob_text = ", ".join(map(ratios.__getitem__, fibers))
+    return f'{{"n": {table.n}, "fibers": [{fiber_text}], "probs": [{prob_text}], "supDistance": {sup}}}'

@@ -107,14 +107,3 @@ def orbit_type_data(
         weight=weight,
         fiber=tuple(fiber),
     )
-
-
-def orbit_data_to_json(data: OrbitTypeData) -> dict:
-    """JSON form with big integers as decimal strings."""
-    return {
-        "classId": data.class_id,
-        "k": data.k,
-        "c": data.c,
-        "weight": str(data.weight),
-        "fiber": [str(x) for x in data.fiber],
-    }

@@ -7,8 +7,9 @@ subgroup classes by joining pairs of subgroups until nothing new appears,
 the transfer evaluated on every element of G, centralizers by trying
 every permutation, homomorphisms by trying every tuple of generator
 images against every product, the sampler on ``random``'s own
-``randrange`` and ``shuffle``, and counts at large n by multiplying out
-the exponential formula instead of running its log-derivative.
+``randrange`` and ``shuffle``, counts at large n by multiplying out
+the exponential formula instead of running its log-derivative, and table
+rows as dicts for ``json.dumps`` instead of the package's text builders.
 """
 
 from __future__ import annotations
@@ -18,10 +19,22 @@ import math
 import operator
 from fractions import Fraction
 
-from wreathhom import OrbitTypeData, SizeCapError, SubgroupClass, WreathHom, abelianization, coset_action
+from wreathhom import (
+    AbelianGroup,
+    OrbitTypeData,
+    SizeCapError,
+    SubgroupClass,
+    WreathHom,
+    abelianization,
+    coset_action,
+    delta_distribution,
+    fixed_point_free_probability,
+    hom_count_wreath,
+    weyl_hom_count,
+)
 from wreathhom.counting import counter_for
 from wreathhom.groups import abelian_index_tables
-from wreathhom.homs import abelian_homs, hom_count_abelian
+from wreathhom.homs import abelian_homs, hom_count_abelian, hom_group
 from wreathhom.orbits import cocycle_table
 
 DEFAULT_DEGREE_CAP = 8
@@ -146,6 +159,49 @@ def sup_distance_to_uniform(table) -> Fraction:
     """max |f / total - 1/h| over the fibers of a DistributionTable."""
     h = len(table.fiber_counts)
     return max(abs(p - Fraction(1, h)) for p in probs(table))
+
+
+def reference_row(command, group, coeffs, n) -> dict:
+    """The row that ``command`` (count, pfree, delta or weyl) prints at n,
+    as the dict whose ``json.dumps`` is its text: the engine's values, each
+    rendered through ``Fraction`` and ``str``.  ``weyl`` ignores ``coeffs``
+    and counts into C2, as its subcommand does."""
+    def ratio(x: Fraction) -> dict:
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+
+    if command == "count":
+        return {"n": n, "count": str(hom_count_wreath(group, coeffs, n))}
+    if command == "pfree":
+        return {"n": n, "p": str(fixed_point_free_probability(group, coeffs, n))}
+    if command == "delta":
+        table = delta_distribution(group, coeffs, n)
+        return {
+            "n": n,
+            "fibers": [str(f) for f in table.fiber_counts],
+            "probs": [ratio(p) for p in probs(table)],
+            "supDistance": ratio(sup_distance_to_uniform(table)),
+        }
+    if command == "weyl":
+        c2 = AbelianGroup((2,))
+        count = weyl_hom_count(group, n)
+        return {
+            "n": n,
+            "count": str(count),
+            "ratio": str(Fraction(count, hom_count_wreath(group, c2, n))),
+            "limit": str(Fraction(1, hom_group(group, c2).size)),
+        }
+    raise ValueError(f"no table subcommand {command!r}")
+
+
+def orbit_data_to_json(data: OrbitTypeData) -> dict:
+    """JSON form of one class's orbit data, with big integers as decimal strings."""
+    return {
+        "classId": data.class_id,
+        "k": data.k,
+        "c": data.c,
+        "weight": str(data.weight),
+        "fiber": [str(x) for x in data.fiber],
+    }
 
 
 def reference_add_table(homs) -> list[list[int]]:

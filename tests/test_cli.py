@@ -9,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import reference_row
+from strategies import permutation_lists
 from wreathhom import cli, oracle, sampling
 from wreathhom.cli import (
     EXIT_BAD_SPEC,
@@ -21,7 +24,15 @@ from wreathhom.cli import (
     execute,
     fit_decay,
 )
-from wreathhom import AbelianGroup, InvariantError, builtin_group, hom_count_wreath
+from wreathhom import (
+    AbelianGroup,
+    InvariantError,
+    SizeCapError,
+    builtin_group,
+    group_from_permutations,
+    hom_count_wreath,
+)
+from wreathhom.groups import COEFF_ORDER_CAP, abelian_index_tables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,6 +89,35 @@ def test_delta_output(capsys):
     assert line["fibers"] == ["4", "2"]
     assert line["probs"] == [{"num": "2", "den": "3"}, {"num": "1", "den": "3"}]
     assert line["supDistance"] == {"num": "1", "den": "6"}
+
+
+BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
+# (subcommand, --A) per table subcommand; weyl always counts into C2
+ROW_CASES = [(command, a) for command in ("count", "pfree", "delta") for a in ("2", "4", "2,2")] + [("weyl", "2")]
+
+
+def table_argv(command, group, a, n):
+    return [command, "--group", group, "--n", n] + (["--A", a] if command != "weyl" else [])
+
+
+@pytest.mark.parametrize("command, a", ROW_CASES, ids=[f"{c}-{a}" for c, a in ROW_CASES])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_table_rows_are_json_dumps_of_reference_rows(name, command, a, capsys):
+    assert execute(table_argv(command, name, a, "0:12")) == EXIT_OK
+    group, coeffs = builtin_group(name), cli._parse_coeffs(a)
+    expected = "".join(json.dumps(reference_row(command, group, coeffs, n)) + "\n" for n in range(13))
+    assert capsys.readouterr().out == expected
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(permutation_lists, st.sampled_from(ROW_CASES))
+def test_table_rows_are_json_dumps_of_reference_rows_random_groups(perms, case):
+    command, a = case
+    group, coeffs = group_from_permutations(perms), cli._parse_coeffs(a)
+    row = cli._build_parser().parse_args(table_argv(command, "-", a, "0")).row
+    for n in range(9):
+        assert row(group, coeffs, n, cli.DEFAULT_RECURRENCE_CAP) == json.dumps(
+            reference_row(command, group, coeffs, n)), n
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -187,6 +227,40 @@ def test_n_past_cap_refused_before_any_work(argv, cap_args, n, no_group_loads, c
     assert capsys.readouterr().out == ""
 
 
+A_COMMANDS = [argv for argv in N_COMMANDS if argv[0] != "weyl"]  # weyl has no --A
+
+
+@pytest.mark.parametrize("a, order", [(str(COEFF_ORDER_CAP + 1), COEFF_ORDER_CAP + 1), ("2,1024", 2048)])
+@pytest.mark.parametrize("argv", A_COMMANDS, ids=lambda argv: argv[0])
+def test_a_past_cap_refused_before_any_work(argv, a, order, no_group_loads, capsys):
+    # |A| is checked while --A is parsed, before the group is loaded, so no
+    # |A|^2 index table is built
+    assert execute(argv + ["--A", a, "--n", "1"]) == EXIT_CAP_EXCEEDED
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: |A| = {order} exceeds cap {COEFF_ORDER_CAP}\n"
+
+
+def test_a_past_cap_refused_by_the_library():
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        abelian_index_tables(AbelianGroup((COEFF_ORDER_CAP + 1,)))
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        hom_count_wreath(builtin_group("C1"), AbelianGroup((2, 1024)), 0)
+
+
+def test_a_at_cap_runs_in_100_mb():
+    resource = pytest.importorskip("resource")
+    limit = 100 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("count", "--group", "C2", "--A", str(COEFF_ORDER_CAP), "--n", "3",
+                      preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    # 3! [x^3] exp(a_1 x + a_2 x^2), with a_1 = |Hom(C2, A)| = 2 and a_2 = |A| / 2
+    assert proc.stdout == f'{{"n": 3, "count": "{2**3 + 6 * 2 * COEFF_ORDER_CAP // 2}"}}\n'
+
+
 def test_cap_applies_to_default_oracle_grid(no_group_loads, capsys):
     assert execute(["oracle-check", "--cap", "2"]) == EXIT_CAP_EXCEEDED
     assert capsys.readouterr().out == ""
@@ -289,6 +363,21 @@ def test_out_file_bytes_equal_stdout(module, name, argv, tmp_path, capsysbinary,
         assert execute(argv + ["--out", str(out)]) == EXIT_OK
         assert printed and out.read_bytes() == printed
         assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.COPY_CHARS])
+def test_spool_copied_back_in_chunks_is_the_held_bytes(chunk, tmp_path, capsysbinary, monkeypatch):
+    # chunks of 1 and 7 characters end inside rows and inside lines
+    argv = ["delta", "--group", "S3", "--A", "4", "--n", "1:30"]
+    assert execute(argv) == EXIT_OK
+    held = capsysbinary.readouterr().out
+    monkeypatch.setattr(cli, "SPOOL_CHARS", 0)
+    monkeypatch.setattr(cli, "COPY_CHARS", chunk)
+    assert execute(argv) == EXIT_OK
+    assert capsysbinary.readouterr().out == held
+    out = tmp_path / "rows.jsonl"
+    assert execute(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == held
 
 
 def test_out_file_takes_the_umask(tmp_path):
@@ -508,6 +597,18 @@ def test_fiber_bytes_pinned_beyond_exponent_2(argv, digest, capsysbinary):
     # recorded while fibers ran in the group algebra of Hom(G, A)
     assert execute(argv) == EXIT_OK
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
+
+def test_spooled_range_bytes_pinned(tmp_path, capsysbinary):
+    # 1.40 MB, past SPOOL_CHARS: the rows are copied back from the spool
+    argv = ["delta", "--group", "Q8", "--A", "2", "--n", "1:400"]
+    digest = "6862460590028ceb3b9c0a008e37d072a2fdda869bc99156419d358471095919"
+    assert execute(argv) == EXIT_OK
+    printed = capsysbinary.readouterr().out
+    assert len(printed) > cli.SPOOL_CHARS and hashlib.sha256(printed).hexdigest() == digest
+    out = tmp_path / "rows.jsonl"
+    assert execute(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == printed
 
 
 def test_sample_bytes_pinned_under_python_O():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -181,10 +182,13 @@ def fraction_from_json(data: dict) -> Fraction:
 
 
 def test_json_roundtrips():
-    assert ratio_to_json(20, 42) == {"num": "10", "den": "21"}
-    assert ratio_to_json(0, 42) == {"num": "0", "den": "1"}
+    assert ratio_to_json(20, 42) == '{"num": "10", "den": "21"}'
+    assert ratio_to_json(0, 42) == '{"num": "0", "den": "1"}'
     table = delta_distribution(builtin_group("C2"), C2, 2)
-    data = distribution_to_json(table)
+    text = distribution_to_json(table)
+    assert text == ('{"n": 2, "fibers": ["4", "2"], "probs": [{"num": "2", "den": "3"}, {"num": "1", "den": "3"}], '
+                    '"supDistance": {"num": "1", "den": "6"}}')
+    data = json.loads(text)
     assert data["fibers"] == ["4", "2"]
     assert fraction_from_json(data["probs"][0]) == Fraction(2, 3)
     assert fraction_from_json(data["supDistance"]) == sup_distance_to_uniform(table)
@@ -194,7 +198,9 @@ def test_json_roundtrips():
 def test_distribution_json_renders_each_fiber_as_fraction_would(name, coeffs):
     for n in range(8):
         table = delta_distribution(builtin_group(name), coeffs, n)
-        data = distribution_to_json(table)
+        text = distribution_to_json(table)
+        data = json.loads(text)
+        assert text == json.dumps(data)
         assert data["fibers"] == [str(f) for f in table.fiber_counts]
         assert [fraction_from_json(p) for p in data["probs"]] == list(probs(table))
         assert all(math.gcd(int(p["num"]), int(p["den"])) == 1 for p in data["probs"])

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_cocycle_table, reference_orbit_type_data, reference_transfer
+from oracles import orbit_data_to_json, reference_cocycle_table, reference_orbit_type_data, reference_transfer
 from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
@@ -22,7 +22,6 @@ from wreathhom import (
 )
 from wreathhom import orbits
 from wreathhom.groups import _fn_power, abelianization
-from wreathhom.orbits import orbit_data_to_json
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
