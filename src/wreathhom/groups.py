@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -59,24 +60,24 @@ class FiniteGroup:
         generators: Optional[Sequence[int]] = None,
         name: str = "G",
         element_names: Optional[Sequence[str]] = None,
+        _checked_rows: bool = False,  # the builders' rows, already converted and shape-checked
     ) -> None:
         self.name = str(name)
-        self.mul_table = tuple(tuple(int(x) for x in row) for row in mul_table)
-        self.order = len(self.mul_table)
+        self.mul_table = rows = mul_table if _checked_rows else _table_rows(mul_table)
+        self.order = len(rows)
         self.element_names = tuple(element_names) if element_names is not None else None
-        _validate_table_shape(self.mul_table)
-        _validate_identity(self.mul_table)
-        self.inv_table = _inverse_table(self.mul_table)
-        _validate_latin(self.mul_table)
+        _validate_identity(rows)
+        self.inv_table = _inverse_table(rows)
+        _validate_latin(rows)
         if generators is None:
-            generators = _greedy_generators(self)
+            generators = _greedy_generators(self, range(self.order))
         self.generators = tuple(dict.fromkeys(int(g) for g in generators))
         for g in self.generators:
             if not 0 <= g < self.order:
                 raise GroupTableError(f"generator {g} out of range")
-        self.eval_order, self.parent_word = _generator_words(self.mul_table, self.generators)
-        _validate_associativity(self.mul_table, self.generators)
-        self._hash = hash((self.mul_table, self.generators))
+        self.eval_order, self.parent_word = _generator_words(rows, self.generators)
+        _validate_associativity(rows, self.generators)
+        self._hash = hash((rows, self.generators))
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -149,31 +150,36 @@ class FiniteGroup:
         return self._hash
 
 
-def _validate_table_shape(table: tuple[tuple[int, ...], ...]) -> None:
-    d = len(table)
+def _table_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as tuples of ints, each row checked by its length, min and max."""
+    rows = tuple(tuple(map(int, row)) for row in table)
+    d = len(rows)
     if d == 0:
         raise GroupTableError("empty multiplication table")
-    for i, row in enumerate(table):
+    for i, row in enumerate(rows):
         if len(row) != d:
             raise GroupTableError(f"row {i} has length {len(row)}, expected {d}")
-        for x in row:
-            if not 0 <= x < d:
-                raise GroupTableError(f"table entry {x} in row {i} out of range 0..{d - 1}")
+        if min(row) < 0 or max(row) >= d:
+            x = next(x for x in row if not 0 <= x < d)
+            raise GroupTableError(f"table entry {x} in row {i} out of range 0..{d - 1}")
+    return rows
 
 
 def _validate_identity(table: tuple[tuple[int, ...], ...]) -> None:
-    d = len(table)
-    if any(table[0][j] != j for j in range(d)) or any(table[j][0] != j for j in range(d)):
+    identity = tuple(range(len(table)))
+    if table[0] != identity or next(zip(*table)) != identity:
         raise GroupTableError("element 0 is not an identity")
 
 
 def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    d = len(table)
+    """inv[a], the first x with a x = x a = 0, scanned for if row a's first 0 is not it."""
     inv = []
-    for a in range(d):
-        b = next((x for x in range(d) if table[a][x] == 0 and table[x][a] == 0), None)
-        if b is None:
-            raise GroupTableError(f"no inverse for element {a}")
+    for a, row in enumerate(table):
+        b = row.index(0) if 0 in row else None
+        if b is None or table[b][a]:
+            b = next((x for x, ax in enumerate(row) if ax == 0 and table[x][a] == 0), None)
+            if b is None:
+                raise GroupTableError(f"no inverse for element {a}")
         inv.append(b)
     return tuple(inv)
 
@@ -188,18 +194,21 @@ def _validate_latin(table: tuple[tuple[int, ...], ...]) -> None:
 
 
 def _validate_associativity(table: tuple[tuple[int, ...], ...], generators: tuple[int, ...]) -> None:
-    """Light's test: (x s) y == x (s y) for every generator s and all x, y.
+    """Light's test: (x s) y == x (s y) for every generator s and all x, y,
+    as row x s against row x gathered by row s.
 
     The s that pass are closed under products, and the BFS has shown that the
     generators reach every element, so passing for them suffices.
     """
     for s in generators:
         row_s = table[s]
+        # one index makes itemgetter return a bare item; the one row is (0,)
+        gather = itemgetter(*row_s) if len(row_s) > 1 else tuple
         for x, row_x in enumerate(table):
             row_xs = table[row_x[s]]
-            for y, sy in enumerate(row_s):
-                if row_xs[y] != row_x[sy]:
-                    raise GroupTableError(f"table is not associative at ({x},{s},{y})")
+            if row_xs != gather(row_x):
+                y = next(y for y, sy in enumerate(row_s) if row_xs[y] != row_x[sy])
+                raise GroupTableError(f"table is not associative at ({x},{s},{y})")
 
 
 def _generator_words(
@@ -210,10 +219,7 @@ def _generator_words(
     parent: list[Optional[tuple[int, int]]] = [None] * d
     order = [0]
     seen = {0}
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
+    for x in order:  # order grows as the BFS finds elements
         for gi, g in enumerate(generators):
             y = table[x][g]
             if y not in seen:
@@ -296,15 +302,12 @@ def group_from_table(
 
     ``FiniteGroup`` validates it, checking associativity in O(d^2 |S|).
     """
-    rows = tuple(tuple(int(x) for x in row) for row in table)
-    _validate_table_shape(rows)
+    rows = _table_rows(table)
     if len(rows) > GROUP_SIZE_CAP:
         raise SizeCapError(f"table has {len(rows)} elements, exceeding cap {GROUP_SIZE_CAP}")
     d = len(rows)
-    ident = next(
-        (e for e in range(d) if all(rows[e][j] == j for j in range(d)) and all(rows[j][e] == j for j in range(d))),
-        None,
-    )
+    identity = tuple(range(d))
+    ident = next((e for e in range(d) if rows[e] == identity and tuple(row[e] for row in rows) == identity), None)
     if ident is None:
         raise GroupTableError("no identity element in table")
     if ident != 0:
@@ -315,26 +318,24 @@ def group_from_table(
         if generators is not None:
             swap = {0: ident, ident: 0}
             generators = [swap.get(g, g) for g in generators]
-    return FiniteGroup(rows, generators=generators, name=name, element_names=element_names)
+    return FiniteGroup(rows, generators=generators, name=name, element_names=element_names, _checked_rows=True)
 
 
 def _relabel_table(rows: tuple[tuple[int, ...], ...], ident: int) -> tuple[tuple[int, ...], ...]:
-    d = len(rows)
-    relabel = list(range(d))
+    """The table relabelled by the swap r of 0 and ident: row a is row r(a)
+    gathered by r, then mapped through r."""
+    relabel = list(range(len(rows)))
     relabel[0], relabel[ident] = ident, 0
-    out = [[0] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            out[relabel[a]][relabel[b]] = relabel[rows[a][b]]
-    return tuple(tuple(r) for r in out)
+    gather = itemgetter(*relabel)  # ident != 0, so at least two labels
+    return tuple(tuple(map(relabel.__getitem__, gather(rows[r]))) for r in relabel)
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    """Small generating set: repeatedly adjoin a maximal-order missing element."""
+def _greedy_generators(group: FiniteGroup, elements: Sequence[int]) -> list[int]:
+    """Small generating set of the subgroup ``elements``: adjoin maximal-order missing elements."""
     gens: list[int] = []
     closure = frozenset({0})
-    by_order = sorted(range(group.order), key=lambda a: (-group.element_order(a), a))
-    while len(closure) < group.order:
+    by_order = sorted(elements, key=lambda a: (-group.element_order(a), a))
+    while len(closure) < len(elements):
         cand = next(a for a in by_order if a not in closure)
         gens.append(cand)
         closure = group.subgroup_closure(gens)
@@ -345,7 +346,8 @@ def group_from_permutations(
     perm_generators: Sequence[Sequence[int]],
     name: str = "G",
 ) -> FiniteGroup:
-    """Build a group by BFS closure of permutation generators on 0..m-1."""
+    """Build a group by BFS closure of permutation generators on 0..m-1.  Row
+    x = x' p (BFS parent x') is row x' gathered by y -> p y: (x' p) y = x' (p y)."""
     gens = [tuple(int(x) for x in p) for p in perm_generators]
     if not gens:
         raise GroupTableError("need at least one permutation generator")
@@ -353,27 +355,25 @@ def group_from_permutations(
     for p in gens:
         if len(p) != m or sorted(p) != list(range(m)):
             raise GroupTableError(f"invalid permutation generator {list(p)}")
-    ident = tuple(range(m))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elems = [ident]
-    head = 0
-    while head < len(elems):
-        base = elems[head]
-        head += 1
-        for p in gens:
-            prod = tuple(base[p[i]] for i in range(m))
+    elems = [tuple(range(m))]
+    index: dict[tuple[int, ...], int] = {elems[0]: 0}
+    parents = [(0, 0)]  # (BFS parent, generator index) per element; the identity's is unused
+    for x, base in enumerate(elems):  # elems grows as the BFS finds elements
+        for gi, p in enumerate(gens):
+            prod = tuple(map(base.__getitem__, p))
             if prod not in index:
                 if len(elems) >= GROUP_SIZE_CAP:
                     raise SizeCapError(f"closure exceeded size cap {GROUP_SIZE_CAP}")
                 index[prod] = len(elems)
                 elems.append(prod)
-    d = len(elems)
-    table = [
-        tuple(index[tuple(pa[pb[i]] for i in range(m))] for pb in elems)
-        for pa in elems
-    ]
+                parents.append((x, gi))
+    # y -> p y per generator p, as a row gather (the trivial group calls none)
+    gathers = [itemgetter(*(index[tuple(map(p.__getitem__, y))] for y in elems)) for p in gens]
+    rows = [tuple(range(len(elems)))]
+    for parent, gi in parents[1:]:
+        rows.append(gathers[gi](rows[parent]))
     gen_indices = [index[p] for p in gens]
-    return FiniteGroup(table, generators=gen_indices, name=name)
+    return FiniteGroup(tuple(rows), generators=gen_indices, name=name, _checked_rows=True)
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +676,13 @@ class Abelianization(NamedTuple):
 
 @lru_cache(maxsize=None)
 def abelianization(group: FiniteGroup, cls: SubgroupClass) -> Abelianization:
+    """U/[U, U], with [U, U] the closure of the |U| |S| commutators [a, s],
+    a in U, s in generators S of U.  It is normal, as [a, s]^b = [a b, s]
+    [b, s]^-1, and holds each [x, y z] = [x, z] [x, y]^z, so it is [U, U]."""
     subgroup = cls.elements
-    comms = {
-        group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b))
-        for a in subgroup
-        for b in subgroup
-    }
-    commutator = group.subgroup_closure(comms)
+    table, inv = group.mul_table, group.inv_table
+    gens = _greedy_generators(group, subgroup)
+    commutator = group.subgroup_closure(table[table[inv[a]][inv[s]]][table[a][s]] for a in subgroup for s in gens)
     # quotient cosets, represented by their minimal element
     rep_of: dict[int, int] = {}
     reps: list[int] = []

@@ -6,7 +6,9 @@ solution counting, the counting recurrence class by class in Fraction,
 subgroup classes by joining pairs of subgroups until nothing new appears,
 the transfer evaluated on every element of G, centralizers by trying
 every permutation, homomorphisms by trying every tuple of generator
-images against every product, the sampler on ``random``'s own
+images against every product, group tables by composing every pair of
+permutations, commutator subgroups from every pair of elements, the
+sampler on ``random``'s own
 ``randrange`` and ``shuffle``, counts at large n by multiplying out
 the exponential formula instead of running its log-derivative, and table
 rows as dicts for ``json.dumps`` instead of the package's text builders.
@@ -383,6 +385,41 @@ def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
 def _conjugate(group, subgroup, g):
     gi = group.inv(g)
     return frozenset(group.mul(group.mul(g, u), gi) for u in subgroup)
+
+
+def reference_permutation_group(perms):
+    """The table, inverses, eval_order and parent_word ``group_from_permutations``
+    gives, entry by entry: BFS closure of the permutations, every product
+    composed and looked up, each inverse by scanning its row, and the BFS
+    words along the table."""
+    gens = [tuple(p) for p in perms]
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for base in elems:
+        for p in gens:
+            prod = compose(base, p)
+            if prod not in index:
+                index[prod] = len(elems)
+                elems.append(prod)
+    d = len(elems)
+    table = tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+    inv = tuple(next(x for x in range(d) if table[a][x] == 0 and table[x][a] == 0) for a in range(d))
+    generators = list(dict.fromkeys(index[p] for p in gens))
+    order, parent = [0], [(-1, -1)] * d
+    for x in order:
+        for gi, g in enumerate(generators):
+            y = table[x][g]
+            if y != 0 and parent[y] == (-1, -1):
+                parent[y] = (x, gi)
+                order.append(y)
+    return table, inv, tuple(order), tuple(parent)
+
+
+def reference_commutator(group, elements) -> frozenset[int]:
+    """[U, U] as the closure of all |U|^2 commutators a^-1 b^-1 a b."""
+    return group.subgroup_closure(
+        group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b)) for a in elements for b in elements
+    )
 
 
 def reference_all_subgroups(group) -> set[frozenset[int]]:

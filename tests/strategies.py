@@ -11,3 +11,8 @@ permutation_lists = st.integers(1, 5).flatmap(
 permutation_lists_6 = st.integers(1, 6).flatmap(
     lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
 )
+
+# 1-3 permutations on at most 4 points; they generate groups of order at most 24
+permutation_lists_4 = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
+)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_row
 from strategies import permutation_lists
-from wreathhom import cli, oracle, sampling
+from wreathhom import cli, counting, homs, oracle, sampling
 from wreathhom.cli import (
     EXIT_BAD_SPEC,
     EXIT_CAP_EXCEEDED,
@@ -33,6 +33,7 @@ from wreathhom import (
     hom_count_wreath,
 )
 from wreathhom.groups import COEFF_ORDER_CAP, abelian_index_tables
+from wreathhom.homs import HOM_GROUP_CAP, hom_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -245,6 +246,26 @@ def test_a_past_cap_refused_by_the_library():
         abelian_index_tables(AbelianGroup((COEFF_ORDER_CAP + 1,)))
     with pytest.raises(SizeCapError, match="exceeds cap"):
         hom_count_wreath(builtin_group("C1"), AbelianGroup((2, 1024)), 0)
+
+
+def test_hom_group_past_cap_refused_before_listing(capsys, monkeypatch):
+    # h = |Hom(V4, C2^10)| = 2^20 is refused from the gcd count, before any
+    # homomorphism is listed or any subgroup class is found
+    def no_work(*args):
+        raise AssertionError("work done past the Hom(G, A) cap")
+
+    monkeypatch.setattr(homs, "abelian_homs", no_work)
+    monkeypatch.setattr(counting, "subgroup_classes", no_work)
+    assert execute(["count", "--group", "V4", "--A", ",".join(["2"] * 10), "--n", "0"]) == EXIT_CAP_EXCEEDED
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: |Hom(G, A)| = {2**20} exceeds cap {HOM_GROUP_CAP}\n"
+
+
+def test_hom_group_at_cap_is_listed():
+    c2_x_c4 = group_from_permutations([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)])
+    assert hom_group(c2_x_c4, AbelianGroup((2, 4, 4, 4))).size == HOM_GROUP_CAP
+    with pytest.raises(SizeCapError, match=f"= {2 * HOM_GROUP_CAP} exceeds cap"):
+        hom_group(builtin_group("V4"), AbelianGroup((2,) * 6))
 
 
 def test_a_at_cap_runs_in_100_mb():
@@ -784,6 +805,17 @@ UNUSED_MODULES = {
     "weyl": NEVER_FOR_COUNTING,
     "sample": {"dataclasses", "statistics", "wreathhom.oracle"},
 }
+
+
+def test_oracle_check_does_not_import_fractions():
+    # the direct count sums in integers over one common denominator
+    argv = ["oracle-check", "--group", "S3", "--n", "1:2"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_RUN, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "wreathhom.oracle" in loaded
+    assert "fractions" not in loaded
 
 
 @pytest.mark.parametrize("command", UNUSED_MODULES)

@@ -53,6 +53,18 @@ def test_direct_cap_error_mentions_recurrence():
         hom_count_direct(builtin_group("C2"), C2, 61)
 
 
+def test_direct_count_refuses_a_remainder(monkeypatch):
+    # an orbit of size 2 with c = 3 weighs 2! / 3 at n = 2: the sum over the
+    # common denominator leaves a remainder
+    from types import SimpleNamespace
+
+    data = (SimpleNamespace(k=1, c=1, weight=1), SimpleNamespace(k=2, c=3, weight=1))
+    monkeypatch.setattr(counting, "counter_for", lambda group, coeffs: SimpleNamespace(orbit_data=data))
+    assert hom_count_direct(builtin_group("C1"), C2, 1) == 1
+    with pytest.raises(InvariantError, match="non-integral direct count at n=2"):
+        hom_count_direct(builtin_group("C1"), C2, 2)
+
+
 def test_recurrence_cap():
     with pytest.raises(SizeCapError, match="cap"):
         hom_count_wreath(builtin_group("C2"), C2, 50, cap=10)

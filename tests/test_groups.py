@@ -20,8 +20,15 @@ from wreathhom import (
     subgroup_classes,
 )
 from wreathhom.groups import FiniteGroup
-from oracles import brute_subgroups, compose, invariant_factors_from_counts, reference_subgroup_classes
-from strategies import permutation_lists
+from oracles import (
+    brute_subgroups,
+    compose,
+    invariant_factors_from_counts,
+    reference_commutator,
+    reference_permutation_group,
+    reference_subgroup_classes,
+)
+from strategies import permutation_lists, permutation_lists_6
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
@@ -119,6 +126,48 @@ def test_latin_loop_fails_light_test():
         group_from_table(loop)
     with pytest.raises(GroupTableError, match="associative at"):
         FiniteGroup(loop, generators=range(5))
+
+
+# Every message the row checks reach through their per-entry scans.
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1, 2]], "table entry 2 in row 1 out of range 0..1"),
+        ([[0, 1], [-1, 0]], "table entry -1 in row 1 out of range 0..1"),
+        ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        # row 1 holds 0 only at x = 2, and 2 * 1 = 1
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "no inverse for element 1"),
+        # row 2's first 0 has 1 * 2 = 2, but its second is a two-sided
+        # inverse, so the repeated 0 is what fails
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 0]], "table is not associative: row 2 repeats an entry"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+         "table is not associative at (1,1,2)"),
+    ],
+)
+@pytest.mark.parametrize("build", [group_from_table, FiniteGroup], ids=["group_from_table", "FiniteGroup"])
+def test_table_check_messages_are_pinned(build, table, message):
+    with pytest.raises(GroupTableError) as info:
+        build(table)
+    assert str(info.value) == message
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(permutation_lists_6)
+def test_row_passes_match_per_entry_references(perms):
+    # the table by row gathers and [U, U] from generators of U, against the
+    # table composed entry by entry and the closure of all |U|^2 commutators
+    g = group_from_permutations(perms)
+    assert (g.mul_table, g.inv_table, g.eval_order, g.parent_word) == reference_permutation_group(perms)
+    for cls in subgroup_classes(g):
+        assert abelianization(g, cls).commutator == reference_commutator(g, cls.elements)
+
+
+def test_relabeled_table_is_the_swapped_table():
+    s3 = builtin_group("S3")
+    swap = {0: 4, 4: 0}
+    relabel = [swap.get(x, x) for x in range(6)]
+    table = [[relabel[s3.mul(relabel[a], relabel[b])] for b in range(6)] for a in range(6)]
+    assert group_from_table(table, generators=[relabel[g] for g in s3.generators]) == s3
 
 
 @pytest.mark.parametrize(

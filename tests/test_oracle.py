@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathhom import (
     AbelianGroup,
@@ -9,15 +10,19 @@ from wreathhom import (
     delta_distribution,
     enumerate_homs,
     fixed_point_strata_uniform,
+    group_from_permutations,
+    hom_count_direct,
     hom_count_wreath,
     oracle_delta,
     subgroup_classes,
 )
 from oracles import TableTarget, centralizer_order, reference_enumerate_homs
+from strategies import permutation_lists_4
 from wreathhom.groups import abelian_index_tables
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
+V4A = AbelianGroup((2, 2))
 
 
 def test_wreath_orders():
@@ -183,3 +188,13 @@ def test_centralizer_identity_all_classes(name):
         action = coset_action(g, cls)
         assert centralizer_order(action) == cls.normalizer_order // cls.order
         assert centralizer_order(action) == cls.centralizer_order
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(permutation_lists_4, st.sampled_from([C2, C3A, V4A]), st.integers(0, 2))
+def test_three_counts_agree_on_random_permutation_groups(perms, coeffs, n):
+    # the integer direct sum, the recurrence and brute force, on groups of
+    # order at most 24
+    g = group_from_permutations(perms)
+    count = len(enumerate_homs(g, build_wreath_group(coeffs, n)))
+    assert hom_count_direct(g, coeffs, n) == hom_count_wreath(g, coeffs, n) == count

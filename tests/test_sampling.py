@@ -132,13 +132,14 @@ def _exact_walk(monkeypatch, counter):
 
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
     # the exact scan at s = 20 reads the window that ends at t_19; with t_19
-    # doubled after the walk tables were built, its sum misses their top bits
+    # one too large after the walk tables were built, its sum keeps their
+    # top 64 bits but misses their residue
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
     counter.extend_to(30, walk=True)
     counter._restart(free=False, fibers=False)
     counter.extend_to(19)
-    counter._totals[-1] *= 2
+    counter._totals[-1] += 1
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
         counter.choose_class(20, 0)
@@ -328,8 +329,8 @@ def test_walk_tables_do_not_depend_on_earlier_queries():
     behind.count(10)
     for counter in (ahead, behind):
         counter.extend_to(60, walk=True)
-        assert (counter.walk_bits, counter._walk_shift, counter._walk_tops) == (
-            fresh.walk_bits, fresh._walk_shift, fresh._walk_tops)
+        assert (counter.walk_bits, counter._walk_residues, counter._walk_shift, counter._walk_tops) == (
+            fresh.walk_bits, fresh._walk_residues, fresh._walk_shift, fresh._walk_tops)
 
 
 def test_corrupted_run_term_raises_stratum_error(monkeypatch):

@@ -35,8 +35,8 @@ def test_builtins_in_their_regular_representation_match_sympy(name):
     assert_orders_match_sympy(group, regular)
 
 
-# S6 alone takes about a second to build, so the draws are fewer than
-# test_groups.py's on at most 5 points
+# S6, the largest group these draws reach, takes about 0.1 s to build; the
+# draws are fewer than test_groups.py's on at most 5 points
 @settings(max_examples=20, deadline=None, database=None)
 @given(permutation_lists_6)
 def test_random_permutation_groups_match_sympy(perms):
