@@ -43,10 +43,9 @@ DIRECT_CAP = 60
 # class bound before ``choose_class`` trusts the estimate; see there.
 WALK_SLACK = 3
 # The walk tables also hold L t_s modulo this prime, so the exact scan checks
-# its sum in every bit, not only the top 64.  The largest prime below 2^30
-# is one CPython digit, and a remainder by one digit is cheaper: for 3000
-# integers growing to 29 000 bits, as on D4 at n = 3000, 13 ms against 33 ms
-# for 2^64 - 59 (Python 3.11, 2-vCPU VM).
+# its sum in every bit, not only the top 64.  They step it from the earlier
+# residues, with no remainder of a big integer; the largest prime below 2^30
+# keeps each of a step's products within three CPython digits.
 WALK_PRIME = 2**30 - 35
 
 
@@ -127,10 +126,12 @@ class WreathHomCounter:
     forward cursor: a window of that many entries of each table in use, all
     ending at the same n.  A query ahead of the cursor advances it; a query
     behind the window, or the first query of a table, restarts it from
-    n = 0.  The sampler's backward walk keeps no t_s: the cursor's walk
-    mode records, the first time it reaches each s, the bit length of L t_s
-    (``walk_bits``), L t_s modulo ``WALK_PRIME``, and the top 64 bits of the
-    walk's cumulative weight at the end of each orbit size (``choose_class``).
+    n = 0.  The sampler's backward walk keeps no t_s: its walk tables hold,
+    per s, the bit length of L t_s (``walk_bits``), L t_s modulo
+    ``WALK_PRIME``, and the top 64 bits of the walk's cumulative weight at
+    the end of each orbit size (``choose_class``).  They grow from their own
+    window of L t_s and their own residues, apart from the cursor, and the
+    exact scan checks them against the cursor's totals.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup):
@@ -161,6 +162,8 @@ class WreathHomCounter:
             else:
                 runs.append((k, i, [0, b]))
         self._runs = tuple((k, start, tuple(prefix)) for k, start, prefix in runs)
+        self._run_starts = tuple(start for _, start, _ in self._runs)
+        self._run_prefixes = tuple(prefix for _, _, prefix in self._runs)
         # the merged b_k in run order, each the sum prefix[-1] of its run
         self._total_terms = tuple((k, prefix[-1]) for k, _, prefix in runs)
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
@@ -174,6 +177,10 @@ class WreathHomCounter:
         self._walk_residues = array("Q", [self.scale % WALK_PRIME])
         self._walk_shift = array("Q", [0])
         self._walk_tops = array("Q", [0] * len(self._runs))
+        # The walk's own window, of L t_s up to the last s in its tables, and
+        # the merged b_k modulo WALK_PRIME that step the residues on their own.
+        self._walk_window = deque([self.scale], maxlen=self._width)
+        self._residue_terms = tuple((k, b % WALK_PRIME) for k, b in self._total_terms)
 
     @cached_property
     def fiber_quotients(self) -> FiberQuotients:
@@ -244,29 +251,34 @@ class WreathHomCounter:
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
-        every table in use advances with the totals.  With ``walk``, an s
-        past the walk tables appends to them the bit length of L t_s, its
-        residue modulo ``WALK_PRIME`` and the top 64 bits of L times the
-        running sum of the step's products, one per run."""
+        every table in use advances with the totals.  With ``walk``, extend
+        the walk tables to n instead and leave the cursor where it is."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        if (n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None)
-                or (walk and len(self.walk_bits) <= min(n, self._n))):
+        if walk:
+            # The unchanged step on the walk's window, seeded with L, so its
+            # running sum is L times the totals' and ends at L t_s; the
+            # residue steps from the residues alone, with the falling
+            # factorials and b_k reduced first, not from L t_s.
+            window, residues, tops = self._walk_window, self._walk_residues, self._walk_tops
+            while (s := len(self.walk_bits)) <= n:
+                bounds = list(accumulate(self._scalar_step(self._total_terms, window, s)))
+                bits = bounds[-1].bit_length()
+                shift = max(0, bits - 64)
+                self.walk_bits.append(bits)
+                self._walk_shift.append(shift)
+                tops.extend([b >> shift for b in bounds])
+                residues.append(sum(math.perm(s - 1, k - 1) % WALK_PRIME * b * residues[s - k]
+                                    for k, b in self._residue_terms if k <= s) % WALK_PRIME)
+                window.append(bounds[-1])
+            return
+        if n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None):
             self._restart(free=free or self._free is not None, fibers=fibers or self._fibers is not None)
         while self._n < n:
             # every check runs before any window moves, so a raised
             # InvariantError leaves the windows aligned
             s = self._n + 1
-            products = self._scalar_step(self._total_terms, self._totals, s)
-            total = sum(products)
-            if walk and s == len(self.walk_bits):
-                # exact values, so a later failed check leaves nothing to undo
-                bounds = [self.scale * b for b in accumulate(products)]  # ends at L t_s
-                shift = max(0, bounds[-1].bit_length() - 64)
-                self.walk_bits.append(bounds[-1].bit_length())
-                self._walk_residues.append(bounds[-1] % WALK_PRIME)
-                self._walk_shift.append(shift)
-                self._walk_tops.extend([b >> shift for b in bounds])
+            total = sum(self._scalar_step(self._total_terms, self._totals, s))
             if self._free is not None:
                 free_count = sum(self._scalar_step(self._free_terms, self._free, s))
             if self._fibers is not None:
@@ -331,19 +343,25 @@ class WreathHomCounter:
         tops = self._walk_tops
         base = s * len(self._runs)
         end = base + len(self._runs)
-        g = bisect_right(tops, top, base, end)  # r's run is g - base
-        if g < end:
+        last = tops[end - 1]  # L t_s >> shift
+        if top >= last:
+            if top > last or not shift:
+                return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s, or r = top >= L t_s
+        else:
+            g = bisect_right(tops, top, base, end)  # r's run is g - base
             lo = tops[g - 1] if g > base else 0
-            width = tops[g] - lo  # > 0, as lo <= top < hi
-            _, start, prefix = self._runs[g - base]
-            a = prefix[-1]
-            # the last class j with lo + width * prefix[j] // a <= top
-            j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
-            if (lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK
-                    or not shift):
-                return start + j
-        elif top > tops[g - 1] or not shift:
-            return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s, or r = top >= L t_s
+            hi = tops[g]  # > lo, as lo <= top < hi
+            start, prefix = self._run_starts[g - base], self._run_prefixes[g - base]
+            if len(prefix) == 2:  # one class: its bounds are the run's
+                if lo + WALK_SLACK <= top <= hi - WALK_SLACK or not shift:
+                    return start
+            else:
+                width, a = hi - lo, prefix[-1]
+                # the last class j with lo + width * prefix[j] // a <= top
+                j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
+                if (lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK
+                        or not shift):
+                    return start + j
         for i, w in enumerate(self.stratum_weights(s)):
             if r < w:
                 return i

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import counter_for
-from .groups import AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
+from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
 from .orbits import cocycle_table
 
 
@@ -34,8 +35,9 @@ class WreathHom(NamedTuple):
     def to_json(self) -> str:
         """The row as JSON line text: the bytes ``json.dumps`` writes for
         {"perm": perms, "decor": decors}, joined from a table of decimal
-        strings that covers every entry (below max(n, |A|))."""
-        names = _decimals(max(self.n, 1 + max(map(max, filter(None, self.decors)), default=0)))
+        strings that covers every entry: a point is below n, and an A-index
+        below |A| <= ``COEFF_ORDER_CAP``."""
+        names = _decimals(max(self.n, COEFF_ORDER_CAP))
 
         def vector(v) -> str:
             # one index makes itemgetter return a bare item, and none is refused
@@ -82,7 +84,7 @@ def sample_orbit_type(
     one integer draw over the counter's common denominator, the draw that
     ``rng.randrange`` would make.  ``WreathHomCounter.choose_class`` turns
     it into a class, from its top bits where they suffice; the walk tables
-    it reads are built once per counter and s, in the counter's walk mode.
+    it reads are built once per counter and s, by ``extend_to`` with ``walk``.
     """
     counter = counter_for(group, coeffs)
     if len(counter.walk_bits) <= n:
@@ -113,11 +115,12 @@ def sample_hom(
     ``rng.shuffle`` and ``rng.randrange``, made on ``rng.getrandbits`` by
     CPython's rejection loop, in the same order.
 
-    The blocks are consecutive positions of the shuffled list.  Per class
-    and generator, the coset action lists each point's image in position
-    order by one strided slice per coset, and one comprehension lists the
-    coordinates; a gather by the inverse of ``points`` puts them in point
-    order.
+    The blocks are consecutive positions of the shuffled list.  Per class,
+    the decorations of all its orbits form one flat list, negated once.
+    Per generator, one strided slice per coset lists each point's image,
+    and its decoration, in position order, and one comprehension over three
+    flat lists forms the coordinates; a gather by the inverse of ``points``
+    puts them in point order.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
     assemblies = _assemblies(group, coeffs)
@@ -145,8 +148,9 @@ def sample_hom(
         k = asm.k
         span = points[pos : pos + count * k]  # the class's blocks, one after another
         pos += count * k
-        # per orbit, in this order: u, then the k - 1 free decorations
-        u_tabs, x_blocks = [], []
+        # per orbit, in this order: u, then the k - 1 free decorations, which
+        # go into one flat list aligned with span, 0 at each block's first slot
+        u_tabs, xs = [], []
         u_eval = asm.u_eval
         u_bits = len(u_eval).bit_length()
         for _ in range(count):
@@ -154,21 +158,22 @@ def sample_hom(
             while u >= len(u_eval):
                 u = getrandbits(u_bits)
             u_tabs.append(u_eval[u])
-            x_block = [0]
+            xs.append(0)
             for _ in range(k - 1):
                 x = getrandbits(a_bits)  # _randbelow(a_order)
                 while x >= a_order:
                     x = getrandbits(a_bits)
-                x_block.append(x)
-            x_blocks.append(x_block)
+                xs.append(x)
+        negs = [neg[x] for x in xs]
         for gi, act in enumerate(asm.gen_points):
-            image = span[:]
+            image, moved = span[:], xs[:]
             for a, b in enumerate(act):  # slot a of every block gets that block's slot act[a]
                 image[a::k] = span[b::k]
+                moved[a::k] = xs[b::k]
             images[gi] += image
-            coords[gi] += [
-                add[add[xs[a]][c]][neg[x]] for xs, u_tab in zip(x_blocks, u_tabs) for a, c, x in zip(act, u_tab[gi], xs)
-            ]
+            # x[act[a]] + u(cocycle at a) - x[a], the cocycle column of every orbit's u in turn
+            column = chain.from_iterable(map(itemgetter(gi), u_tabs))
+            coords[gi] += [add[add[p][c]][q] for p, c, q in zip(moved, column, negs)]
     where = [0] * n
     for q, p in enumerate(points):
         where[p] = q

@@ -116,10 +116,13 @@ def test_sample_hom_matches_reference_draws(name, coeffs):
 
 
 def test_sample_hom_matches_reference_draws_at_large_n():
-    g = builtin_group("D4")
-    rng, ref_rng = random.Random(3), random.Random(3)
-    assert sample_hom(g, C2, 3000, rng) == reference_sample_hom(g, C2, 3000, ref_rng)
-    assert rng.random() == ref_rng.random()
+    # Q8 with A = C4 has three classes of orbit size 2 in one run; both it
+    # and S3 with A = 2,2 draw u from |Hom(U, A)| = 4 at most classes
+    for name, coeffs, n in (("D4", C2, 3000), ("Q8", AbelianGroup((4,)), 1000), ("S3", V4A, 1000)):
+        g = builtin_group(name)
+        rng, ref_rng = random.Random(3), random.Random(3)
+        assert sample_hom(g, coeffs, n, rng) == reference_sample_hom(g, coeffs, n, ref_rng), name
+        assert rng.random() == ref_rng.random(), name
 
 
 def _exact_walk(monkeypatch, counter):
@@ -140,6 +143,34 @@ def test_corrupted_totals_raise_stratum_error(monkeypatch):
     counter._restart(free=False, fibers=False)
     counter.extend_to(19)
     counter._totals[-1] += 1
+    _exact_walk(monkeypatch, counter)
+    with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
+        counter.choose_class(20, 0)
+
+
+@pytest.mark.parametrize("table", ["window", "residues"])
+def test_corrupted_walk_window_raises_stratum_error(monkeypatch, table):
+    # The walk tables step two windows on their own: L t_s, for the bit
+    # lengths and tops, and L t_s modulo WALK_PRIME.  One of them one too
+    # large at s = 10, partway through the build, carries into every later
+    # entry of its own tables and into none of the other's, and the exact
+    # scan at s = 20, on the totals, misses the tables there: the tops for
+    # the window (they are exact to s = 17, so an error there reaches the
+    # top 64 bits later), the residue for the residues.
+    g = builtin_group("S3")
+    fresh = WreathHomCounter(g, C2)
+    fresh.extend_to(30, walk=True)
+    counter = WreathHomCounter(g, C2)  # not the cached counter_for one
+    counter.extend_to(10, walk=True)
+    if table == "window":
+        counter._walk_window[-1] += 1
+    else:
+        counter._walk_residues[-1] = (counter._walk_residues[-1] + 1) % counting.WALK_PRIME
+    counter.extend_to(30, walk=True)
+    at_20 = slice(20 * len(counter._runs), 21 * len(counter._runs))
+    tops_moved = counter._walk_tops[at_20] != fresh._walk_tops[at_20]
+    residue_moved = counter._walk_residues[20] != fresh._walk_residues[20]
+    assert (tops_moved, residue_moved) == ((True, False) if table == "window" else (False, True))
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
         counter.choose_class(20, 0)
