@@ -22,7 +22,7 @@ from .groups import (
     group_from_table,
     subgroup_classes,
 )
-from .homs import AbelianHom, HomGroup, hom_count_abelian, hom_group
+from .homs import HomGroup, hom_count_abelian, hom_group
 from .orbits import OrbitTypeData, orbit_type_data
 from .counting import (
     DecayConstant,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "AbelianHom",
     "Abelianization",
     "DecayConstant",
     "DistributionTable",

@@ -6,10 +6,11 @@ the log-derivative of exp(sum_k a_k x^k), with the classes merged by orbit
 size k.  Its coefficients b_k = k a_k are integers, since each class's
 c_i = |N_G(U_i)/U_i| divides k_i = [G:U_i], so a step multiplies and adds
 and divides by nothing.  Without the k = 1 term it gives the
-fixed-point-free counts.  The same recurrence pushed to each cyclic
-quotient Z/d of H = Hom(G, A) and inverted by integer Ramanujan sums
-yields the exact fold-value distribution; its trivial fold class counts
-the homomorphisms with trivial fold (type-D Weyl groups for A = C2).
+fixed-point-free counts.  The same recurrence, with one integer term
+vector per character of H = Hom(G, A) up to Galois conjugacy, inverted by
+integer Ramanujan sums, yields the exact fold-value distribution; its
+trivial fold class counts the homomorphisms with trivial fold (type-D Weyl
+groups for A = C2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .groups import (
@@ -86,23 +88,29 @@ def _ramanujan_sum(d: int, m: int) -> int:
 
 
 class FiberQuotients(NamedTuple):
-    """The fiber recurrence of Z[H], H = Hom(G, A), run on cyclic quotients.
+    """The fiber recurrence of Z[H], H = Hom(G, A), run as integer sequences.
 
-    Pushing forward along a surjection c: H ->> Z/d is a ring map, so the
-    fibers pushed to Z/d, X_c[j], obey the same recurrence with the terms
-    P_k[j] = sum of the merged fiber terms over c(psi) = j.  With one c per
-    Galois orbit of characters, Fourier inversion on H is
-    h F(psi) = sum_c sum_j X_c[j] c_d(j - c(psi)), c_d a Ramanujan sum.
-    Quotients with equal (d, P) have equal sequences and run once.
+    Pushing forward along a surjection c: H ->> Z/d is a ring map.  A
+    class's fiber is uniform on {u o V}, V the transfer, so it pushes to a
+    point mass at 0 or to a uniform vector on a nontrivial subgroup of Z/d,
+    which is 0 modulo the cyclotomic polynomial Phi_d.  So the faithful
+    character part of the pushed sequence is an integer y_c(n) that obeys
+    the kernel's recurrence with the terms
+    w_k(c) = sum_psi c_d(c(psi)) b_k[psi] / phi(d), the point masses at 0,
+    where b_k is the merged fiber term vector, c_d a Ramanujan sum and
+    phi(d) = c_d(0).  With one c per Galois orbit of characters, Fourier
+    inversion on H is h F(psi) = t_n + sum_c y_c(n) c_d(c(psi)).  The U = G
+    class has {u o V} = H, so w_1(c) = 0 and 0 <= y_c(n) <= free(n), the
+    paper's bound.  Quotients with equal terms share one sequence and add
+    their inversion rows.
 
-    ``seqs``: per distinct sequence beyond the totals (d = 1), its d and
-    terms (k, ((j, P_k[j]) for P_k[j] != 0)).  ``classes``: per class of
-    fold values with equal fibers at every n, the coefficients of
-    (t_n, X_1[0], ..., X_1[d_1 - 1], X_2[0], ...) that sum to h F(psi).
-    ``class_of[psi]``: psi's class.
+    ``seqs``: per distinct sequence beyond the totals (d = 1), its terms
+    (k, w_k) with w_k != 0.  ``classes``: per class of fold values with
+    equal fibers at every n, the coefficients of (t_n, y_1, y_2, ...) that
+    sum to h F(psi).  ``class_of[psi]``: psi's class.
     """
 
-    seqs: tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
+    seqs: tuple[tuple[tuple[int, int], ...], ...]
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
@@ -118,9 +126,10 @@ class WreathHomCounter:
     that c_i divides k_i, so the merged b_k = k a_k sum the integers
     (k_i // c_i) w_i = [G:N_G(U_i)] w_i, and a step is
     t_s = sum_k (s-1)_(k-1) b_k t_(s-k), with no division.  Fibers run as
-    the sequences of ``fiber_quotients``, one per distinct push-forward to
-    a cyclic quotient of Hom(G, A); each must sum to the total at every
-    step.  ``scale`` = lcm(c_i) is only the sampler's draw denominator.
+    the integer sequences of ``fiber_quotients``, one per distinct term
+    vector of a character of Hom(G, A), through the same step; each must
+    stay within 0 and the fixed-point-free count, which a fiber query
+    steps too.  ``scale`` = lcm(c_i) is only the sampler's draw denominator.
 
     A step reads only the last ``max k`` entries, so the tables live in one
     forward cursor: a window of that many entries of each table in use, all
@@ -191,41 +200,36 @@ class WreathHomCounter:
             vec, m = merged[od.k], od.k // od.c
             for psi, x in enumerate(od.fiber):
                 vec[psi] += x * m
-        # (d, P) -> the rows j of sum over its quotients c of c_d(j - c(psi))
-        seqs: dict[tuple, list[list[int]]] = {}
+        # terms (k, w_k) with w_k != 0 -> the row of sum over its quotients c of c_d(c(psi))
+        seqs: dict[tuple[tuple[int, int], ...], list[int]] = {}
         for d, c in self.homs.cyclic_quotients():
-            # P_k[j] for j > 0 by masks; P_k[0] is the rest of A_k = sum(vec)
-            masks = [[x == j for x in c] for j in range(1, d)]
-            pushed = []
-            for (k, a), vec in zip(self._total_terms, merged.values()):
-                rest = [sum(compress(vec, mask)) for mask in masks]
-                pushed.append((k, (a - sum(rest), *rest)))
-            rows = seqs.setdefault((d, tuple(pushed)), [[0] * h for _ in range(d)])
-            for j, row in enumerate(rows):
-                sums = [_ramanujan_sum(d, (j - x) % d) for x in range(d)]
-                row[:] = [r + sums[x] for r, x in zip(row, c)]
-        (d, terms), *rest = seqs
-        if d != 1 or terms != tuple((k, (a,)) for k, a in self._total_terms):
+            sums = [_ramanujan_sum(d, x) for x in range(d)]
+            col = [sums[x] for x in c]
+            terms = []
+            for k, vec in merged.items():
+                w, r = divmod(sum(map(mul, col, vec)), sums[0])  # sums[0] = phi(d)
+                if r or w < 0:
+                    raise InvariantError(f"the fibers of orbit size {k} are not uniform on a quotient Z/{d}")
+                if w:
+                    terms.append((k, w))
+            row = seqs.setdefault(tuple(terms), [0] * h)
+            row[:] = map(add, row, col)
+        (terms, ones), *chars = seqs.items()
+        if terms != self._total_terms or ones != [1] * h:
             raise InvariantError("the trivial quotient does not carry the totals")
-        columns = list(zip(*chain.from_iterable(seqs.values())))
         index: dict[tuple[int, ...], int] = {}
-        class_of = tuple(index.setdefault(col, len(index)) for col in columns)
-        return FiberQuotients(
-            seqs=tuple((d, tuple((k, tuple((j, x) for j, x in enumerate(p) if x)) for k, p in terms))
-                       for d, terms in rest),
-            classes=tuple(index),
-            class_of=class_of,
-        )
+        class_of = tuple(index.setdefault(column, len(index)) for column in zip(*seqs.values()))
+        return FiberQuotients(seqs=tuple(terms for terms, _ in chars), classes=tuple(index), class_of=class_of)
 
     def _restart(self, *, free: bool, fibers: bool) -> None:
-        """Put the cursor at n = 0 with the windows of the tables in use."""
+        """Put the cursor at n = 0 with the windows of the tables in use;
+        the fibers' bound needs the free window."""
         self._n = 0
         self._totals: deque[int] = deque([1], maxlen=self._width)
-        self._free: deque[int] | None = deque([1], maxlen=self._width) if free else None
-        self._fibers: deque[tuple[tuple[int, ...], ...]] | None = None
+        self._free: deque[int] | None = deque([1], maxlen=self._width) if free or fibers else None
+        self._fibers: list[deque[int]] | None = None
         if fibers:
-            unit = tuple((1,) + (0,) * (d - 1) for d, _ in self.fiber_quotients.seqs)
-            self._fibers = deque([unit], maxlen=self._width)
+            self._fibers = [deque([1], maxlen=self._width) for _ in self.fiber_quotients.seqs]
 
     @staticmethod
     def _scalar_step(terms: tuple[tuple[int, int], ...], prev: Sequence[int], s: int) -> list[int]:
@@ -233,21 +237,6 @@ class WreathHomCounter:
         t_s = sum_k (s-1)_(k-1) b_k t_(s-k), in the order of ``terms`` and
         0 where k > s; ``prev`` (a list or a window) ends at t_(s-1)."""
         return [math.perm(s - 1, k - 1) * b * prev[-k] if k <= s else 0 for k, b in terms]
-
-    def _quotient_step(self, q: int, s: int) -> tuple[int, ...]:
-        """The step of quotient sequence q, with b_k and the entries in
-        Z[Z/d]: length-d vectors multiplied cyclically."""
-        d, terms = self.fiber_quotients.seqs[q]
-        acc = [0] * d
-        for k, vec in terms:
-            if k > s:
-                continue
-            step = math.perm(s - 1, k - 1)
-            prev = [step * x for x in self._fibers[-k][q]]
-            for i, a in vec:
-                for j, x in enumerate(prev):
-                    acc[(i + j) % d] += a * x
-        return tuple(acc)
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
@@ -282,10 +271,12 @@ class WreathHomCounter:
             if self._free is not None:
                 free_count = sum(self._scalar_step(self._free_terms, self._free, s))
             if self._fibers is not None:
-                fiber = tuple(self._quotient_step(q, s) for q in range(len(self.fiber_quotients.seqs)))
-                if any(sum(x) != total for x in fiber):
-                    raise InvariantError(f"fiber sum mismatch at n={s}")
-                self._fibers.append(fiber)
+                chars = [sum(self._scalar_step(terms, window, s))
+                         for terms, window in zip(self.fiber_quotients.seqs, self._fibers)]
+                if not all(0 <= y <= free_count for y in chars):
+                    raise InvariantError(f"a character part is outside [0, free count] at n={s}")
+                for window, y in zip(self._fibers, chars):
+                    window.append(y)
             if self._free is not None:
                 self._free.append(free_count)
             self._totals.append(total)
@@ -381,7 +372,7 @@ class WreathHomCounter:
         """The fiber of each given class of fold values at n: h F divided
         exactly by h."""
         self.extend_to(n, fibers=True)
-        values = (self._at(self._totals, n), *chain.from_iterable(self._at(self._fibers, n)))
+        values = (self._at(self._totals, n), *(self._at(window, n) for window in self._fibers))
         out = []
         for i in classes:
             acc = sum(c * x for c, x in zip(self.fiber_quotients.classes[i], values))

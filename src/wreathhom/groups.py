@@ -59,13 +59,11 @@ class FiniteGroup:
         mul_table: Sequence[Sequence[int]],
         generators: Optional[Sequence[int]] = None,
         name: str = "G",
-        element_names: Optional[Sequence[str]] = None,
         _checked_rows: bool = False,  # the builders' rows, already converted and shape-checked
     ) -> None:
         self.name = str(name)
         self.mul_table = rows = mul_table if _checked_rows else _table_rows(mul_table)
         self.order = len(rows)
-        self.element_names = tuple(element_names) if element_names is not None else None
         _validate_identity(rows)
         self.inv_table = _inverse_table(rows)
         _validate_latin(rows)
@@ -296,7 +294,6 @@ def group_from_table(
     table: Sequence[Sequence[int]],
     name: str = "G",
     generators: Optional[Sequence[int]] = None,
-    element_names: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
     """Build a group from an explicit table, relabeling so the identity is 0.
 
@@ -312,13 +309,10 @@ def group_from_table(
         raise GroupTableError("no identity element in table")
     if ident != 0:
         rows = _relabel_table(rows, ident)
-        if element_names is not None:
-            element_names = list(element_names)
-            element_names[0], element_names[ident] = element_names[ident], element_names[0]
         if generators is not None:
             swap = {0: ident, ident: 0}
             generators = [swap.get(g, g) for g in generators]
-    return FiniteGroup(rows, generators=generators, name=name, element_names=element_names, _checked_rows=True)
+    return FiniteGroup(rows, generators=generators, name=name, _checked_rows=True)
 
 
 def _relabel_table(rows: tuple[tuple[int, ...], ...], ident: int) -> tuple[tuple[int, ...], ...]:
@@ -384,8 +378,8 @@ def _cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def _quaternion_table() -> tuple[list[list[int]], list[str]]:
-    # elements 2u+s: unit u in (1,i,j,k), sign s (0 -> +, 1 -> -)
+def _quaternion_table() -> list[list[int]]:
+    # elements 2u+s: unit u in (1,i,j,k), sign s (0 -> +, 1 -> -), so element 1 is -1
     unit_mul = {
         (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
         (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
@@ -396,8 +390,7 @@ def _quaternion_table() -> tuple[list[list[int]], list[str]]:
     for u1, s1, u2, s2 in itertools.product(range(4), range(2), range(4), range(2)):
         u, s = unit_mul[(u1, u2)]
         table[2 * u1 + s1][2 * u2 + s2] = 2 * u + ((s1 + s2 + s) % 2)
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return table, names
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -419,8 +412,7 @@ def builtin_group(name: str) -> FiniteGroup:
     if key == "D4":
         return group_from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)], name="D4")
     if key == "Q8":
-        table, names = _quaternion_table()
-        return group_from_table(table, name="Q8", generators=[2, 4], element_names=names)
+        return group_from_table(_quaternion_table(), name="Q8", generators=[2, 4])
     raise UnknownGroupError(f"unknown builtin group {name!r}; known: {', '.join(BUILTIN_GROUP_NAMES)}")
 
 
@@ -430,7 +422,7 @@ def builtin_group(name: str) -> FiniteGroup:
 
 class _Record:
     """An immutable value over ``__slots__``, equal and hashed by its fields:
-    the form of a record that validates itself or overrides indexing."""
+    the form of a record that validates itself."""
 
     __slots__ = ()
 

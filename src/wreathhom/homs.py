@@ -17,7 +17,6 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SizeCapError,
-    _Record,
     _abelian_decomposition,
     abelian_index_tables,
     abelianization,
@@ -25,8 +24,9 @@ from .groups import (
 )
 
 # The largest h = |Hom(G, A)|.  A fiber query builds O(h^2) cyclic-quotient
-# data: ``delta --n 1`` with h = 2048 took 1.3-1.5 s and 18 MB, with h = 4096
-# 6.5-7.8 s (Python 3.11, 2-vCPU VM).
+# data: ``delta --n 1`` with h = 2048 took 1.0-1.5 s and 18-19 MB (3.1-3.9 s
+# and 50 MB with |A| = 1024 too), and with h = 4096 6.5-7.8 s when the cap
+# was set (Python 3.11, 2-vCPU VM).
 HOM_GROUP_CAP = 2048
 
 
@@ -80,35 +80,24 @@ def abelian_hom_evaluator(
     return value
 
 
-class AbelianHom(_Record):
-    """A homomorphism G -> A stored as the full value vector.
-
-    ``values[g]`` is the element index in A of the image of group element g;
-    full storage keeps evaluation O(1) inside the counting loops.
-    """
-
-    __slots__ = ("values",)
-
-    def __getitem__(self, g: int) -> int:
-        return self.values[g]
-
-
 class HomGroup:
     """Hom(G, A) as an abelian group under pointwise addition.
 
-    Elements are in lexicographic value-vector order, so index 0 is the
-    trivial homomorphism.  A homomorphism is fixed by its values on the
-    generators, so ``index_of`` and ``add`` key elements by those.
+    Each element is its value tuple: entry g is the A-element index of the
+    image of group element g.  Elements are in lexicographic order, so
+    index 0 is the trivial homomorphism.  A homomorphism is fixed by its
+    values on the generators, so ``index_of`` and ``add`` key elements by
+    those.
     """
 
-    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[AbelianHom]):
+    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[tuple[int, ...]]):
         self.group = group
         self.coeffs = coeffs
-        self.elements = tuple(sorted(homs, key=lambda h: h.values))
+        self.elements = tuple(sorted(homs))
         self.size = len(self.elements)
-        if self.elements[0].values != (0,) * group.order:
+        if self.elements[0] != (0,) * group.order:
             raise InvariantError("trivial homomorphism missing or not first")
-        self._gen_values = [tuple(h.values[s] for s in group.generators) for h in self.elements]
+        self._gen_values = [tuple(v[s] for s in group.generators) for v in self.elements]
         self._index = {v: i for i, v in enumerate(self._gen_values)}
         self._add_a, _ = abelian_index_tables(coeffs)
 
@@ -166,8 +155,8 @@ def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     homs = []
     for images in abelian_homs(ab.group, coeffs):
         value = abelian_hom_evaluator(coeffs, images)
-        homs.append(AbelianHom(tuple(value(ab.projection[g]) for g in range(group.order))))
-    if len({h.values for h in homs}) != len(homs):
+        homs.append(tuple(value(ab.projection[g]) for g in range(group.order)))
+    if len(set(homs)) != len(homs):
         raise InvariantError("distinct abelian homs lift to equal maps on G")
     return HomGroup(group, coeffs, homs)
 

@@ -209,9 +209,9 @@ def orbit_data_to_json(data: OrbitTypeData) -> dict:
 def reference_add_table(homs) -> list[list[int]]:
     """The addition table of Hom(G, A), each sum found by its full values."""
     add_idx, _ = abelian_index_tables(homs.coeffs)
-    by_values = {h.values: i for i, h in enumerate(homs.elements)}
+    by_values = {v: i for i, v in enumerate(homs.elements)}
     return [
-        [by_values[tuple(add_idx[x][y] for x, y in zip(a.values, b.values))] for b in homs.elements]
+        [by_values[tuple(add_idx[x][y] for x, y in zip(a, b))] for b in homs.elements]
         for a in homs.elements
     ]
 
@@ -518,7 +518,7 @@ def reference_orbit_type_data(group, coeffs, cls, homs, class_id=0) -> OrbitType
     k = cls.index
     ab = abelianization(group, cls)
     ver = reference_transfer(group, cls, coset_action(group, cls).transversal)
-    by_values = {h.values: i for i, h in enumerate(homs.elements)}
+    by_values = {v: i for i, v in enumerate(homs.elements)}
     base = coeffs.order ** (k - 1)
     fiber = [0] * homs.size
     for images in abelian_homs(ab.group, coeffs):
@@ -549,10 +549,9 @@ def centralizer_order(action, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
     )
 
 
-def is_homomorphism(group, coeffs, hom) -> bool:
-    """Exhaustive check that value(g*h) = value(g) + value(h) for all pairs."""
+def is_homomorphism(group, coeffs, v) -> bool:
+    """Exhaustive check that v[g*h] = v[g] + v[h] for all pairs, v a value tuple."""
     add_idx, _ = abelian_index_tables(coeffs)
-    v = hom.values
     return all(
         v[group.mul(a, b)] == add_idx[v[a]][v[b]]
         for a in range(group.order)

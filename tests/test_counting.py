@@ -271,31 +271,62 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
             assert query(s), (s, i)
 
 
-def test_corrupted_fiber_term_raises_sum_mismatch():
-    counter = WreathHomCounter(builtin_group("S3"), C2)
+def _corrupt_character_term(counter, q, k, by):
+    """Sequence q of the counter's fiber quotients with its term at orbit
+    size k changed by ``by`` (a term that is 0, and so not listed, included)."""
     quotients = counter.fiber_quotients
-    (d, terms), *other_seqs = quotients.seqs
-    k, vec = terms[1]
-    (j, x), *rest = vec
-    # no step divides, so the sum check is the one that fails
-    corrupted = (d, (terms[0], (k, ((j, x + 1), *rest)), *terms[2:]))
-    counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
-    assert counter.count(10) == hom_count_wreath(builtin_group("S3"), C2, 10)
-    with pytest.raises(InvariantError, match=f"fiber sum mismatch at n={k}"):
-        counter.fiber_counts(10)
+    seqs = list(quotients.seqs)
+    terms = dict(seqs[q])
+    terms[k] = terms.get(k, 0) + by
+    seqs[q] = tuple(sorted(terms.items(), reverse=True))
+    counter.fiber_quotients = quotients._replace(seqs=tuple(seqs))
 
 
-def test_corrupted_quotient_term_raises_at_first_step():
-    # a pushed k = 1 term one too large: the sequence misses the total at
-    # the first step, n = k = 1
+@pytest.mark.parametrize("name, q, k, message", [
+    # w_2 = b_2 = 2 on S3: y(2) = 3 > free(2) = 2
+    ("S3", 0, 2, r"a character part is outside \[0, free count\] at n=2"),
+    # y(4) moves by 3! = 6, and h F(psi) by 6 times psi's coefficient, which h = 4 does not divide
+    ("D4", 1, 4, "non-integral fiber at n=4"),
+])
+def test_corrupted_character_term_raises(name, q, k, message):
+    # Not every +1 is seen: one that keeps y within [0, free] and moves each
+    # h F(psi) by a multiple of h passes both checks and the division by h
+    # (S3's k = 3 and 6 through n = 300, and D4's k = 8).
+    counter = WreathHomCounter(builtin_group(name), C2)
+    _corrupt_character_term(counter, q, k, 1)
+    assert counter.count(10) == hom_count_wreath(builtin_group(name), C2, 10)
+    with pytest.raises(InvariantError, match=message):
+        for n in range(11):  # the division by h checks only the rows asked for
+            counter.fiber_counts(n)
+
+
+@pytest.mark.parametrize("by", [1, -1])
+def test_corrupted_k1_character_term_raises_at_the_bound(by):
+    # w_1 = 0 for every character, as the U = G class's fold values are all
+    # of H; a k = 1 term of +1 or -1 makes y(1) = +1 or -1, outside
+    # [0, free(1)] = [0, 0], at the first step
     counter = WreathHomCounter(builtin_group("S3"), C2)
-    quotients = counter.fiber_quotients
-    (d, (*terms, (k, ((j, x), *rest)))), *other_seqs = quotients.seqs
-    assert k == 1
-    corrupted = (d, (*terms, (k, ((j, x + 1), *rest))))
-    counter.fiber_quotients = quotients._replace(seqs=(corrupted, *other_seqs))
-    with pytest.raises(InvariantError, match="fiber sum mismatch at n=1"):
+    _corrupt_character_term(counter, 0, 1, by)
+    with pytest.raises(InvariantError, match=r"a character part is outside \[0, free count\] at n=1"):
         counter.fiber_counts(1)
+
+
+@pytest.mark.parametrize("name, coeffs, source, target", [("D4", C2, 0, 1), ("C3", C3A, 1, 0)],
+                         ids=["D4-C2", "C3-C3"])
+def test_non_uniform_class_fiber_raises_at_setup(name, coeffs, source, target):
+    # one fold value of the U = G class moved from psi = source to target,
+    # the fibers still summing to its weight: on Z/2 the point mass at 0
+    # turns negative (-2); on Z/3 the sum over c_3(c(psi)) is 3, a positive
+    # w_1 but not a multiple of phi(3) = 2
+    counter = WreathHomCounter(builtin_group(name), coeffs)
+    *rest, top = counter.orbit_data
+    assert top.k == 1 and len(set(top.fiber)) == 1
+    fiber = list(top.fiber)
+    fiber[source] -= 1
+    fiber[target] += 1
+    counter.orbit_data = (*rest, top._replace(fiber=tuple(fiber)))
+    with pytest.raises(InvariantError, match="the fibers of orbit size 1 are not uniform on a quotient Z/"):
+        counter.fiber_quotients
 
 
 def test_weyl_reads_only_the_trivial_class(monkeypatch):
@@ -327,14 +358,14 @@ def test_negative_fiber_raises():
 
 
 def test_c2_4_fiber_quotients():
-    # the 16 characters of Hom(C2^4, C2) give 16 quotients but two sequences
-    # (the totals and one of d = 2), and the fold values fall in two classes
+    # the 16 characters of Hom(C2^4, C2) give 16 quotients but one scalar
+    # sequence beyond the totals, and the fold values fall in two classes
     transpositions = [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
                       [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
     counter = WreathHomCounter(group_from_permutations(transpositions), C2)
     quotients = counter.fiber_quotients
     assert len(list(counter.homs.cyclic_quotients())) == 16
-    assert [d for d, _ in quotients.seqs] == [2]
+    assert len(quotients.seqs) == 1
     assert len(quotients.classes) == 2
     assert quotients.class_of == (0,) + (1,) * 15
 
@@ -351,6 +382,7 @@ def test_fiber_quotients_built_only_for_fibers():
 @settings(max_examples=30, deadline=None, database=None)
 @given(permutation_lists, st.sampled_from(["2", "3", "4", "2,2", "6"]))
 @example(perms=[[1, 2, 3, 0]], factors="4")  # a character of order 2 on Z/4
+@example(perms=[[1, 2, 3, 0]], factors="2,4")
 def test_fibers_match_group_algebra_reference_random_groups(perms, factors):
     group = group_from_permutations(perms)
     coeffs = AbelianGroup(tuple(int(e) for e in factors.split(",")))

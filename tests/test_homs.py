@@ -48,9 +48,8 @@ def test_hom_group_sizes():
 
 def test_hom_group_trivial_first_and_sorted():
     hg = hom_group(builtin_group("V4"), AbelianGroup((2,)))
-    assert all(v == 0 for v in hg.elements[0].values)
-    values = [h.values for h in hg.elements]
-    assert values == sorted(values)
+    assert all(v == 0 for v in hg.elements[0])
+    assert list(hg.elements) == sorted(hg.elements)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -83,5 +82,5 @@ def test_index_two_identity(group):
 def test_hom_json_vectors():
     a = AbelianGroup((2, 2))
     hg = hom_group(builtin_group("C2"), a)
-    vecs = [list(list(a.vectors())[v]) for v in hg.elements[-1].values]
+    vecs = [list(list(a.vectors())[v]) for v in hg.elements[-1]]
     assert len(vecs) == 2 and vecs[0] == [0, 0]
