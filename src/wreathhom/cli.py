@@ -134,7 +134,14 @@ def _emit(rows: Iterable[str], out: Optional[str]) -> None:
 def _write(lines: Iterable[str], out: Optional[str]) -> None:
     """Write the texts ``lines`` to stdout, or to the file ``out`` opened only now."""
     if out is None or out == "-":
-        sys.stdout.writelines(lines)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what stdout still holds goes to the null device at exit, not to a second error
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise UsageError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

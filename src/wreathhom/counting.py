@@ -178,7 +178,7 @@ class WreathHomCounter:
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = tuple(term for term in self._total_terms if term[0] != 1)
         self._width = group.order  # the largest orbit size, that of U = 1
-        self._restart(free=False, fibers=False)
+        self._restart(1)
         # Per s the walk has reached: the bit length of L t_s, its residue
         # modulo WALK_PRIME, the shift that leaves 64 of its bits, and at
         # [s * runs + g] the cumulative weight through run g, shifted by it.
@@ -221,15 +221,13 @@ class WreathHomCounter:
         class_of = tuple(index.setdefault(column, len(index)) for column in zip(*seqs.values()))
         return FiberQuotients(seqs=tuple(terms for terms, _ in chars), classes=tuple(index), class_of=class_of)
 
-    def _restart(self, *, free: bool, fibers: bool) -> None:
-        """Put the cursor at n = 0 with the windows of the tables in use;
-        the fibers' bound needs the free window."""
+    def _restart(self, width: int) -> None:
+        """Put the cursor at n = 0 with the first ``width`` windows: the
+        totals, the free count, then the character parts."""
         self._n = 0
-        self._totals: deque[int] = deque([1], maxlen=self._width)
-        self._free: deque[int] | None = deque([1], maxlen=self._width) if free or fibers else None
-        self._fibers: list[deque[int]] | None = None
-        if fibers:
-            self._fibers = [deque([1], maxlen=self._width) for _ in self.fiber_quotients.seqs]
+        terms = (self._total_terms, self._free_terms) + (self.fiber_quotients.seqs if width > 2 else ())
+        self._windows = [deque([1], maxlen=self._width) for _ in terms[:width]]
+        self._steps = tuple(zip(terms, self._windows))  # each window with its term vector
 
     @staticmethod
     def _scalar_step(terms: tuple[tuple[int, int], ...], prev: Sequence[int], s: int) -> list[int]:
@@ -240,8 +238,9 @@ class WreathHomCounter:
 
     def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
-        every table in use advances with the totals.  With ``walk``, extend
-        the walk tables to n instead and leave the cursor where it is."""
+        every window in use advances with the totals, and the fibers' bound
+        needs the free window.  With ``walk``, extend the walk tables to n
+        instead and leave the cursor where it is."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         if walk:
@@ -261,25 +260,18 @@ class WreathHomCounter:
                                     for k, b in self._residue_terms if k <= s) % WALK_PRIME)
                 window.append(bounds[-1])
             return
-        if n <= self._n - self._width or (free and self._free is None) or (fibers and self._fibers is None):
-            self._restart(free=free or self._free is not None, fibers=fibers or self._fibers is not None)
+        width = max(len(self._windows), 2 + len(self.fiber_quotients.seqs) if fibers else 2 if free else 1)
+        if width > len(self._windows) or n <= self._n - self._width:
+            self._restart(width)
         while self._n < n:
-            # every check runs before any window moves, so a raised
+            # the check runs before any window moves, so a raised
             # InvariantError leaves the windows aligned
             s = self._n + 1
-            total = sum(self._scalar_step(self._total_terms, self._totals, s))
-            if self._free is not None:
-                free_count = sum(self._scalar_step(self._free_terms, self._free, s))
-            if self._fibers is not None:
-                chars = [sum(self._scalar_step(terms, window, s))
-                         for terms, window in zip(self.fiber_quotients.seqs, self._fibers)]
-                if not all(0 <= y <= free_count for y in chars):
-                    raise InvariantError(f"a character part is outside [0, free count] at n={s}")
-                for window, y in zip(self._fibers, chars):
-                    window.append(y)
-            if self._free is not None:
-                self._free.append(free_count)
-            self._totals.append(total)
+            values = [sum(self._scalar_step(terms, window, s)) for terms, window in self._steps]
+            if len(values) > 2 and not all(0 <= y <= values[1] for y in values[2:]):
+                raise InvariantError(f"a character part is outside [0, free count] at n={s}")
+            for window, y in zip(self._windows, values):
+                window.append(y)
             self._n = s
 
     def _at(self, window: deque, n: int):
@@ -294,11 +286,11 @@ class WreathHomCounter:
         residue the walk tables hold for s.
         """
         if self._n >= s:
-            self._restart(free=False, fibers=False)
+            self._restart(1)
         self.extend_to(s - 1)
-        weights = [self.scale * math.perm(s - 1, k - 1) * b * self._totals[-k] if k <= s else 0
+        weights = [self.scale * math.perm(s - 1, k - 1) * b * self._windows[0][-k] if k <= s else 0
                    for k, b in self._class_terms]
-        total = self.scale * sum(self._scalar_step(self._total_terms, self._totals, s))
+        total = self.scale * sum(self._scalar_step(self._total_terms, self._windows[0], s))
         if (sum(weights) != total or total % WALK_PRIME != self._walk_residues[s]
                 or total >> self._walk_shift[s] != self._walk_tops[(s + 1) * len(self._runs) - 1]):
             raise InvariantError(f"stratum weights do not sum to the count at n={s}")
@@ -361,18 +353,18 @@ class WreathHomCounter:
 
     def count(self, n: int) -> int:
         self.extend_to(n)
-        return self._at(self._totals, n)
+        return self._at(self._windows[0], n)
 
     def fixed_point_free_probability(self, n: int) -> Fraction:
         from fractions import Fraction
         self.extend_to(n, free=True)
-        return Fraction(self._at(self._free, n), self._at(self._totals, n))
+        return Fraction(self._at(self._windows[1], n), self._at(self._windows[0], n))
 
     def _fiber_classes(self, n: int, classes: Sequence[int]) -> list[int]:
         """The fiber of each given class of fold values at n: h F divided
         exactly by h."""
         self.extend_to(n, fibers=True)
-        values = (self._at(self._totals, n), *(self._at(window, n) for window in self._fibers))
+        values = [self._at(window, n) for window in self._windows[:1] + self._windows[2:]]
         out = []
         for i in classes:
             acc = sum(c * x for c, x in zip(self.fiber_quotients.classes[i], values))

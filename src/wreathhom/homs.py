@@ -17,15 +17,14 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SizeCapError,
-    _abelian_decomposition,
     abelian_index_tables,
     abelianization,
     full_group_class,
 )
 
 # The largest h = |Hom(G, A)|.  A fiber query builds O(h^2) cyclic-quotient
-# data: ``delta --n 1`` with h = 2048 took 1.0-1.5 s and 18-19 MB (3.1-3.9 s
-# and 50 MB with |A| = 1024 too), and with h = 4096 6.5-7.8 s when the cap
+# data: ``delta --n 1`` with h = 2048 took 0.9-1.5 s and 18 MB (3.1-3.5 s
+# and 49 MB with |A| = 1024 too), and with h = 4096 6.5-7.8 s when the cap
 # was set (Python 3.11, 2-vCPU VM).
 HOM_GROUP_CAP = 2048
 
@@ -85,26 +84,22 @@ class HomGroup:
 
     Each element is its value tuple: entry g is the A-element index of the
     image of group element g.  Elements are in lexicographic order, so
-    index 0 is the trivial homomorphism.  A homomorphism is fixed by its
-    values on the generators, so ``index_of`` and ``add`` key elements by
-    those.
+    index 0 is the trivial homomorphism, and ``coords`` holds their
+    coordinates in H, the product of the Z/g over g in ``factors``
+    (``hom_group``).  A homomorphism is fixed by its values on the
+    generators, so ``index_of`` keys elements by those.
     """
 
-    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[tuple[int, ...]]):
+    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, factors: tuple[int, ...],
+                 homs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]):
         self.group = group
         self.coeffs = coeffs
-        self.elements = tuple(sorted(homs))
+        self.factors = factors
+        self.elements, self.coords = zip(*sorted(homs))  # (values, coordinates) per hom
         self.size = len(self.elements)
         if self.elements[0] != (0,) * group.order:
             raise InvariantError("trivial homomorphism missing or not first")
-        self._gen_values = [tuple(v[s] for s in group.generators) for v in self.elements]
-        self._index = {v: i for i, v in enumerate(self._gen_values)}
-        self._add_a, _ = abelian_index_tables(coeffs)
-
-    def add(self, i: int, j: int) -> int:
-        """Index of the pointwise sum of elements i and j."""
-        add = self._add_a
-        return self._index[tuple(add[x][y] for x, y in zip(self._gen_values[i], self._gen_values[j]))]
+        self._index = {tuple(v[s] for s in group.generators): i for i, v in enumerate(self.elements)}
 
     def index_of(self, gen_values: Sequence[int]) -> int:
         """Index of the homomorphism sending ``group.generators[i]`` to the
@@ -116,7 +111,7 @@ class HomGroup:
         H = Hom(G, A), as (d, (c(psi) for every psi in order)); the trivial
         character comes first, with d = 1.
 
-        In invariant-factor coordinates x of H = Z/e_1 x ... x Z/e_r, a
+        In the coordinates x of H = Z/e_1 x ... x Z/e_r (``factors``), a
         character is a vector a, chi(x) = exp(2 pi i sum_i a_i x_i / e_i).
         Its order d is the lcm of the orders of the a_i, and it factors as a
         faithful character of Z/d after c(x) = sum_i (a_i d / e_i) x_i mod d,
@@ -124,10 +119,10 @@ class HomGroup:
         Its Galois conjugates u a, for u prime to d, share its kernel and so
         its quotient; one a per orbit is kept.
         """
-        factors, _, coords = _abelian_decomposition(range(self.size), self.add, 0)
+        factors = self.factors
         grid = list(itertools.product(*(range(e) for e in factors)))
         place = {x: i for i, x in enumerate(grid)}
-        order = [place[coords[psi]] for psi in range(self.size)]
+        order = [place[x] for x in self.coords]
         seen: set[tuple[int, ...]] = set()
         for a in grid:
             if a in seen:
@@ -147,16 +142,21 @@ class HomGroup:
 @lru_cache(maxsize=None)
 def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     """All homomorphisms G -> A, lifted through the abelianization of G,
-    refused before any is listed if there are more than ``HOM_GROUP_CAP``."""
+    refused before any is listed if there are more than ``HOM_GROUP_CAP``.
+    For G^ab = Z/m_1 x ... and A = Z/e_1 x ..., H is the product of the
+    Z/g_ij, g_ij = gcd(m_i, e_j) > 1: image i has entry j in Z/e_j equal
+    to e_j / g_ij times the coordinate at (i, j)."""
     ab = abelianization(group, full_group_class(group))
     h = hom_count_abelian(ab.group, coeffs)
     if h > HOM_GROUP_CAP:
         raise SizeCapError(f"|Hom(G, A)| = {h} exceeds cap {HOM_GROUP_CAP}")
+    cells = [(i, j, g, e // g) for i, m in enumerate(ab.group.invariant_factors)
+             for j, e in enumerate(coeffs.invariant_factors) if (g := math.gcd(m, e)) > 1]
     homs = []
     for images in abelian_homs(ab.group, coeffs):
         value = abelian_hom_evaluator(coeffs, images)
-        homs.append(tuple(value(ab.projection[g]) for g in range(group.order)))
-    if len(set(homs)) != len(homs):
+        coords = tuple(images[i][j] // step for i, j, _, step in cells)
+        homs.append((tuple(value(ab.projection[g]) for g in range(group.order)), coords))
+    if len({values for values, _ in homs}) != len(homs):
         raise InvariantError("distinct abelian homs lift to equal maps on G")
-    return HomGroup(group, coeffs, homs)
-
+    return HomGroup(group, coeffs, tuple(g for _, _, g, _ in cells), homs)

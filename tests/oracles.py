@@ -298,13 +298,14 @@ def exponential_formula(orbit_data, n, weight=lambda od: od.weight):
 
 
 def exponential_formula_counts(orbit_data, homs, n):
-    """(t_n, free_n, |Hom(G, W_n)|) for A = C2, all from ``exponential_formula``.
+    """(t_n, free_n, fibers) for A = C2, all from ``exponential_formula``.
 
-    The last is the trivial fold's fiber: (1/h) times the sum, over the
-    characters chi of H = Hom(G, C2), of t_n with the weights chi(fiber_i).
-    H has exponent 2, so its characters are the sign vectors that respect
-    the addition table of ``reference_add_table``; the first one found is
-    the trivial character, whose run gives t_n and free_n.
+    The fiber of psi is (1/h) times the sum, over the characters chi of
+    H = Hom(G, C2), of chi(psi) T_chi, where T_chi is t_n with the weights
+    chi(fiber_i); psi = 0, the trivial fold, gives |Hom(G, W_n)|.  H has
+    exponent 2, so its characters are the sign vectors that respect the
+    addition table of ``reference_add_table``; the first one found is the
+    trivial character, whose run gives t_n and free_n.
     """
     add = reference_add_table(homs)
     h = len(add)
@@ -314,9 +315,12 @@ def exponential_formula_counts(orbit_data, homs, n):
     ]
     assert len(chars) == h and set(chars[0]) == {1}
     runs = [exponential_formula(orbit_data, n, lambda od: sum(map(operator.mul, chi, od.fiber))) for chi in chars]
-    acc = sum(total for total, _ in runs)
-    assert acc % h == 0
-    return (*runs[0], acc // h)
+    fibers = []
+    for psi in range(h):
+        acc = sum(chi[psi] * total for chi, (total, _) in zip(chars, runs))
+        assert acc % h == 0
+        fibers.append(acc // h)
+    return (*runs[0], tuple(fibers))
 
 
 def reference_orbit_type(orbit_data, totals, n, rng):

@@ -40,8 +40,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_module(*args, flags=(), **kwargs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *flags, "-m", "wreathhom", *args], env=env, capture_output=True, text=True,
-                          **kwargs)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *flags, "-m", "wreathhom", *args], env=env, text=True, **streams)
 
 
 def run_lines(capsys, argv):
@@ -447,6 +447,29 @@ def test_unspoolable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch)
         assert captured.out == ""
         assert captured.err == f"error: cannot write output through a temporary file: {os.strerror(errno.EROFS)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", ["1", "1:400"], ids=["held", "spooled"])
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed-pipe"])
+def test_failed_stdout_write_exits_2_with_one_line(stdout, n, monkeypatch):
+    # a full device, or a pipe whose reader has gone, with output held in
+    # memory (one row, within stdout's buffer) or past the 1 MiB spool: one
+    # line naming stdout, exit 2, and no second message when the interpreter
+    # flushes stdout at exit, which a buffered stdout still holds
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if stdout == "/dev/full":
+        if not os.path.exists(stdout):
+            pytest.skip("no /dev/full")
+        target, reason = os.open(stdout, os.O_WRONLY), os.strerror(errno.ENOSPC)
+    else:
+        read_end, target = os.pipe()
+        os.close(read_end)
+        reason = os.strerror(errno.EPIPE)
+    try:
+        proc = run_module("delta", "--group", "Q8", "--A", "2", "--n", n, stdout=target)
+    finally:
+        os.close(target)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, f"error: cannot write to stdout: {reason}\n")
 
 
 def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -272,10 +273,13 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
 
 
 def _corrupt_character_term(counter, q, k, by):
-    """Sequence q of the counter's fiber quotients with its term at orbit
-    size k changed by ``by`` (a term that is 0, and so not listed, included)."""
+    """Sequence q of the counter's fiber quotients, given by its position or
+    by its terms as a dict, with its term at orbit size k changed by ``by``
+    (a term that is 0, and so not listed, included)."""
     quotients = counter.fiber_quotients
     seqs = list(quotients.seqs)
+    if isinstance(q, dict):
+        q = [dict(terms) for terms in seqs].index(q)
     terms = dict(seqs[q])
     terms[k] = terms.get(k, 0) + by
     seqs[q] = tuple(sorted(terms.items(), reverse=True))
@@ -286,7 +290,7 @@ def _corrupt_character_term(counter, q, k, by):
     # w_2 = b_2 = 2 on S3: y(2) = 3 > free(2) = 2
     ("S3", 0, 2, r"a character part is outside \[0, free count\] at n=2"),
     # y(4) moves by 3! = 6, and h F(psi) by 6 times psi's coefficient, which h = 4 does not divide
-    ("D4", 1, 4, "non-integral fiber at n=4"),
+    ("D4", {8: 128, 4: 80, 2: 4}, 4, "non-integral fiber at n=4"),
 ])
 def test_corrupted_character_term_raises(name, q, k, message):
     # Not every +1 is seen: one that keeps y within [0, free] and moves each
@@ -432,17 +436,36 @@ def test_integer_terms_are_conjugate_counts_random_groups(perms):
     _check_integer_terms(group_from_permutations(perms))
 
 
+@functools.lru_cache(maxsize=None)
+def _exponential_formula_counts(name, n):
+    counter = WreathHomCounter(builtin_group(name), C2)
+    return exponential_formula_counts(counter.orbit_data, counter.homs, n)
+
+
 @pytest.mark.parametrize("name, n", [("C2", 1500), ("S3", 500), ("D4", 500), ("Q8", 500)])
 def test_kernel_matches_exponential_formula_at_large_n(name, n):
     # a second exact route where no brute force reaches: the truncated
-    # product of exp(a_k x^k), with characters of Hom(G, C2) for the Weyl
-    # count; n is as large as keeps these cases near 2 s in all
+    # product of exp(a_k x^k), with characters of Hom(G, C2) for every
+    # fiber; n is as large as keeps these cases near 2 s in all
     group = builtin_group(name)
     counter = WreathHomCounter(group, C2)
-    total, free, weyl = exponential_formula_counts(counter.orbit_data, counter.homs, n)
+    total, free, fibers = _exponential_formula_counts(name, n)
     assert counter.count(n) == total
     assert counter.fixed_point_free_probability(n) == Fraction(free, total)
-    assert weyl_hom_count(group, n) == weyl
+    assert counter.fiber_counts(n) == fibers
+    assert weyl_hom_count(group, n) == fibers[0]
+
+
+def test_character_term_seen_only_by_the_second_route():
+    # a +1 on D4's k = 8 character term keeps y within [0, free] and moves
+    # each h F(psi) by a multiple of h, so it passes the counter's checks at
+    # every n; the exponential formula's fibers at n = 500 do not match it
+    counter = WreathHomCounter(builtin_group("D4"), C2)
+    _corrupt_character_term(counter, {8: 128, 4: 80, 2: 4}, 8, 1)
+    corrupted = [counter.fiber_counts(n) for n in range(501)][-1]
+    total, _, fibers = _exponential_formula_counts("D4", 500)
+    assert sum(corrupted) == total
+    assert corrupted != fibers
 
 
 def test_distribution_table_rejects_non_distribution():

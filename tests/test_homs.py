@@ -1,5 +1,9 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
     builtin_group,
@@ -62,11 +66,34 @@ def test_hom_group_elements_are_homomorphisms(name, coeffs):
     # closed under pointwise addition, with 0 the neutral element
     table = reference_add_table(hg)
     for i in range(hg.size):
-        assert hg.add(0, i) == i
-        assert [hg.add(i, j) for j in range(hg.size)] == table[i]
+        assert table[0][i] == i
         assert table[i].count(0) == 1
         for j in range(hg.size):
             assert table[i][j] == table[j][i]
+
+
+def _check_coordinates(hg):
+    # psi -> coords[psi] is a bijection onto the product of the Z/g, and the
+    # coordinates of a sum, found by its full values, are the coordinatewise sums
+    assert all(g > 1 for g in hg.factors)
+    assert len(hg.coords) == hg.size
+    assert set(hg.coords) == set(itertools.product(*(range(g) for g in hg.factors)))
+    table = reference_add_table(hg)
+    for i, x in enumerate(hg.coords):
+        for j, y in enumerate(hg.coords):
+            assert hg.coords[table[i][j]] == tuple((a + b) % g for a, b, g in zip(x, y, hg.factors))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+def test_hom_group_coordinates_are_an_isomorphism(name, coeffs):
+    _check_coordinates(hom_group(builtin_group(name), coeffs))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(permutation_lists, st.sampled_from([(2,), (4,), (2, 4), (2, 2)]))
+def test_hom_group_coordinates_are_an_isomorphism_random_groups(perms, factors):
+    _check_coordinates(hom_group(group_from_permutations(perms), AbelianGroup(factors)))
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,22 @@ def test_corrupted_transversal_raises(monkeypatch):
     )
     with pytest.raises(InvariantError, match="not in the subgroup"):
         orbit_type_data(g, a, cls, hom_group(g, a))
+    with pytest.raises(InvariantError, match="not in the subgroup"):
+        orbits.cocycle_table(g, a, cls)
+
+
+def test_orbit_data_builds_no_per_coset_table(monkeypatch):
+    # the fibers evaluate each u on the transfer V(s); only the sampler
+    # builds the table of u(h_j(s)) per coset
+    def per_coset_table(*args):
+        raise AssertionError("orbit_type_data built a per-coset table")
+
+    monkeypatch.setattr(orbits, "cocycle_table", per_coset_table)
+    g, a = builtin_group("D4"), AbelianGroup((4,))
+    for i, cls in enumerate(subgroup_classes(g)):
+        assert orbit_type_data(g, a, cls, hom_group(g, a), class_id=i) == reference_orbit_type_data(
+            g, a, cls, hom_group(g, a), class_id=i
+        )
 
 
 def _extensions_of_coset_action(group, coeffs, cls):

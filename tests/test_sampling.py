@@ -140,9 +140,9 @@ def test_corrupted_totals_raise_stratum_error(monkeypatch):
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
     counter.extend_to(30, walk=True)
-    counter._restart(free=False, fibers=False)
+    counter._restart(1)
     counter.extend_to(19)
-    counter._totals[-1] += 1
+    counter._windows[0][-1] += 1  # the totals' window
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
         counter.choose_class(20, 0)
