@@ -8,6 +8,7 @@ Identical arguments and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -134,6 +135,8 @@ def _emit(rows: Iterable[str], out: Optional[str]) -> None:
 def _write(lines: Iterable[str], out: Optional[str]) -> None:
     """Write the texts ``lines`` to stdout, or to the file ``out`` opened only now."""
     if out is None or out == "-":
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise UsageError(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
         try:
             sys.stdout.writelines(lines)
             sys.stdout.flush()

@@ -7,10 +7,10 @@ size k.  Its coefficients b_k = k a_k are integers, since each class's
 c_i = |N_G(U_i)/U_i| divides k_i = [G:U_i], so a step multiplies and adds
 and divides by nothing.  Without the k = 1 term it gives the
 fixed-point-free counts.  The same recurrence, with one integer term
-vector per character of H = Hom(G, A) up to Galois conjugacy, inverted by
-integer Ramanujan sums, yields the exact fold-value distribution; its
-trivial fold class counts the homomorphisms with trivial fold (type-D Weyl
-groups for A = C2).
+vector per element of the lattice of fold subgroups of H = Hom(G, A),
+inverted by Moebius inversion over that lattice, yields the exact
+fold-value distribution; its trivial fold class counts the homomorphisms
+with trivial fold (type-D Weyl groups for A = C2).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .groups import (
@@ -79,37 +79,30 @@ class DecayConstant(NamedTuple):
     reference_value: float
 
 
-@lru_cache(maxsize=None)
-def _ramanujan_sum(d: int, m: int) -> int:
-    """c_d(m), the sum of z^m over the roots of unity z of order exactly d.
-    Over the divisors e of d the c_e(m) add up to the sum over all d-th
-    roots, which is d if d divides m and 0 otherwise: an integer recursion."""
-    return (d if m % d == 0 else 0) - sum(_ramanujan_sum(e, m % e) for e in range(1, d) if d % e == 0)
+class FiberLattice(NamedTuple):
+    """The fiber recurrence of Z[H], H = Hom(G, A), run as integer sequences
+    over the lattice of fold subgroups.
 
+    Class i's fold map u -> u o V (V the transfer) is a homomorphism into
+    H, so its fiber is uniform on the image K_i.  A character chi of H sees
+    the class whole or not at all, so its part of the recurrence is the
+    kernel's sequence T_L whose terms sum the b_i = (k_i // c_i) w_i of the
+    K_i inside L, the largest sum of K_i's that chi kills.  These sums form
+    a lattice from 0 (U = 1) to H (U = G).  The chi that kill L sum to
+    (h / |L|) [psi in L], so Moebius inversion from the top down,
+    e_L = (h / |L|) 1_L - sum over L' > L of e_L', gives
+    h F_n(psi) = sum_L T_L(n) e_L(psi); e_L(0) counts the chi whose largest
+    killed element is L.  T_H is the totals, and every other T_L lacks the
+    U = G class, so 0 <= T_L(n) <= free(n), the paper's bound.  An L with
+    e_L = 0 runs nothing; elements with equal terms share one sequence.
 
-class FiberQuotients(NamedTuple):
-    """The fiber recurrence of Z[H], H = Hom(G, A), run as integer sequences.
-
-    Pushing forward along a surjection c: H ->> Z/d is a ring map.  A
-    class's fiber is uniform on {u o V}, V the transfer, so it pushes to a
-    point mass at 0 or to a uniform vector on a nontrivial subgroup of Z/d,
-    which is 0 modulo the cyclotomic polynomial Phi_d.  So the faithful
-    character part of the pushed sequence is an integer y_c(n) that obeys
-    the kernel's recurrence with the terms
-    w_k(c) = sum_psi c_d(c(psi)) b_k[psi] / phi(d), the point masses at 0,
-    where b_k is the merged fiber term vector, c_d a Ramanujan sum and
-    phi(d) = c_d(0).  With one c per Galois orbit of characters, Fourier
-    inversion on H is h F(psi) = t_n + sum_c y_c(n) c_d(c(psi)).  The U = G
-    class has {u o V} = H, so w_1(c) = 0 and 0 <= y_c(n) <= free(n), the
-    paper's bound.  Quotients with equal terms share one sequence and add
-    their inversion rows.
-
-    ``seqs``: per distinct sequence beyond the totals (d = 1), its terms
-    (k, w_k) with w_k != 0.  ``classes``: per class of fold values with
-    equal fibers at every n, the coefficients of (t_n, y_1, y_2, ...) that
-    sum to h F(psi).  ``class_of[psi]``: psi's class.
+    ``subgroups``: the lattice, largest first.  ``seqs``: per sequence
+    beyond the totals, its terms (k, w_k), w_k != 0.  ``classes``: per
+    class of fold values with equal fibers at every n, the coefficients of
+    (t_n, y_1, y_2, ...) that sum to h F(psi).  ``class_of[psi]``: psi's class.
     """
 
+    subgroups: tuple[frozenset[int], ...]
     seqs: tuple[tuple[tuple[int, int], ...], ...]
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
@@ -126,10 +119,11 @@ class WreathHomCounter:
     that c_i divides k_i, so the merged b_k = k a_k sum the integers
     (k_i // c_i) w_i = [G:N_G(U_i)] w_i, and a step is
     t_s = sum_k (s-1)_(k-1) b_k t_(s-k), with no division.  Fibers run as
-    the integer sequences of ``fiber_quotients``, one per distinct term
-    vector of a character of Hom(G, A), through the same step; each must
-    stay within 0 and the fixed-point-free count, which a fiber query
-    steps too.  ``scale`` = lcm(c_i) is only the sampler's draw denominator.
+    the integer sequences of ``fiber_lattice``, one per distinct term
+    vector of an element of the lattice of fold subgroups, through the
+    same step; each must stay within 0 and the fixed-point-free count,
+    which a fiber query steps too.  ``scale`` = lcm(c_i) is only the
+    sampler's draw denominator.
 
     A step reads only the last ``max k`` entries, so the tables live in one
     forward cursor: a window of that many entries of each table in use, all
@@ -192,40 +186,53 @@ class WreathHomCounter:
         self._residue_terms = tuple((k, b % WALK_PRIME) for k, b in self._total_terms)
 
     @cached_property
-    def fiber_quotients(self) -> FiberQuotients:
+    def fiber_lattice(self) -> FiberLattice:
         """Built on the first fiber query, so other queries never pay for it."""
-        h = self.homs.size
-        merged = {k: [0] * h for k, _ in self._total_terms}
-        for od in self.orbit_data:
-            vec, m = merged[od.k], od.k // od.c
-            for psi, x in enumerate(od.fiber):
-                vec[psi] += x * m
-        # terms (k, w_k) with w_k != 0 -> the row of sum over its quotients c of c_d(c(psi))
-        seqs: dict[tuple[tuple[int, int], ...], list[int]] = {}
-        for d, c in self.homs.cyclic_quotients():
-            sums = [_ramanujan_sum(d, x) for x in range(d)]
-            col = [sums[x] for x in c]
-            terms = []
-            for k, vec in merged.items():
-                w, r = divmod(sum(map(mul, col, vec)), sums[0])  # sums[0] = phi(d)
-                if r or w < 0:
-                    raise InvariantError(f"the fibers of orbit size {k} are not uniform on a quotient Z/{d}")
-                if w:
-                    terms.append((k, w))
-            row = seqs.setdefault(tuple(terms), [0] * h)
-            row[:] = map(add, row, col)
+        homs, h = self.homs, self.homs.size
+        # K_i is the support of class i's fiber, checked to be a subgroup hit uniformly
+        folds = [frozenset(psi for psi, x in enumerate(od.fiber) if x) for od in self.orbit_data]
+        is_subgroup = {fold: homs.span({0}, fold) == fold for fold in set(folds)}
+        for od, fold in zip(self.orbit_data, folds):
+            if not is_subgroup[fold] or len(set(od.fiber) - {0}) != 1:
+                raise InvariantError(f"the fibers of class {od.class_id} are not uniform on a subgroup of Hom(G, A)")
+        # closed under +, each L + K_i spanned from L by the elements of K_i not yet in it
+        lattice, todo = set(is_subgroup), list(is_subgroup)
+        while todo:
+            low = todo.pop()
+            for fold in is_subgroup:
+                if not fold <= low and (high := frozenset(homs.span(low, fold))) not in lattice:
+                    lattice.add(high)
+                    todo.append(high)
+        subgroups = tuple(sorted(lattice, key=len, reverse=True))
+        rows: list[list[int]] = []  # e_L, from the top down
+        for high in subgroups:
+            row = [h // len(high) if psi in high else 0 for psi in range(h)]
+            for above, e in zip(subgroups, rows):
+                if high < above:
+                    row = list(map(sub, row, e))
+            rows.append(row)
+        if any(row[0] < 0 for row in rows) or sum(row[0] for row in rows) != h:
+            raise InvariantError("the characters of Hom(G, A) do not each kill one largest lattice element")
+        seqs: dict[tuple[tuple[int, int], ...], list[int]] = {}  # T_L's terms -> the sum of its rows e_L
+        for high, row in zip(subgroups, rows):
+            if any(row):  # else no character has L as its largest killed element
+                inside = [(k, b) for (k, b), fold in zip(self._class_terms, folds) if fold <= high]
+                terms = tuple((k, w) for k, _ in self._total_terms if (w := sum(b for j, b in inside if j == k)))
+                acc = seqs.setdefault(terms, [0] * h)
+                acc[:] = map(add, acc, row)
         (terms, ones), *chars = seqs.items()
         if terms != self._total_terms or ones != [1] * h:
-            raise InvariantError("the trivial quotient does not carry the totals")
+            raise InvariantError("the top of the fold lattice does not carry the totals")
         index: dict[tuple[int, ...], int] = {}
         class_of = tuple(index.setdefault(column, len(index)) for column in zip(*seqs.values()))
-        return FiberQuotients(seqs=tuple(terms for terms, _ in chars), classes=tuple(index), class_of=class_of)
+        return FiberLattice(subgroups=subgroups, seqs=tuple(terms for terms, _ in chars),
+                            classes=tuple(index), class_of=class_of)
 
     def _restart(self, width: int) -> None:
         """Put the cursor at n = 0 with the first ``width`` windows: the
-        totals, the free count, then the character parts."""
+        totals, the free count, then the fold lattice's sequences."""
         self._n = 0
-        terms = (self._total_terms, self._free_terms) + (self.fiber_quotients.seqs if width > 2 else ())
+        terms = (self._total_terms, self._free_terms) + (self.fiber_lattice.seqs if width > 2 else ())
         self._windows = [deque([1], maxlen=self._width) for _ in terms[:width]]
         self._steps = tuple(zip(terms, self._windows))  # each window with its term vector
 
@@ -260,7 +267,7 @@ class WreathHomCounter:
                                     for k, b in self._residue_terms if k <= s) % WALK_PRIME)
                 window.append(bounds[-1])
             return
-        width = max(len(self._windows), 2 + len(self.fiber_quotients.seqs) if fibers else 2 if free else 1)
+        width = max(len(self._windows), 2 + len(self.fiber_lattice.seqs) if fibers else 2 if free else 1)
         if width > len(self._windows) or n <= self._n - self._width:
             self._restart(width)
         while self._n < n:
@@ -367,7 +374,7 @@ class WreathHomCounter:
         values = [self._at(window, n) for window in self._windows[:1] + self._windows[2:]]
         out = []
         for i in classes:
-            acc = sum(c * x for c, x in zip(self.fiber_quotients.classes[i], values))
+            acc = sum(c * x for c, x in zip(self.fiber_lattice.classes[i], values))
             fiber, rest = divmod(acc, self.homs.size)
             if rest:
                 raise InvariantError(f"non-integral fiber at n={n}")
@@ -378,12 +385,12 @@ class WreathHomCounter:
 
     def fiber_count(self, n: int, psi: int) -> int:
         """The homomorphisms whose fold is the HomGroup element psi."""
-        (fiber,) = self._fiber_classes(n, [self.fiber_quotients.class_of[psi]])
+        (fiber,) = self._fiber_classes(n, [self.fiber_lattice.class_of[psi]])
         return fiber
 
     def fiber_counts(self, n: int) -> tuple[int, ...]:
-        values = self._fiber_classes(n, range(len(self.fiber_quotients.classes)))
-        return tuple(values[i] for i in self.fiber_quotients.class_of)
+        values = self._fiber_classes(n, range(len(self.fiber_lattice.classes)))
+        return tuple(values[i] for i in self.fiber_lattice.class_of)
 
     def delta(self, n: int) -> DistributionTable:
         return DistributionTable(n=n, fiber_counts=self.fiber_counts(n))

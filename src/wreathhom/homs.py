@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -22,10 +22,11 @@ from .groups import (
     full_group_class,
 )
 
-# The largest h = |Hom(G, A)|.  A fiber query builds O(h^2) cyclic-quotient
-# data: ``delta --n 1`` with h = 2048 took 0.9-1.5 s and 18 MB (3.1-3.5 s
-# and 49 MB with |A| = 1024 too), and with h = 4096 6.5-7.8 s when the cap
-# was set (Python 3.11, 2-vCPU VM).
+# The largest h = |Hom(G, A)|.  A fiber query builds the fold lattice in
+# O(h |lattice|) additions: ``delta --n 1`` with h = 2048 takes 0.17-0.28 s
+# and 17.4 MB (2.3-3.7 s and 48 MB with |A| = 1024 too, mostly A's addition
+# table).  The cap was set at 0.9-1.5 s, when the set-up was O(h^2) and
+# h = 4096 took 6.5-7.8 s (Python 3.11, 2-vCPU VM).
 HOM_GROUP_CAP = 2048
 
 
@@ -84,56 +85,44 @@ class HomGroup:
 
     Each element is its value tuple: entry g is the A-element index of the
     image of group element g.  Elements are in lexicographic order, so
-    index 0 is the trivial homomorphism, and ``coords`` holds their
-    coordinates in H, the product of the Z/g over g in ``factors``
-    (``hom_group``).  A homomorphism is fixed by its values on the
-    generators, so ``index_of`` keys elements by those.
+    index 0 is the trivial homomorphism.  A homomorphism is fixed by its
+    values on the generators, so ``index_of`` keys elements by those, and
+    ``add`` and ``span`` add through it.
     """
 
-    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, factors: tuple[int, ...],
-                 homs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]):
+    def __init__(self, group: FiniteGroup, coeffs: AbelianGroup, homs: Sequence[tuple[int, ...]]):
         self.group = group
         self.coeffs = coeffs
-        self.factors = factors
-        self.elements, self.coords = zip(*sorted(homs))  # (values, coordinates) per hom
+        self.elements = tuple(sorted(homs))
         self.size = len(self.elements)
         if self.elements[0] != (0,) * group.order:
             raise InvariantError("trivial homomorphism missing or not first")
         self._index = {tuple(v[s] for s in group.generators): i for i, v in enumerate(self.elements)}
+        self._gen_values = list(self._index)
+        self._add_a, _ = abelian_index_tables(coeffs)
 
     def index_of(self, gen_values: Sequence[int]) -> int:
         """Index of the homomorphism sending ``group.generators[i]`` to the
         A-element index ``gen_values[i]``."""
         return self._index[tuple(gen_values)]
 
-    def cyclic_quotients(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """One surjection c: H ->> Z/d per Galois orbit of characters of
-        H = Hom(G, A), as (d, (c(psi) for every psi in order)); the trivial
-        character comes first, with d = 1.
+    def add(self, x: int, y: int) -> int:
+        """Index of the pointwise sum of elements x and y."""
+        return self._index[tuple(self._add_a[a][b] for a, b in zip(self._gen_values[x], self._gen_values[y]))]
 
-        In the coordinates x of H = Z/e_1 x ... x Z/e_r (``factors``), a
-        character is a vector a, chi(x) = exp(2 pi i sum_i a_i x_i / e_i).
-        Its order d is the lcm of the orders of the a_i, and it factors as a
-        faithful character of Z/d after c(x) = sum_i (a_i d / e_i) x_i mod d,
-        whose coefficients are integers because each a_i has order dividing d.
-        Its Galois conjugates u a, for u prime to d, share its kernel and so
-        its quotient; one a per orbit is kept.
-        """
-        factors = self.factors
-        grid = list(itertools.product(*(range(e) for e in factors)))
-        place = {x: i for i, x in enumerate(grid)}
-        order = [place[x] for x in self.coords]
-        seen: set[tuple[int, ...]] = set()
-        for a in grid:
-            if a in seen:
-                continue
-            d = math.lcm(*(e // math.gcd(x, e) for x, e in zip(a, factors)))
-            seen.update(tuple(u * x % e for x, e in zip(a, factors)) for u in range(d) if math.gcd(u, d) == 1)
-            values = [0]  # c at each coordinate vector, in ``grid`` order
-            for x, e in zip(a, factors):
-                step = x * d // e
-                values = [(v + step * y) % d for v in values for y in range(e)]
-            yield d, tuple(values[i] for i in order)
+    def span(self, base: Iterable[int], gens: Iterable[int]) -> set[int]:
+        """The subgroup generated by the subgroup ``base`` and ``gens``: for
+        each g in turn, the cosets of the subgroup so far at g, 2g, ... up
+        to the first multiple already in it.  That is |span| additions and
+        one membership test per g already inside, not |base| |span| sums."""
+        group = set(base)
+        for g in gens:
+            if g not in group:
+                old, x = list(group), g
+                while x not in group:
+                    group.update(self.add(y, x) for y in old)
+                    x = self.add(x, g)
+        return group
 
     def __repr__(self) -> str:
         return f"HomGroup({self.group.name} -> {list(self.coeffs.invariant_factors)}, size={self.size})"
@@ -142,21 +131,15 @@ class HomGroup:
 @lru_cache(maxsize=None)
 def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     """All homomorphisms G -> A, lifted through the abelianization of G,
-    refused before any is listed if there are more than ``HOM_GROUP_CAP``.
-    For G^ab = Z/m_1 x ... and A = Z/e_1 x ..., H is the product of the
-    Z/g_ij, g_ij = gcd(m_i, e_j) > 1: image i has entry j in Z/e_j equal
-    to e_j / g_ij times the coordinate at (i, j)."""
+    refused before any is listed if there are more than ``HOM_GROUP_CAP``."""
     ab = abelianization(group, full_group_class(group))
     h = hom_count_abelian(ab.group, coeffs)
     if h > HOM_GROUP_CAP:
         raise SizeCapError(f"|Hom(G, A)| = {h} exceeds cap {HOM_GROUP_CAP}")
-    cells = [(i, j, g, e // g) for i, m in enumerate(ab.group.invariant_factors)
-             for j, e in enumerate(coeffs.invariant_factors) if (g := math.gcd(m, e)) > 1]
-    homs = []
+    homs = set()
     for images in abelian_homs(ab.group, coeffs):
         value = abelian_hom_evaluator(coeffs, images)
-        coords = tuple(images[i][j] // step for i, j, _, step in cells)
-        homs.append((tuple(value(ab.projection[g]) for g in range(group.order)), coords))
-    if len({values for values, _ in homs}) != len(homs):
+        homs.add(tuple(value(ab.projection[g]) for g in range(group.order)))
+    if len(homs) != h:
         raise InvariantError("distinct abelian homs lift to equal maps on G")
-    return HomGroup(group, coeffs, tuple(g for _, _, g, _ in cells), homs)
+    return HomGroup(group, coeffs, homs)

@@ -26,10 +26,12 @@ from .groups import (
 from .homs import HomGroup, abelian_hom_evaluator, abelian_homs, hom_count_abelian
 
 
-def _transfer_factors(group: FiniteGroup, cls: SubgroupClass) -> list[list[tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _transfer_factors(group: FiniteGroup, cls: SubgroupClass) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``cocycle[i][j]``: h_j(s) = t_(s.j)^-1 s t_j in the abelianization of
     U, for generator s = ``group.generators[i]``, coset j and the coset
-    transversal t; the transfer is V(s) = sum_j h_j(s)."""
+    transversal t; the transfer is V(s) = sum_j h_j(s).  Cached, so the
+    counter and the sampler walk each class's cosets once."""
     action = coset_action(group, cls)
     ab = abelianization(group, cls)
     t = action.transversal
@@ -41,8 +43,8 @@ def _transfer_factors(group: FiniteGroup, cls: SubgroupClass) -> list[list[tuple
             if x not in ab.projection:
                 raise InvariantError(f"transfer factor {x} of element {s} is not in the subgroup")
             row.append(ab.projection[x])
-        cocycle.append(row)
-    return cocycle
+        cocycle.append(tuple(row))
+    return tuple(cocycle)
 
 
 @lru_cache(maxsize=None)

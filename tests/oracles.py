@@ -298,11 +298,12 @@ def exponential_formula(orbit_data, n, weight=lambda od: od.weight):
 
 
 def exponential_formula_counts(orbit_data, homs, n):
-    """(t_n, free_n, fibers) for A = C2, all from ``exponential_formula``.
+    """(t_n, free_n, fibers) when H = Hom(G, A) has exponent 2 (A = C2, or
+    D4 and Q8 with A = C4), all from ``exponential_formula``.
 
-    The fiber of psi is (1/h) times the sum, over the characters chi of
-    H = Hom(G, C2), of chi(psi) T_chi, where T_chi is t_n with the weights
-    chi(fiber_i); psi = 0, the trivial fold, gives |Hom(G, W_n)|.  H has
+    The fiber of psi is (1/h) times the sum, over the characters chi of H,
+    of chi(psi) T_chi, where T_chi is t_n with the weights chi(fiber_i);
+    psi = 0, the trivial fold, gives |Hom(G, W_n)| for A = C2.  H has
     exponent 2, so its characters are the sign vectors that respect the
     addition table of ``reference_add_table``; the first one found is the
     trivial character, whose run gives t_n and free_n.

@@ -472,6 +472,15 @@ def test_failed_stdout_write_exits_2_with_one_line(stdout, n, monkeypatch):
     assert (proc.returncode, proc.stderr) == (EXIT_USAGE, f"error: cannot write to stdout: {reason}\n")
 
 
+@pytest.mark.parametrize("n", ["1", "1:400"], ids=["held", "spooled"])
+def test_closed_stdout_exits_2_with_one_line(n):
+    # started with fd 1 closed, Python sets sys.stdout to None: the same one
+    # line and exit 2 as a failed write, not a traceback and exit 1
+    proc = run_module("delta", "--group", "Q8", "--A", "2", "--n", n, stdout=subprocess.DEVNULL,
+                      preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, f"error: cannot write to stdout: {os.strerror(errno.EBADF)}\n")
+
+
 def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):
     # 64 rows of 1 MB: the emitter holds about one row and one encoded copy,
     # not the 64 MB of output, and stdout and --out get the same bytes

@@ -273,17 +273,17 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
 
 
 def _corrupt_character_term(counter, q, k, by):
-    """Sequence q of the counter's fiber quotients, given by its position or
-    by its terms as a dict, with its term at orbit size k changed by ``by``
-    (a term that is 0, and so not listed, included)."""
-    quotients = counter.fiber_quotients
-    seqs = list(quotients.seqs)
+    """Sequence q of the counter's fold lattice, given by its position or by
+    its terms as a dict, with its term at orbit size k changed by ``by`` (a
+    term that is 0, and so not listed, included)."""
+    lattice = counter.fiber_lattice
+    seqs = list(lattice.seqs)
     if isinstance(q, dict):
         q = [dict(terms) for terms in seqs].index(q)
     terms = dict(seqs[q])
     terms[k] = terms.get(k, 0) + by
     seqs[q] = tuple(sorted(terms.items(), reverse=True))
-    counter.fiber_quotients = quotients._replace(seqs=tuple(seqs))
+    counter.fiber_lattice = lattice._replace(seqs=tuple(seqs))
 
 
 @pytest.mark.parametrize("name, q, k, message", [
@@ -315,22 +315,39 @@ def test_corrupted_k1_character_term_raises_at_the_bound(by):
         counter.fiber_counts(1)
 
 
-@pytest.mark.parametrize("name, coeffs, source, target", [("D4", C2, 0, 1), ("C3", C3A, 1, 0)],
-                         ids=["D4-C2", "C3-C3"])
-def test_non_uniform_class_fiber_raises_at_setup(name, coeffs, source, target):
-    # one fold value of the U = G class moved from psi = source to target,
-    # the fibers still summing to its weight: on Z/2 the point mass at 0
-    # turns negative (-2); on Z/3 the sum over c_3(c(psi)) is 3, a positive
-    # w_1 but not a multiple of phi(3) = 2
+@pytest.mark.parametrize("name, coeffs, i, source, target, moved", [
+    ("D4", C2, -1, 0, 1, 1), ("C3", C3A, -1, 1, 0, 1), ("D4", C2, 0, 0, 1, 128),
+], ids=["D4-C2", "C3-C3", "D4-C2-off-zero"])
+def test_non_uniform_class_fiber_raises_at_setup(name, coeffs, i, source, target, moved):
+    # one fold value of the U = G class (the last) moved from psi = source
+    # to target, the fibers still summing to its weight, so they are not
+    # uniform on their support H; or the whole point mass of the U = 1 class
+    # (the first) moved off 0, uniform on {1}, which is not a subgroup
     counter = WreathHomCounter(builtin_group(name), coeffs)
-    *rest, top = counter.orbit_data
-    assert top.k == 1 and len(set(top.fiber)) == 1
-    fiber = list(top.fiber)
-    fiber[source] -= 1
-    fiber[target] += 1
-    counter.orbit_data = (*rest, top._replace(fiber=tuple(fiber)))
-    with pytest.raises(InvariantError, match="the fibers of orbit size 1 are not uniform on a quotient Z/"):
-        counter.fiber_quotients
+    data = list(counter.orbit_data)
+    fiber = list(data[i].fiber)
+    assert len(set(fiber) - {0}) == 1 and fiber[source] >= moved
+    fiber[source] -= moved
+    fiber[target] += moved
+    data[i] = data[i]._replace(fiber=tuple(fiber))
+    counter.orbit_data = tuple(data)
+    with pytest.raises(InvariantError, match=f"the fibers of class {data[i].class_id} are not uniform on a subgroup"):
+        counter.fiber_lattice
+
+
+def test_lattice_without_the_zero_subgroup_raises_at_setup():
+    # Every character kills 0; on D4 with A = C2 the U = 1 class and four
+    # more fold onto 0.  With those classes' fibers spread evenly over H
+    # (still uniform on a subgroup, still summing to the weight), the lattice
+    # is H, {0, 2} and {0, 3}, and a character that kills neither order-2
+    # element is counted nowhere: the e_L(0) sum to 1 + 1 + 1, not h = 4
+    counter = WreathHomCounter(builtin_group("D4"), C2)
+    spread = [od._replace(fiber=(od.weight // 4,) * 4) if od.fiber[0] == od.weight else od
+              for od in counter.orbit_data]
+    assert sum(od.fiber[0] == od.weight for od in counter.orbit_data) == 5
+    counter.orbit_data = tuple(spread)
+    with pytest.raises(InvariantError, match=r"the characters of Hom\(G, A\) do not each kill one largest lattice element"):
+        counter.fiber_lattice
 
 
 def test_weyl_reads_only_the_trivial_class(monkeypatch):
@@ -344,43 +361,45 @@ def test_weyl_reads_only_the_trivial_class(monkeypatch):
 @pytest.mark.parametrize("query", ["fiber_counts", "weyl"])
 def test_inexact_division_by_h_raises(query):
     counter = WreathHomCounter(builtin_group("D4"), C2)
-    quotients = counter.fiber_quotients
-    first, *others = quotients.classes
-    # h F(0) = 1 * t_0 + (coefficients of the X at n = 0) is h; one more is not a multiple of h
-    counter.fiber_quotients = quotients._replace(classes=((first[0] + 1, *first[1:]), *others))
+    lattice = counter.fiber_lattice
+    first, *others = lattice.classes
+    # h F(0) = sum_L e_L(0) T_L(0) = sum_L e_L(0) is h; one more is not a multiple of h
+    counter.fiber_lattice = lattice._replace(classes=((first[0] + 1, *first[1:]), *others))
     with pytest.raises(InvariantError, match="non-integral fiber at n=0"):
         counter.fiber_counts(0) if query == "fiber_counts" else counter.fiber_count(0, 0)
 
 
 def test_negative_fiber_raises():
     counter = WreathHomCounter(builtin_group("D4"), C2)
-    quotients = counter.fiber_quotients
-    first, *others = quotients.classes
-    counter.fiber_quotients = quotients._replace(classes=(tuple(-c for c in first), *others))
+    lattice = counter.fiber_lattice
+    first, *others = lattice.classes
+    counter.fiber_lattice = lattice._replace(classes=(tuple(-c for c in first), *others))
     with pytest.raises(InvariantError, match="negative fiber at n=3"):
         counter.fiber_counts(3)
 
 
 def test_c2_4_fiber_quotients():
-    # the 16 characters of Hom(C2^4, C2) give 16 quotients but one scalar
-    # sequence beyond the totals, and the fold values fall in two classes
+    # every class of C2^4 folds onto 0 or onto all of H = Hom(C2^4, C2): a
+    # 2-element lattice, one scalar sequence beyond the totals, and the fold
+    # values fall in two classes, e_H = 1 and e_0 = 16 [psi = 0] - 1
     transpositions = [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
                       [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
     counter = WreathHomCounter(group_from_permutations(transpositions), C2)
-    quotients = counter.fiber_quotients
-    assert len(list(counter.homs.cyclic_quotients())) == 16
-    assert len(quotients.seqs) == 1
-    assert len(quotients.classes) == 2
-    assert quotients.class_of == (0,) + (1,) * 15
+    lattice = counter.fiber_lattice
+    assert [len(L) for L in lattice.subgroups] == [16, 1]
+    assert {len(od.fiber) - od.fiber.count(0) for od in counter.orbit_data} == {1, 16}
+    assert len(lattice.seqs) == 1
+    assert lattice.classes == ((1, 15), (1, -1))
+    assert lattice.class_of == (0,) + (1,) * 15
 
 
 def test_fiber_quotients_built_only_for_fibers():
     counter = WreathHomCounter(builtin_group("D4"), C2)
     counter.count(30)
     counter.fixed_point_free_probability(30)
-    assert "fiber_quotients" not in vars(counter)
+    assert "fiber_lattice" not in vars(counter)
     counter.fiber_counts(3)
-    assert "fiber_quotients" in vars(counter)
+    assert "fiber_lattice" in vars(counter)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -437,35 +456,44 @@ def test_integer_terms_are_conjugate_counts_random_groups(perms):
 
 
 @functools.lru_cache(maxsize=None)
-def _exponential_formula_counts(name, n):
-    counter = WreathHomCounter(builtin_group(name), C2)
+def _exponential_formula_counts(name, coeffs, n):
+    counter = WreathHomCounter(builtin_group(name), coeffs)
     return exponential_formula_counts(counter.orbit_data, counter.homs, n)
 
 
-@pytest.mark.parametrize("name, n", [("C2", 1500), ("S3", 500), ("D4", 500), ("Q8", 500)])
-def test_kernel_matches_exponential_formula_at_large_n(name, n):
+@pytest.mark.parametrize("name, n, coeffs", [
+    pytest.param("C2", 1500, C2, id="C2-1500"), pytest.param("S3", 500, C2, id="S3-500"),
+    pytest.param("D4", 500, C2, id="D4-500"), pytest.param("Q8", 500, C2, id="Q8-500"),
+    pytest.param("D4", 300, C4A, id="D4-300-C4"), pytest.param("Q8", 300, C4A, id="Q8-300-C4"),
+])
+def test_kernel_matches_exponential_formula_at_large_n(name, n, coeffs):
     # a second exact route where no brute force reaches: the truncated
-    # product of exp(a_k x^k), with characters of Hom(G, C2) for every
-    # fiber; n is as large as keeps these cases near 2 s in all
+    # product of exp(a_k x^k), with the sign characters of Hom(G, A) for
+    # every fiber (Hom(D4, C4) and Hom(Q8, C4) have exponent 2 too); n is
+    # as large as keeps the A = C2 cases near 2 s in all, and the A = C4
+    # ones near 0.1 s each
     group = builtin_group(name)
-    counter = WreathHomCounter(group, C2)
-    total, free, fibers = _exponential_formula_counts(name, n)
+    counter = WreathHomCounter(group, coeffs)
+    total, free, fibers = _exponential_formula_counts(name, coeffs, n)
     assert counter.count(n) == total
     assert counter.fixed_point_free_probability(n) == Fraction(free, total)
     assert counter.fiber_counts(n) == fibers
-    assert weyl_hom_count(group, n) == fibers[0]
+    if coeffs == C2:
+        assert weyl_hom_count(group, n) == fibers[0]
 
 
 def test_character_term_seen_only_by_the_second_route():
     # a +1 on D4's k = 8 character term keeps y within [0, free] and moves
     # each h F(psi) by a multiple of h, so it passes the counter's checks at
-    # every n; the exponential formula's fibers at n = 500 do not match it
-    counter = WreathHomCounter(builtin_group("D4"), C2)
-    _corrupt_character_term(counter, {8: 128, 4: 80, 2: 4}, 8, 1)
-    corrupted = [counter.fiber_counts(n) for n in range(501)][-1]
-    total, _, fibers = _exponential_formula_counts("D4", 500)
-    assert sum(corrupted) == total
-    assert corrupted != fibers
+    # every n; the exponential formula's fibers at n = 500 (A = C2) and
+    # n = 300 (A = C4) do not match it
+    for coeffs, terms, n in ((C2, {8: 128, 4: 80, 2: 4}, 500), (C4A, {8: 16384, 4: 640, 2: 32}, 300)):
+        counter = WreathHomCounter(builtin_group("D4"), coeffs)
+        _corrupt_character_term(counter, terms, 8, 1)
+        corrupted = [counter.fiber_counts(s) for s in range(n + 1)][-1]
+        total, _, fibers = _exponential_formula_counts("D4", coeffs, n)
+        assert sum(corrupted) == total
+        assert corrupted != fibers
 
 
 def test_distribution_table_rejects_non_distribution():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from wreathhom import (
     AbelianGroup,
     SizeCapError,
+    WreathHomCounter,
     build_wreath_group,
     builtin_group,
     coset_action,
@@ -196,5 +197,8 @@ def test_three_counts_agree_on_random_permutation_groups(perms, coeffs, n):
     # the integer direct sum, the recurrence and brute force, on groups of
     # order at most 24
     g = group_from_permutations(perms)
-    count = len(enumerate_homs(g, build_wreath_group(coeffs, n)))
-    assert hom_count_direct(g, coeffs, n) == hom_count_wreath(g, coeffs, n) == count
+    target = build_wreath_group(coeffs, n)
+    homs = enumerate_homs(g, target)
+    assert hom_count_direct(g, coeffs, n) == hom_count_wreath(g, coeffs, n) == len(homs)
+    # and the fold fibers of the lattice sequences, by the same enumeration
+    assert WreathHomCounter(g, coeffs).fiber_counts(n) == oracle_delta(g, coeffs, target, homs).fiber_counts

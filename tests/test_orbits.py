@@ -20,7 +20,8 @@ from wreathhom import (
     orbit_type_data,
     subgroup_classes,
 )
-from wreathhom import orbits
+from wreathhom import orbits, sampling
+from wreathhom.counting import counter_for
 from wreathhom.groups import _fn_power, abelianization
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
@@ -156,10 +157,9 @@ def test_corrupted_transversal_raises(monkeypatch):
         degree=action.degree, perms=action.perms, transversal=(0,) * action.degree
     )
     monkeypatch.setattr(orbits, "coset_action", lambda group, c: corrupted)
-    # a fresh cache, so neither the corrupted table nor a cached good one leaks
-    monkeypatch.setattr(
-        orbits, "cocycle_table", functools.lru_cache(maxsize=None)(orbits.cocycle_table.__wrapped__)
-    )
+    # fresh caches, so neither the corrupted factors or table nor cached good ones leak
+    for name in ("_transfer_factors", "cocycle_table"):
+        monkeypatch.setattr(orbits, name, functools.lru_cache(maxsize=None)(getattr(orbits, name).__wrapped__))
     with pytest.raises(InvariantError, match="not in the subgroup"):
         orbit_type_data(g, a, cls, hom_group(g, a))
     with pytest.raises(InvariantError, match="not in the subgroup"):
@@ -178,6 +178,23 @@ def test_orbit_data_builds_no_per_coset_table(monkeypatch):
         assert orbit_type_data(g, a, cls, hom_group(g, a), class_id=i) == reference_orbit_type_data(
             g, a, cls, hom_group(g, a), class_id=i
         )
+
+
+def test_one_coset_walk_per_class(monkeypatch):
+    # the counter's orbit data and the sampler's cocycle tables share each
+    # class's transfer factors, so setting up ``sample`` walks the cosets of
+    # each class once, not twice
+    walks = []
+
+    def counted(group, cls):
+        walks.append(cls)
+        return coset_action(group, cls)
+
+    monkeypatch.setattr(orbits, "coset_action", counted)
+    g, a = group_from_permutations([[1, 0, 2, 3], [0, 1, 3, 2], [2, 3, 0, 1]]), AbelianGroup((2,))  # outside every cache
+    sampling._assemblies(g, a)
+    classes = counter_for(g, a).classes
+    assert len(classes) == 8 and sorted(walks) == sorted(classes)
 
 
 def _extensions_of_coset_action(group, coeffs, cls):
