@@ -1,5 +1,11 @@
-import pytest
+import itertools
+import math
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
     builtin_group,
@@ -8,6 +14,7 @@ from wreathhom import (
     hom_group,
     subgroup_classes,
 )
+from wreathhom.groups import abelian_index_tables, abelianization, full_group_class
 from wreathhom.homs import abelian_homs
 from oracles import brute_hom_count_abelian, is_homomorphism, reference_add_table
 
@@ -68,6 +75,54 @@ def test_hom_group_elements_are_homomorphisms(name, coeffs):
         for j in range(hg.size):
             assert table[i][j] == table[j][i] == hg.add(i, j)
     assert hg.span({0}, range(hg.size)) == set(range(hg.size))
+
+
+def _element_orders(add, size):
+    """The order of each element 0..size-1 of an abelian group given by ``add``."""
+    orders = []
+    for x in range(size):
+        k, y = 1, x
+        while y:
+            k, y = k + 1, add(y, x)
+        orders.append(k)
+    return Counter(orders)
+
+
+def _check_coordinates(hg):
+    # psi -> its values on the generators is a bijection onto its image in
+    # A^r, inverted by ``index_of``; the coordinates of a sum, found by its
+    # full values, are the coordinatewise sums in A; and the group is
+    # isomorphic to the product of the Z/gcd(b_i, a_j) over the invariant
+    # factors of G^ab and A (an abelian group is fixed by its element orders)
+    gens = hg.group.generators
+    coords = [tuple(v[s] for s in gens) for v in hg.elements]
+    assert len(set(coords)) == hg.size
+    assert [hg.index_of(c) for c in coords] == list(range(hg.size))
+    add_a, _ = abelian_index_tables(hg.coeffs)
+    table = reference_add_table(hg)
+    for i, x in enumerate(coords):
+        for j, y in enumerate(coords):
+            assert coords[table[i][j]] == tuple(add_a[a][b] for a, b in zip(x, y))
+            assert hg.add(i, j) == table[i][j]
+    ab = abelianization(hg.group, full_group_class(hg.group)).group
+    factors = [math.gcd(b, a) for b in ab.invariant_factors for a in hg.coeffs.invariant_factors]
+    cells = list(itertools.product(*(range(g) for g in factors)))
+    assert len(cells) == hg.size
+    index = {c: i for i, c in enumerate(cells)}
+    product_add = lambda i, j: index[tuple((a + b) % g for a, b, g in zip(cells[i], cells[j], factors))]
+    assert _element_orders(hg.add, hg.size) == _element_orders(product_add, len(cells))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+def test_hom_group_coordinates_are_an_isomorphism(name, coeffs):
+    _check_coordinates(hom_group(builtin_group(name), coeffs))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(permutation_lists, st.sampled_from([(2,), (4,), (2, 4), (2, 2)]))
+def test_hom_group_coordinates_are_an_isomorphism_random_groups(perms, factors):
+    _check_coordinates(hom_group(group_from_permutations(perms), AbelianGroup(factors)))
 
 
 @pytest.mark.parametrize(
