@@ -114,8 +114,9 @@ class WreathHomCounter:
     The totals t_n = |Hom(G, A wr S_n)|, the fixed-point-free counts
     (homomorphisms whose active permutation image has no fixed point) and
     the fibers (totals refined by fold value) are each n! [x^n] of
-    exp(sum_k a_k x^k), where a_k sums w_i / c_i (or fiber_i / c_i) over
-    the classes of orbit size k.  The constructor checks once per class
+    exp(sum_k a_k x^k), where a_k sums w_i / c_i over the classes of orbit
+    size k (for the fibers, in the group algebra of H, spread evenly over
+    the fold subgroup K_i).  The constructor checks once per class
     that c_i divides k_i, so the merged b_k = k a_k sum the integers
     (k_i // c_i) w_i = [G:N_G(U_i)] w_i, and a step is
     t_s = sum_k (s-1)_(k-1) b_k t_(s-k), with no division.  Fibers run as
@@ -189,17 +190,13 @@ class WreathHomCounter:
     def fiber_lattice(self) -> FiberLattice:
         """Built on the first fiber query, so other queries never pay for it."""
         homs, h = self.homs, self.homs.size
-        # K_i is the support of class i's fiber, checked to be a subgroup hit uniformly
-        folds = [frozenset(psi for psi, x in enumerate(od.fiber) if x) for od in self.orbit_data]
-        is_subgroup = {fold: homs.span({0}, fold) == fold for fold in set(folds)}
-        for od, fold in zip(self.orbit_data, folds):
-            if not is_subgroup[fold] or len(set(od.fiber) - {0}) != 1:
-                raise InvariantError(f"the fibers of class {od.class_id} are not uniform on a subgroup of Hom(G, A)")
+        folds = [od.fold for od in self.orbit_data]  # K_i, a span, so a subgroup
+        distinct = set(folds)
         # closed under +, each L + K_i spanned from L by the elements of K_i not yet in it
-        lattice, todo = set(is_subgroup), list(is_subgroup)
+        lattice, todo = set(distinct), list(distinct)
         while todo:
             low = todo.pop()
-            for fold in is_subgroup:
+            for fold in distinct:
                 if not fold <= low and (high := frozenset(homs.span(low, fold))) not in lattice:
                     lattice.add(high)
                     todo.append(high)

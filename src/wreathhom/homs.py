@@ -7,7 +7,6 @@ table produced by the counting engine.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -39,20 +38,32 @@ def hom_count_abelian(source: AbelianGroup, coeffs: AbelianGroup) -> int:
     )
 
 
-def abelian_homs(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All homomorphisms between abelian groups, as images of the cyclic generators.
+def abelian_hom(source: AbelianGroup, coeffs: AbelianGroup, index: int) -> tuple[tuple[int, ...], ...]:
+    """The ``index``-th homomorphism B -> A in lexicographic order of the
+    images of B's cyclic generators.  Hom(B, A) is the sum of its gcd cells
+    Z/gcd(b_i, a_j): ``index`` is read as mixed-radix digits in those radices,
+    last cell fastest, and digit d of cell (i, j) sends generator i to
+    d a_j / gcd(b_i, a_j) in factor j of A."""
+    images = []
+    for b in reversed(source.invariant_factors):
+        image = []
+        for a in reversed(coeffs.invariant_factors):
+            index, digit = divmod(index, g := math.gcd(b, a))
+            image.append(digit * (a // g))
+        images.append(tuple(reversed(image)))
+    return tuple(reversed(images))
 
-    The image of the order-b generator ranges over elements killed by b;
-    homomorphisms are listed in lexicographic image order.
-    """
-    per_factor = []
-    for b in source.invariant_factors:
-        images = [v for v in coeffs.vectors() if coeffs.scalar_mul(b, v) == coeffs.zero()]
-        per_factor.append(images)
-    homs = [tuple(combo) for combo in itertools.product(*per_factor)]
-    if len(homs) != hom_count_abelian(source, coeffs):
-        raise InvariantError("abelian hom enumeration disagrees with the gcd count")
-    return homs
+
+def abelian_homs(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """All homomorphisms between abelian groups, in ``abelian_hom`` order."""
+    return [abelian_hom(source, coeffs, i) for i in range(hom_count_abelian(source, coeffs))]
+
+
+def abelian_hom_basis(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """Generators of Hom(B, A): ``abelian_hom`` at the place value of each
+    gcd cell of order above 1, the homomorphism with digit 1 there alone."""
+    radices = [math.gcd(b, a) for b in source.invariant_factors for a in coeffs.invariant_factors]
+    return [abelian_hom(source, coeffs, math.prod(radices[c + 1 :])) for c, r in enumerate(radices) if r > 1]
 
 
 def abelian_hom_evaluator(

@@ -3,11 +3,12 @@
 An orbit of the active permutation action isomorphic to the coset action
 on G/U admits |A|^(k-1) * |Hom(U, A)| decorated extensions.  Extension u in
 Hom(U, A) folds to u o V, where V is the transfer into the abelianization
-of U; that refines the count by fold value, giving the fiber vector
-consumed by the exact distribution recurrence.  A homomorphism is fixed by
-its values on the generators, so the fibers are read off the transfer V(s)
-of each generator s, and the sampler's table of u(h_j(s)) over generators
-s and cosets j off the same factors h_j(s).
+of U; u -> u o V is a homomorphism into Hom(G, A), so the extensions fold
+uniformly onto its image, the fold subgroup consumed by the exact
+distribution recurrence.  A homomorphism is fixed by its values on the
+generators, so the fold subgroup is spanned by u(V(s)) over a basis of
+Hom(U, A) and generators s, and the sampler's row of u(h_j(s)) over
+generators s and cosets j is read off the same factors h_j(s).
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .groups import (
-    AbelianGroup,
-    FiniteGroup,
-    InvariantError,
-    SubgroupClass,
-    abelianization,
-    coset_action,
-)
-from .homs import HomGroup, abelian_hom_evaluator, abelian_homs, hom_count_abelian
+from .groups import AbelianGroup, FiniteGroup, InvariantError, SubgroupClass, abelianization, coset_action
+from .homs import HomGroup, abelian_hom, abelian_hom_basis, abelian_hom_evaluator, hom_count_abelian
 
 
 @lru_cache(maxsize=None)
@@ -47,38 +41,32 @@ def _transfer_factors(group: FiniteGroup, cls: SubgroupClass) -> tuple[tuple[tup
     return tuple(cocycle)
 
 
-@lru_cache(maxsize=None)
-def cocycle_table(
-    group: FiniteGroup, coeffs: AbelianGroup, cls: SubgroupClass
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``table[u][i][j]``: the A-element index of u(h_j(s)) for the i-th
-    homomorphism u in Hom(U, A) (``abelian_homs`` order), generator
+def cocycle_row(
+    group: FiniteGroup, coeffs: AbelianGroup, cls: SubgroupClass, u: int
+) -> tuple[tuple[int, ...], ...]:
+    """``row[i][j]``: the A-element index of u(h_j(s)) for the u-th
+    homomorphism in Hom(U, A) (``abelian_hom`` order), generator
     s = ``group.generators[i]`` and coset j (``_transfer_factors``); the
-    sampler decorates each orbit point by point from it."""
-    cocycle = _transfer_factors(group, cls)
-    distinct = set().union(*cocycle)  # at most |U^ab| vectors, however many (s, j)
-    table = []
-    for images in abelian_homs(abelianization(group, cls).group, coeffs):
-        evaluate = abelian_hom_evaluator(coeffs, images)
-        value = {vec: evaluate(vec) for vec in distinct}
-        table.append(tuple(tuple(value[vec] for vec in row) for row in cocycle))
-    return tuple(table)
+    sampler decorates an orbit with u point by point from it."""
+    evaluate = abelian_hom_evaluator(coeffs, abelian_hom(abelianization(group, cls).group, coeffs, u))
+    return tuple(tuple(map(evaluate, row)) for row in _transfer_factors(group, cls))
 
 
 class OrbitTypeData(NamedTuple):
-    """Extension weight and fold-fiber vector of one subgroup class.
+    """Extension weight and fold subgroup of one subgroup class.
 
     ``weight`` is |A|^(k-1) * |Hom(U, A)|, the number of decorated
-    extensions over a single orbit; ``fiber[psi]`` counts those whose fold
-    contribution is the HomGroup element psi.  Fibers always sum to the
-    weight.
+    extensions over a single orbit.  ``fold`` is K, the image of the fold
+    map u -> u o V in Hom(G, A) as HomGroup indices: a homomorphism hits
+    each element of its image equally often, so weight / |K| extensions
+    fold onto each psi in K and none onto any other.
     """
 
     class_id: int
     k: int
     c: int
     weight: int
-    fiber: tuple[int, ...]
+    fold: frozenset[int]
 
 
 def orbit_type_data(
@@ -88,24 +76,19 @@ def orbit_type_data(
     homs: HomGroup,
     class_id: int = 0,
 ) -> OrbitTypeData:
-    """Weight and fiber vector for one class: the transfer V(s) of each
-    generator s, summed from its factors, then for each u in Hom(U, A) the
-    generator images u(V(s)) of u o V, located inside Hom(G, A)."""
+    """Weight and fold subgroup for one class: the transfer V(s) of each
+    generator s, summed from its factors, then for each u in a basis of
+    Hom(U, A) the generator images u(V(s)) of u o V, located inside
+    Hom(G, A); those span the fold subgroup."""
     k = cls.index
     ab = abelianization(group, cls)
     transfer = [tuple(map(sum, zip(*row))) for row in _transfer_factors(group, cls)]
-    base = coeffs.order ** (k - 1)
-    fiber = [0] * homs.size
-    for images in abelian_homs(ab.group, coeffs):
-        evaluate = abelian_hom_evaluator(coeffs, images)
-        fiber[homs.index_of([evaluate(v) for v in transfer])] += base
-    weight = base * hom_count_abelian(ab.group, coeffs)
-    if sum(fiber) != weight:
-        raise InvariantError(f"orbit fibers of class {class_id} do not sum to its weight")
+    basis = (abelian_hom_evaluator(coeffs, images) for images in abelian_hom_basis(ab.group, coeffs))
+    folds = [homs.index_of([evaluate(v) for v in transfer]) for evaluate in basis]
     return OrbitTypeData(
         class_id=class_id,
         k=k,
         c=cls.centralizer_order,
-        weight=weight,
-        fiber=tuple(fiber),
+        weight=coeffs.order ** (k - 1) * hom_count_abelian(ab.group, coeffs),
+        fold=frozenset(homs.span({0}, folds)),
     )

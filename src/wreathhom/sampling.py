@@ -17,8 +17,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import counter_for
-from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, abelian_index_tables, coset_action
-from .orbits import cocycle_table
+from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, SubgroupClass, abelian_index_tables, coset_action
+from .orbits import cocycle_row
 
 
 class WreathHom(NamedTuple):
@@ -53,25 +53,26 @@ def _decimals(size: int) -> tuple[str, ...]:
 
 
 class _ClassAssembly(NamedTuple):
-    """Precomputed per-class data for decorating one orbit."""
+    """Per-class data for decorating one orbit."""
 
+    cls: SubgroupClass
     k: int
     # gen_points[gen][j]: the coset point that generator gen sends j to
     gen_points: tuple[tuple[int, ...], ...]
-    # u_eval[u][gen][j]: A-index of u applied to the coset cocycle at (gen, j)
-    u_eval: tuple[tuple[tuple[int, ...], ...], ...]
+    # |Hom(U, A)|, the range of each orbit's draw of u
+    u_count: int
+    # rows[u][gen][j]: A-index of u applied to the coset cocycle at (gen, j),
+    # the ``cocycle_row`` of u, built on u's first draw
+    rows: dict[int, tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=None)
 def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembly, ...]:
     counter = counter_for(group, coeffs)
-    out = []
-    for cls in counter.classes:
-        action = coset_action(group, cls)
-        out.append(
-            _ClassAssembly(k=action.degree, gen_points=action.perms, u_eval=cocycle_table(group, coeffs, cls))
-        )
-    return tuple(out)
+    return tuple(  # an orbit's weight is |A|^(k-1) |Hom(U, A)|
+        _ClassAssembly(cls, od.k, coset_action(group, cls).perms, od.weight // coeffs.order ** (od.k - 1), {})
+        for cls, od in zip(counter.classes, counter.orbit_data)
+    )
 
 
 def sample_orbit_type(
@@ -151,13 +152,16 @@ def sample_hom(
         # per orbit, in this order: u, then the k - 1 free decorations, which
         # go into one flat list aligned with span, 0 at each block's first slot
         u_tabs, xs = [], []
-        u_eval = asm.u_eval
-        u_bits = len(u_eval).bit_length()
+        rows, u_count = asm.rows, asm.u_count
+        u_bits = u_count.bit_length()
         for _ in range(count):
-            u = getrandbits(u_bits)  # _randbelow(len(u_eval)), written out
-            while u >= len(u_eval):
+            u = getrandbits(u_bits)  # _randbelow(u_count), written out
+            while u >= u_count:
                 u = getrandbits(u_bits)
-            u_tabs.append(u_eval[u])
+            row = rows.get(u)
+            if row is None:
+                row = rows[u] = cocycle_row(group, coeffs, asm.cls, u)
+            u_tabs.append(row)
             xs.append(0)
             for _ in range(k - 1):
                 x = getrandbits(a_bits)  # _randbelow(a_order)

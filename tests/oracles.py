@@ -9,17 +9,21 @@ every permutation, homomorphisms by trying every tuple of generator
 images against every product, group tables by composing every pair of
 permutations, commutator subgroups from every pair of elements, the
 sampler on ``random``'s own
-``randrange`` and ``shuffle``, counts at large n by multiplying out
+``randrange`` and ``shuffle``, Hom(B, A) by listing the elements of A
+that each invariant factor of B kills, fold fibers by counting every
+extension u by its fold value, counts at large n by multiplying out
 the exponential formula instead of running its log-derivative, and table
 rows as dicts for ``json.dumps`` instead of the package's text builders.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from wreathhom import (
     AbelianGroup,
@@ -32,12 +36,11 @@ from wreathhom import (
     delta_distribution,
     fixed_point_free_probability,
     hom_count_wreath,
+    subgroup_classes,
     weyl_hom_count,
 )
-from wreathhom.counting import counter_for
 from wreathhom.groups import abelian_index_tables
-from wreathhom.homs import abelian_homs, hom_count_abelian, hom_group
-from wreathhom.orbits import cocycle_table
+from wreathhom.homs import hom_group
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -138,6 +141,17 @@ def brute_hom_count_abelian(source, coeffs) -> int:
     return count
 
 
+def reference_abelian_homs(source, coeffs) -> list[tuple[tuple[int, ...], ...]]:
+    """All homomorphisms B -> A as images of B's cyclic generators: the
+    image of the order-b generator ranges over the elements of A killed by
+    b, and the homomorphisms are every combination, in lexicographic order."""
+    per_factor = [
+        [v for v in coeffs.vectors() if coeffs.scalar_mul(b, v) == coeffs.zero()]
+        for b in source.invariant_factors
+    ]
+    return [tuple(combo) for combo in itertools.product(*per_factor)]
+
+
 def compose(p, q):
     """Permutation composition, q first."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -196,13 +210,14 @@ def reference_row(command, group, coeffs, n) -> dict:
 
 
 def orbit_data_to_json(data: OrbitTypeData) -> dict:
-    """JSON form of one class's orbit data, with big integers as decimal strings."""
+    """JSON form of one class's orbit data, with big integers as decimal
+    strings and the fold subgroup as its sorted HomGroup indices."""
     return {
         "classId": data.class_id,
         "k": data.k,
         "c": data.c,
         "weight": str(data.weight),
-        "fiber": [str(x) for x in data.fiber],
+        "fold": sorted(data.fold),
     }
 
 
@@ -223,7 +238,8 @@ def reference_tables(orbit_data, homs, n):
     Fraction, one term per subgroup class (no merging by orbit size), with
     a convolution in the group algebra of Hom(G, A) per class per step for
     the fibers and the U = G class (the only one with k = 1) left out of
-    the free sequence.
+    the free sequence.  ``orbit_data`` is ``reference_orbit_data``, whose
+    fibers come from no code of the package's fold subgroups.
     """
     add_table = reference_add_table(homs)
     h = len(add_table)
@@ -306,7 +322,8 @@ def exponential_formula_counts(orbit_data, homs, n):
     psi = 0, the trivial fold, gives |Hom(G, W_n)| for A = C2.  H has
     exponent 2, so its characters are the sign vectors that respect the
     addition table of ``reference_add_table``; the first one found is the
-    trivial character, whose run gives t_n and free_n.
+    trivial character, whose run gives t_n and free_n.  ``orbit_data`` is
+    ``reference_orbit_data``, as for ``reference_tables``.
     """
     add = reference_add_table(homs)
     h = len(add)
@@ -355,13 +372,14 @@ def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
     """The sampler as first written, on ``random``'s own methods.
 
     The backward walk is ``reference_orbit_type`` over the totals of
-    ``reference_tables``; ``rng.shuffle`` places the points, and each
-    orbit in turn draws its u and its free decorations by ``rng.randrange``
-    and writes its coordinates point by point.
+    ``reference_tables``, both on ``reference_orbit_data``; ``rng.shuffle``
+    places the points, and each orbit in turn draws its u and its free
+    decorations by ``rng.randrange``, and writes its coordinates point by
+    point from its row of ``reference_cocycle_table``.
     """
-    counter = counter_for(group, coeffs)
-    totals, _, _ = reference_tables(counter.orbit_data, counter.homs, n)
-    m = reference_orbit_type(counter.orbit_data, totals, n, rng)
+    orbit_data = reference_orbit_data(group, coeffs)
+    totals, _, _ = reference_tables(orbit_data, hom_group(group, coeffs), n)
+    m = reference_orbit_type(orbit_data, totals, n, rng)
     add, neg = abelian_index_tables(coeffs)
     num_gens = len(group.generators)
     perms = [list(range(n)) for _ in range(num_gens)]
@@ -369,9 +387,9 @@ def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
     points = list(range(n))
     rng.shuffle(points)
     pos = 0
-    for cls, count in zip(counter.classes, m):
+    for cls, count in zip(subgroup_classes(group), m):
         act_perms = coset_action(group, cls).perms
-        u_eval = cocycle_table(group, coeffs, cls)
+        u_eval = reference_cocycle_table(group, coeffs, cls)
         k = cls.index
         for _ in range(count):
             block = points[pos : pos + k]
@@ -497,9 +515,11 @@ def reference_transfer(group, cls, transversal) -> tuple[tuple[int, ...], ...]:
     return tuple(values)
 
 
+@functools.lru_cache(maxsize=None)
 def reference_cocycle_table(group, coeffs, cls) -> tuple:
-    """``orbits.cocycle_table`` with u(h_j(s)) evaluated once per (u, s, j),
-    and the coset of s t_j found by trying every t_i."""
+    """``table[u]``: ``orbits.cocycle_row`` of u, for every u in
+    ``reference_abelian_homs`` order, with u(h_j(s)) evaluated once per
+    (u, s, j), and the coset of s t_j found by trying every t_i."""
     transversal = coset_action(group, cls).transversal
     ab = abelianization(group, cls)
     members = set(cls.elements)
@@ -513,28 +533,45 @@ def reference_cocycle_table(group, coeffs, cls) -> tuple:
         cocycle.append(row)
     return tuple(
         tuple(tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, v)) for v in row) for row in cocycle)
-        for images in abelian_homs(ab.group, coeffs)
+        for images in reference_abelian_homs(ab.group, coeffs)
     )
 
 
-def reference_orbit_type_data(group, coeffs, cls, homs, class_id=0) -> OrbitTypeData:
-    """``orbit_type_data`` through the transfer on all of G: each u o V is
-    evaluated on every element and found in Hom(G, A) by its full values."""
+class ReferenceOrbitData(NamedTuple):
+    """One class's orbit data with its whole fiber vector: ``fiber[psi]``
+    counts the decorated extensions over one orbit whose fold is psi."""
+
+    class_id: int
+    k: int
+    c: int
+    weight: int
+    fiber: tuple[int, ...]
+
+
+def reference_orbit_type_data(group, coeffs, cls, homs, class_id=0) -> ReferenceOrbitData:
+    """``orbit_type_data`` with the fiber of every fold value, through the
+    transfer on all of G: each u in ``reference_abelian_homs`` is composed
+    with it, evaluated on every element and found in Hom(G, A) by its full
+    values, and counted there |A|^(k-1) times."""
     k = cls.index
     ab = abelianization(group, cls)
     ver = reference_transfer(group, cls, coset_action(group, cls).transversal)
     by_values = {v: i for i, v in enumerate(homs.elements)}
     base = coeffs.order ** (k - 1)
     fiber = [0] * homs.size
-    for images in abelian_homs(ab.group, coeffs):
+    for images in reference_abelian_homs(ab.group, coeffs):
         values = tuple(coeffs.index_of(evaluate_abelian_hom(coeffs, images, v)) for v in ver)
         fiber[by_values[values]] += base
-    return OrbitTypeData(
-        class_id=class_id,
-        k=k,
-        c=cls.centralizer_order,
-        weight=base * hom_count_abelian(ab.group, coeffs),
-        fiber=tuple(fiber),
+    return ReferenceOrbitData(class_id=class_id, k=k, c=cls.centralizer_order, weight=sum(fiber), fiber=tuple(fiber))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_orbit_data(group, coeffs) -> tuple[ReferenceOrbitData, ...]:
+    """``reference_orbit_type_data`` of every subgroup class, in class order:
+    the orbit data of ``reference_tables`` and the exponential formula."""
+    homs = hom_group(group, coeffs)
+    return tuple(
+        reference_orbit_type_data(group, coeffs, cls, homs, class_id=i) for i, cls in enumerate(subgroup_classes(group))
     )
 
 

@@ -28,9 +28,11 @@ from wreathhom import (
     AbelianGroup,
     InvariantError,
     SizeCapError,
+    WreathHom,
     builtin_group,
     group_from_permutations,
     hom_count_wreath,
+    verify_wreath_hom,
 )
 from wreathhom.groups import COEFF_ORDER_CAP, abelian_index_tables
 from wreathhom.homs import HOM_GROUP_CAP, hom_group
@@ -280,6 +282,41 @@ def test_a_at_cap_runs_in_100_mb():
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     # 3! [x^3] exp(a_1 x + a_2 x^2), with a_1 = |Hom(C2, A)| = 2 and a_2 = |A| / 2
     assert proc.stdout == f'{{"n": 3, "count": "{2**3 + 6 * 2 * COEFF_ORDER_CAP // 2}"}}\n'
+
+
+F56 = {"name": "F56", "permGenerators": [[1, 0, 3, 2, 5, 4, 7, 6], [0, 2, 4, 6, 3, 1, 7, 5]]}
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "--n", "3"),
+    ("delta", "--n", "1:5"),
+    ("sample", "--n", "30", "--samples", "5", "--seed", "0"),
+], ids=["count", "delta", "sample"])
+def test_hom_u_a_is_never_listed(tmp_path, args):
+    # F56 = C2^3 x| C7 has h = 1 with A = C2^8, but its C2^3 class has
+    # |Hom(U, A)| = 2^24: each query must run in 300 MB, so no path lists
+    # Hom(U, A), not the fold subgroups' and not the sampler's
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "f56.json"
+    path.write_text(json.dumps(F56))
+    coeffs = AbelianGroup((2,) * 8)
+    proc = run_module(*args, "--group", str(path), "--A", "2,2,2,2,2,2,2,2",
+                      preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    if args[0] == "sample":
+        g = cli._load_group(str(path))
+        assert len(lines) == 5
+        for line in lines:
+            hom = WreathHom(n=30, perms=tuple(map(tuple, line["perm"])), decors=tuple(map(tuple, line["decor"])))
+            assert verify_wreath_hom(g, coeffs, hom)
+    else:
+        assert len(lines) == (1 if args[0] == "count" else 5)
 
 
 def test_cap_applies_to_default_oracle_grid(no_group_loads, capsys):

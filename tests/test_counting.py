@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import exponential_formula_counts, probs, reference_tables, sup_distance_to_uniform
+from oracles import (
+    exponential_formula_counts,
+    probs,
+    reference_orbit_data,
+    reference_tables,
+    sup_distance_to_uniform,
+)
 from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
@@ -25,6 +31,7 @@ from wreathhom import (
     group_from_permutations,
     hom_count_direct,
     hom_count_wreath,
+    hom_group,
     weyl_hom_count,
     weyl_limit_ratio,
 )
@@ -229,7 +236,7 @@ def test_negative_n_rejected():
 
 def _check_against_reference(group, coeffs, n):
     counter = WreathHomCounter(group, coeffs)
-    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs, n)
+    totals, free, fibers = reference_tables(reference_orbit_data(group, coeffs), counter.homs, n)
     for s in range(n + 1):
         assert counter.count(s) == totals[s], s
         assert counter.fixed_point_free_probability(s) == Fraction(free[s], totals[s]), s
@@ -258,7 +265,7 @@ def test_window_answers_queries_in_any_order(name, coeffs, order):
     # the first time restarts it with the tables already in use
     counter = WreathHomCounter(builtin_group(name), coeffs)
     n = 40
-    totals, free, fibers = reference_tables(counter.orbit_data, counter.homs, n)
+    totals, free, fibers = reference_tables(reference_orbit_data(builtin_group(name), coeffs), counter.homs, n)
     ns = list(range(n, -1, -1))
     if order == "shuffled":
         random.Random(0).shuffle(ns)
@@ -315,37 +322,16 @@ def test_corrupted_k1_character_term_raises_at_the_bound(by):
         counter.fiber_counts(1)
 
 
-@pytest.mark.parametrize("name, coeffs, i, source, target, moved", [
-    ("D4", C2, -1, 0, 1, 1), ("C3", C3A, -1, 1, 0, 1), ("D4", C2, 0, 0, 1, 128),
-], ids=["D4-C2", "C3-C3", "D4-C2-off-zero"])
-def test_non_uniform_class_fiber_raises_at_setup(name, coeffs, i, source, target, moved):
-    # one fold value of the U = G class (the last) moved from psi = source
-    # to target, the fibers still summing to its weight, so they are not
-    # uniform on their support H; or the whole point mass of the U = 1 class
-    # (the first) moved off 0, uniform on {1}, which is not a subgroup
-    counter = WreathHomCounter(builtin_group(name), coeffs)
-    data = list(counter.orbit_data)
-    fiber = list(data[i].fiber)
-    assert len(set(fiber) - {0}) == 1 and fiber[source] >= moved
-    fiber[source] -= moved
-    fiber[target] += moved
-    data[i] = data[i]._replace(fiber=tuple(fiber))
-    counter.orbit_data = tuple(data)
-    with pytest.raises(InvariantError, match=f"the fibers of class {data[i].class_id} are not uniform on a subgroup"):
-        counter.fiber_lattice
-
-
 def test_lattice_without_the_zero_subgroup_raises_at_setup():
     # Every character kills 0; on D4 with A = C2 the U = 1 class and four
-    # more fold onto 0.  With those classes' fibers spread evenly over H
-    # (still uniform on a subgroup, still summing to the weight), the lattice
-    # is H, {0, 2} and {0, 3}, and a character that kills neither order-2
-    # element is counted nowhere: the e_L(0) sum to 1 + 1 + 1, not h = 4
+    # more fold onto 0.  With those classes' fold subgroups made all of H,
+    # the lattice is H, {0, 2} and {0, 3}, and a character that kills
+    # neither order-2 element is counted nowhere: the e_L(0) sum to
+    # 1 + 1 + 1, not h = 4
     counter = WreathHomCounter(builtin_group("D4"), C2)
-    spread = [od._replace(fiber=(od.weight // 4,) * 4) if od.fiber[0] == od.weight else od
-              for od in counter.orbit_data]
-    assert sum(od.fiber[0] == od.weight for od in counter.orbit_data) == 5
-    counter.orbit_data = tuple(spread)
+    assert sum(od.fold == {0} for od in counter.orbit_data) == 5
+    counter.orbit_data = tuple(od._replace(fold=frozenset(range(4))) if od.fold == {0} else od
+                               for od in counter.orbit_data)
     with pytest.raises(InvariantError, match=r"the characters of Hom\(G, A\) do not each kill one largest lattice element"):
         counter.fiber_lattice
 
@@ -387,7 +373,7 @@ def test_c2_4_fiber_quotients():
     counter = WreathHomCounter(group_from_permutations(transpositions), C2)
     lattice = counter.fiber_lattice
     assert [len(L) for L in lattice.subgroups] == [16, 1]
-    assert {len(od.fiber) - od.fiber.count(0) for od in counter.orbit_data} == {1, 16}
+    assert {len(od.fold) for od in counter.orbit_data} == {1, 16}
     assert len(lattice.seqs) == 1
     assert lattice.classes == ((1, 15), (1, -1))
     assert lattice.class_of == (0,) + (1,) * 15
@@ -411,7 +397,7 @@ def test_fibers_match_group_algebra_reference_random_groups(perms, factors):
     coeffs = AbelianGroup(tuple(int(e) for e in factors.split(",")))
     counter = WreathHomCounter(group, coeffs)
     n = 25
-    _, _, fibers = reference_tables(counter.orbit_data, counter.homs, n)
+    _, _, fibers = reference_tables(reference_orbit_data(group, coeffs), counter.homs, n)
     for s in range(n + 1):
         assert counter.fiber_counts(s) == fibers[s], s
         assert counter.fiber_count(s, 0) == fibers[s][0], s
@@ -457,8 +443,8 @@ def test_integer_terms_are_conjugate_counts_random_groups(perms):
 
 @functools.lru_cache(maxsize=None)
 def _exponential_formula_counts(name, coeffs, n):
-    counter = WreathHomCounter(builtin_group(name), coeffs)
-    return exponential_formula_counts(counter.orbit_data, counter.homs, n)
+    group = builtin_group(name)
+    return exponential_formula_counts(reference_orbit_data(group, coeffs), hom_group(group, coeffs), n)
 
 
 @pytest.mark.parametrize("name, n, coeffs", [

@@ -3,9 +3,9 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from strategies import permutation_lists
+from strategies import invariant_factor_chains, permutation_lists
 from wreathhom import (
     AbelianGroup,
     builtin_group,
@@ -15,8 +15,8 @@ from wreathhom import (
     subgroup_classes,
 )
 from wreathhom.groups import abelian_index_tables, abelianization, full_group_class
-from wreathhom.homs import abelian_homs
-from oracles import brute_hom_count_abelian, is_homomorphism, reference_add_table
+from wreathhom.homs import abelian_hom, abelian_homs
+from oracles import brute_hom_count_abelian, is_homomorphism, reference_abelian_homs, reference_add_table
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
@@ -45,6 +45,29 @@ def test_hom_count_vs_brute(source, coeffs):
     b, a = AbelianGroup(source), AbelianGroup(coeffs)
     assert hom_count_abelian(b, a) == brute_hom_count_abelian(b, a)
     assert len(abelian_homs(b, a)) == hom_count_abelian(b, a)
+
+
+def _check_decoder(b, a):
+    # index i decodes to the i-th entry of the listing, for every i
+    listing = reference_abelian_homs(b, a)
+    assert [abelian_hom(b, a, i) for i in range(len(listing))] == listing
+    assert abelian_homs(b, a) == listing
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+def test_decoder_matches_reference_listing_on_class_abelianizations(name, coeffs):
+    g = builtin_group(name)
+    for cls in subgroup_classes(g):
+        _check_decoder(abelianization(g, cls).group, coeffs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(invariant_factor_chains, invariant_factor_chains)
+def test_decoder_matches_reference_listing_random_chains(source, coeffs):
+    b, a = AbelianGroup(source), AbelianGroup(coeffs)
+    assume(hom_count_abelian(b, a) <= 4096)
+    _check_decoder(b, a)
 
 
 def test_hom_group_sizes():

@@ -196,7 +196,18 @@ def test_centralizer_identity_all_classes(name):
 def test_three_counts_agree_on_random_permutation_groups(perms, coeffs, n):
     # the integer direct sum, the recurrence and brute force, on groups of
     # order at most 24
-    g = group_from_permutations(perms)
+    _check_three_counts(group_from_permutations(perms), coeffs, n)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(permutation_lists_4, st.sampled_from([C2, C3A]))
+def test_three_counts_agree_at_n3_on_random_permutation_groups(perms, coeffs):
+    # the same at n = 3, where orbits of sizes 1, 2 and 3 meet and the fold
+    # lattice combines classes of different k
+    _check_three_counts(group_from_permutations(perms), coeffs, 3)
+
+
+def _check_three_counts(g, coeffs, n):
     target = build_wreath_group(coeffs, n)
     homs = enumerate_homs(g, target)
     assert hom_count_direct(g, coeffs, n) == hom_count_wreath(g, coeffs, n) == len(homs)

@@ -36,6 +36,18 @@ def _transfer(group, cls):
     return reference_transfer(group, cls, coset_action(group, cls).transversal)
 
 
+def _check_fold(od, fiber):
+    # the fold subgroup is the support of the class's fiber vector, which
+    # hits each of its elements weight / |K| times
+    assert od.fold == {psi for psi, x in enumerate(fiber) if x}
+    assert all(x * len(od.fold) == od.weight for x in fiber if x)
+
+
+def _check_against_reference(od, ref):
+    assert (od.class_id, od.k, od.c, od.weight) == (ref.class_id, ref.k, ref.c, ref.weight)
+    _check_fold(od, ref.fiber)
+
+
 # --- the full-G reference transfer ----------------------------------------
 
 
@@ -102,7 +114,7 @@ def test_orbit_data_c2_trivial_subgroup():
     a = AbelianGroup((2,))
     od = orbit_type_data(g, a, _class_of(g, [0]), hom_group(g, a))
     assert (od.k, od.c, od.weight) == (2, 2, 2)
-    assert od.fiber == (2, 0)
+    assert od.fold == {0}
 
 
 def test_orbit_data_c2_full_group():
@@ -110,7 +122,7 @@ def test_orbit_data_c2_full_group():
     a = AbelianGroup((2,))
     od = orbit_type_data(g, a, _class_of(g, [0, 1]), hom_group(g, a))
     assert (od.k, od.c, od.weight) == (1, 1, 2)
-    assert od.fiber == (1, 1)
+    assert od.fold == {0, 1}
 
 
 def test_orbit_data_c4_middle():
@@ -118,7 +130,7 @@ def test_orbit_data_c4_middle():
     a = AbelianGroup((2,))
     od = orbit_type_data(g, a, _class_of(g, [0, 2]), hom_group(g, a))
     assert (od.k, od.weight) == (2, 4)
-    assert od.fiber == (2, 2)
+    assert od.fold == {0, 1}
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -128,10 +140,9 @@ def test_orbit_data_invariants(name, coeffs):
     hg = hom_group(g, coeffs)
     for i, cls in enumerate(subgroup_classes(g)):
         od = orbit_type_data(g, coeffs, cls, hg, class_id=i)
-        assert od == reference_orbit_type_data(g, coeffs, cls, hg, class_id=i)
-        assert sum(od.fiber) == od.weight
+        _check_against_reference(od, reference_orbit_type_data(g, coeffs, cls, hg, class_id=i))
         if od.k == 1:
-            assert od.fiber == (1,) * hg.size
+            assert od.fold == set(range(hg.size))
             assert od.weight == hg.size
 
 
@@ -141,9 +152,10 @@ def test_orbit_data_vs_full_group_reference_random_groups(perms, coeffs):
     g = group_from_permutations(perms)
     hg = hom_group(g, coeffs)
     for i, cls in enumerate(subgroup_classes(g)):
-        assert orbits.cocycle_table(g, coeffs, cls) == reference_cocycle_table(g, coeffs, cls)
-        assert orbit_type_data(g, coeffs, cls, hg, class_id=i) == reference_orbit_type_data(
-            g, coeffs, cls, hg, class_id=i
+        table = reference_cocycle_table(g, coeffs, cls)
+        assert [orbits.cocycle_row(g, coeffs, cls, u) for u in range(len(table))] == list(table)
+        _check_against_reference(
+            orbit_type_data(g, coeffs, cls, hg, class_id=i), reference_orbit_type_data(g, coeffs, cls, hg, class_id=i)
         )
 
 
@@ -157,33 +169,34 @@ def test_corrupted_transversal_raises(monkeypatch):
         degree=action.degree, perms=action.perms, transversal=(0,) * action.degree
     )
     monkeypatch.setattr(orbits, "coset_action", lambda group, c: corrupted)
-    # fresh caches, so neither the corrupted factors or table nor cached good ones leak
-    for name in ("_transfer_factors", "cocycle_table"):
-        monkeypatch.setattr(orbits, name, functools.lru_cache(maxsize=None)(getattr(orbits, name).__wrapped__))
+    # a fresh cache, so neither the corrupted factors nor cached good ones leak
+    fresh = functools.lru_cache(maxsize=None)(orbits._transfer_factors.__wrapped__)
+    monkeypatch.setattr(orbits, "_transfer_factors", fresh)
     with pytest.raises(InvariantError, match="not in the subgroup"):
         orbit_type_data(g, a, cls, hom_group(g, a))
     with pytest.raises(InvariantError, match="not in the subgroup"):
-        orbits.cocycle_table(g, a, cls)
+        orbits.cocycle_row(g, a, cls, 1)
 
 
 def test_orbit_data_builds_no_per_coset_table(monkeypatch):
-    # the fibers evaluate each u on the transfer V(s); only the sampler
-    # builds the table of u(h_j(s)) per coset
-    def per_coset_table(*args):
-        raise AssertionError("orbit_type_data built a per-coset table")
+    # the fold subgroups evaluate each basis u on the transfer V(s); only
+    # the sampler builds a row of u(h_j(s)) per coset
+    def per_coset_row(*args):
+        raise AssertionError("orbit_type_data built a per-coset row")
 
-    monkeypatch.setattr(orbits, "cocycle_table", per_coset_table)
+    monkeypatch.setattr(orbits, "cocycle_row", per_coset_row)
     g, a = builtin_group("D4"), AbelianGroup((4,))
     for i, cls in enumerate(subgroup_classes(g)):
-        assert orbit_type_data(g, a, cls, hom_group(g, a), class_id=i) == reference_orbit_type_data(
-            g, a, cls, hom_group(g, a), class_id=i
+        _check_against_reference(
+            orbit_type_data(g, a, cls, hom_group(g, a), class_id=i),
+            reference_orbit_type_data(g, a, cls, hom_group(g, a), class_id=i),
         )
 
 
 def test_one_coset_walk_per_class(monkeypatch):
-    # the counter's orbit data and the sampler's cocycle tables share each
-    # class's transfer factors, so setting up ``sample`` walks the cosets of
-    # each class once, not twice
+    # the counter's orbit data and the sampler's cocycle rows share each
+    # class's transfer factors, so ``sample`` walks the cosets of each class
+    # once, not twice
     walks = []
 
     def counted(group, cls):
@@ -192,8 +205,10 @@ def test_one_coset_walk_per_class(monkeypatch):
 
     monkeypatch.setattr(orbits, "coset_action", counted)
     g, a = group_from_permutations([[1, 0, 2, 3], [0, 1, 3, 2], [2, 3, 0, 1]]), AbelianGroup((2,))  # outside every cache
-    sampling._assemblies(g, a)
+    for seed in range(3):  # these draws build rows in every class
+        sampling.sample_hom(g, a, 40, random.Random(seed))
     classes = counter_for(g, a).classes
+    assert all(asm.rows for asm in sampling._assemblies(g, a))
     assert len(classes) == 8 and sorted(walks) == sorted(classes)
 
 
@@ -246,8 +261,9 @@ def test_orbit_fibers_vs_bruteforce(name, coeffs):
         fibers = [0] * hg.size
         for img in homs:
             fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
-        # brute-force extension fibers must scale the per-orbit fiber vector
-        assert tuple(fibers) == od.fiber
+        # brute-force extension fibers must be uniform on the fold subgroup
+        _check_fold(od, fibers)
+        assert tuple(fibers) == reference_orbit_type_data(group, coeffs, cls, hg).fiber
 
 
 def test_orbit_data_json():
@@ -259,5 +275,5 @@ def test_orbit_data_json():
         "k": 2,
         "c": 2,
         "weight": "2",
-        "fiber": ["2", "0"],
+        "fold": [0],
     }
