@@ -38,7 +38,7 @@ from .counting import (
 )
 
 _ORACLE = ("ExplicitWreath", "build_wreath_group", "enumerate_homs", "fixed_point_strata_uniform", "oracle_delta")
-_SAMPLING = ("WreathHom", "fold_values", "full_images", "sample_hom", "sample_orbit_type", "verify_wreath_hom")
+_SAMPLING = ("WreathHom", "sample_hom", "sample_orbit_type", "verify_wreath_hom")
 
 
 def __getattr__(name: str):
@@ -83,9 +83,7 @@ __all__ = [
     "enumerate_homs",
     "fixed_point_free_probability",
     "fixed_point_strata_uniform",
-    "fold_values",
     "full_group_class",
-    "full_images",
     "group_from_permutations",
     "group_from_table",
     "hom_count_abelian",

@@ -263,11 +263,6 @@ class GroupSpec(NamedTuple):
         with open(path, "r", encoding="utf-8") as fh:
             return GroupSpec.from_json(json.load(fh))
 
-    def to_json(self) -> dict:
-        if self.table is not None:
-            return {"name": self.name, "table": [list(r) for r in self.table]}
-        return {"name": self.name, "permGenerators": [list(p) for p in self.perm_generators]}
-
 
 def _int_rows(key: str, rows) -> tuple[tuple[int, ...], ...]:
     """A spec field that must be a JSON list of lists of integers: no
@@ -472,17 +467,11 @@ class AbelianGroup(_Record):
     def order(self) -> int:
         return math.prod(self.invariant_factors)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.invariant_factors)
-
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return tuple((a + b) % e for a, b, e in zip(x, y, self.invariant_factors))
 
     def neg(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple((-a) % e for a, e in zip(x, self.invariant_factors))
-
-    def scalar_mul(self, c: int, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple((c * a) % e for a, e in zip(x, self.invariant_factors))
 
     def index_of(self, x: Sequence[int]) -> int:
         idx = 0
@@ -492,13 +481,6 @@ class AbelianGroup(_Record):
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         return iter(itertools.product(*(range(e) for e in self.invariant_factors)))
-
-    @staticmethod
-    def from_json(data: dict) -> "AbelianGroup":
-        return AbelianGroup(tuple(int(e) for e in data["invariantFactors"]))
-
-    def to_json(self) -> dict:
-        return {"invariantFactors": list(self.invariant_factors)}
 
 
 def check_coeff_order(coeffs: AbelianGroup) -> None:
@@ -696,97 +678,56 @@ def abelianization(group: FiniteGroup, cls: SubgroupClass) -> Abelianization:
     return Abelianization(group=AbelianGroup(factors), projection=projection, commutator=commutator)
 
 
-def _fn_power(mul, identity: int, a: int, m: int) -> int:
-    x = identity
-    for _ in range(m):
-        x = mul(x, a)
-    return x
-
-
-def _fn_order(mul, identity: int, a: int) -> int:
-    order = 1
-    x = a
-    while x != identity:
-        x = mul(x, a)
-        order += 1
-    return order
-
-
 def _abelian_decomposition(
     labels: Sequence[int], mul, identity: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]:
     """Invariant factors, generators, and coordinates of a small abelian group.
 
-    Primary decomposition per prime, then greedy peeling: repeatedly take a
-    maximal-order element whose cyclic group meets the current span
-    trivially.  The mixed-radix coordinate map is built by full enumeration,
+    Each element's powers x^0 .. x^(o-1) are listed once; its order, the
+    test x^(o/p) in span, each span and the coordinates are read off them.
+    For each prime p of the order, greedy peeling: repeatedly take the first
+    element in label order of largest p-power order whose cyclic group
+    meets the span trivially.  The j-th picks of all primes multiply into
+    the j-th generator.  The coordinate map is built by full enumeration,
     which doubles as a bijectivity check of the decomposition.
     """
+    powers: dict[int, list[int]] = {}
+    for x in labels:
+        run, y = [identity], x
+        while y != identity:
+            run.append(y)
+            y = mul(y, x)
+        powers[x] = run
     n = len(labels)
-    if n == 1:
-        return (), (), {identity: ()}
-    orders = {x: _fn_order(mul, identity, x) for x in labels}
-    primes = sorted({p for x in labels for p in _prime_factors(orders[x])})
-    per_prime: dict[int, list[tuple[int, int]]] = {}
+    primes: list[int] = []
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in primes):
+            primes.append(p)
+    per_prime = []
     for p in primes:
-        component = [x for x in labels if _is_prime_power_order(orders[x], p)]
-        picked: list[tuple[int, int]] = []
+        # the elements of p-power order, the identity among them
+        component = [x for x in labels if all(len(powers[x]) % q for q in primes if q != p)]
+        picked: list[int] = []
         span = {identity}
         while len(span) < len(component):
-            best = None
-            for x in component:
-                o = orders[x]
-                if o == 1 or _fn_power(mul, identity, x, o // p) in span:
-                    continue
-                if best is None or o > orders[best]:
-                    best = x
+            free = (x for x in component if powers[x][len(powers[x]) // p] not in span)
+            best = max(free, key=lambda x: len(powers[x]), default=None)
             if best is None:
                 raise InvariantError("abelian decomposition stalled")
-            picked.append((best, orders[best]))
-            span = {mul(s, _fn_power(mul, identity, best, t)) for s in span for t in range(orders[best])}
-        per_prime[p] = picked
-    width = max(len(v) for v in per_prime.values())
-    factors_desc: list[int] = []
-    gens_desc: list[int] = []
-    for j in range(width):
-        f = 1
+            picked.append(best)
+            span = {mul(s, t) for s in span for t in powers[best]}
+        per_prime.append(picked)
+    gens_desc = []
+    for j in range(max(map(len, per_prime), default=0)):
         g = identity
-        for p in primes:
-            if j < len(per_prime[p]):
-                gen, o = per_prime[p][j]
-                f *= o
-                g = mul(g, gen)
-        factors_desc.append(f)
+        for picked in per_prime:
+            if j < len(picked):
+                g = mul(g, picked[j])
         gens_desc.append(g)
-    factors = tuple(reversed(factors_desc))
     gens = tuple(reversed(gens_desc))
-    vec_of: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(*(range(e) for e in factors)):
-        x = identity
-        for g, c in zip(gens, combo):
-            x = mul(x, _fn_power(mul, identity, g, c))
-        vec_of[x] = combo
+    vec_of: dict[int, tuple[int, ...]] = {identity: ()}
+    for g in gens:
+        vec_of = {mul(x, t): v + (c,) for x, v in vec_of.items() for c, t in enumerate(powers[g])}
     if len(vec_of) != n:
         raise InvariantError("invariant-factor coordinates are not a bijection")
-    return factors, gens, vec_of
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _is_prime_power_order(order: int, p: int) -> bool:
-    while order % p == 0:
-        order //= p
-    return order == 1
+    return tuple(len(powers[g]) for g in gens), gens, vec_of

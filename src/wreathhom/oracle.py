@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .groups import AbelianGroup, FiniteGroup, SizeCapError, _fn_power
+from .groups import AbelianGroup, FiniteGroup, SizeCapError
 from .homs import hom_group
 from .counting import DistributionTable
 from .sampling import wreath_ops
@@ -45,6 +45,13 @@ class ExplicitWreath:
 
 def build_wreath_group(coeffs: AbelianGroup, degree: int) -> ExplicitWreath:
     return ExplicitWreath(coeffs, degree)
+
+
+def _fn_power(mul, identity: int, a: int, m: int) -> int:
+    x = identity
+    for _ in range(m):
+        x = mul(x, a)
+    return x
 
 
 def enumerate_homs(group: FiniteGroup, target) -> list[tuple]:

@@ -209,28 +209,9 @@ def wreath_ops(coeffs: AbelianGroup):
     return mul, fold
 
 
-def _hom_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom):
-    mul, _ = wreath_ops(coeffs)
-    identity = (tuple(range(hom.n)), (0,) * hom.n)
-    return group.hom_images(mul, identity, list(zip(hom.perms, hom.decors)))
-
-
-def full_images(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> list:
-    """Image of every group element, pushed along the stored generator words;
-    ValueError if the generator images do not define a homomorphism."""
-    imgs = _hom_images(group, coeffs, hom)
-    if imgs is None:
-        raise ValueError("generator images do not define a homomorphism")
-    return imgs
-
-
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:
     """Check the generator images satisfy every relation of the group, by
     the Cayley edges of ``FiniteGroup.hom_images``."""
-    return _hom_images(group, coeffs, hom) is not None
-
-
-def fold_values(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> tuple[int, ...]:
-    """Fold (decoration sum) of every element's image, as A-element indices."""
-    _, fold = wreath_ops(coeffs)
-    return tuple(fold(x) for x in full_images(group, coeffs, hom))
+    mul, _ = wreath_ops(coeffs)
+    identity = (tuple(range(hom.n)), (0,) * hom.n)
+    return group.hom_images(mul, identity, list(zip(hom.perms, hom.decors))) is not None

@@ -10,7 +10,8 @@ images against every product, group tables by composing every pair of
 permutations, commutator subgroups from every pair of elements, the
 sampler on ``random``'s own
 ``randrange`` and ``shuffle``, Hom(B, A) by listing the elements of A
-that each invariant factor of B kills, fold fibers by counting every
+that each invariant factor of B kills, the basis of U/[U, U] by the
+search that computes every power again, fold fibers by counting every
 extension u by its fold value, counts at large n by multiplying out
 the exponential formula instead of running its log-derivative, and table
 rows as dicts for ``json.dumps`` instead of the package's text builders.
@@ -41,6 +42,7 @@ from wreathhom import (
 )
 from wreathhom.groups import abelian_index_tables
 from wreathhom.homs import hom_group
+from wreathhom.sampling import wreath_ops
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -133,11 +135,104 @@ def invariant_factors_from_counts(elements, mul, identity) -> tuple[int, ...]:
     return tuple(reversed(factors_desc))
 
 
+def reference_abelian_decomposition(labels, mul, identity):
+    """``groups._abelian_decomposition`` as it was before it listed each
+    element's powers once: every order, power and span element computed
+    again by repeated multiplication, the primes from the element orders.
+    Its picks are the rule the package must keep, so it stays a test."""
+
+    def power(a, m):
+        x = identity
+        for _ in range(m):
+            x = mul(x, a)
+        return x
+
+    def element_order(a):
+        order, x = 1, a
+        while x != identity:
+            x = mul(x, a)
+            order += 1
+        return order
+
+    def prime_factors(m):
+        out, p = [], 2
+        while p * p <= m:
+            if m % p == 0:
+                out.append(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        if m > 1:
+            out.append(m)
+        return out
+
+    def is_prime_power(order, p):
+        while order % p == 0:
+            order //= p
+        return order == 1
+
+    n = len(labels)
+    if n == 1:
+        return (), (), {identity: ()}
+    orders = {x: element_order(x) for x in labels}
+    primes = sorted({p for x in labels for p in prime_factors(orders[x])})
+    per_prime = {}
+    for p in primes:
+        component = [x for x in labels if is_prime_power(orders[x], p)]
+        picked = []
+        span = {identity}
+        while len(span) < len(component):
+            best = None
+            for x in component:
+                o = orders[x]
+                if o == 1 or power(x, o // p) in span:
+                    continue
+                if best is None or o > orders[best]:
+                    best = x
+            assert best is not None, "abelian decomposition stalled"
+            picked.append((best, orders[best]))
+            span = {mul(s, power(best, t)) for s in span for t in range(orders[best])}
+        per_prime[p] = picked
+    width = max(len(v) for v in per_prime.values())
+    factors_desc = []
+    gens_desc = []
+    for j in range(width):
+        f = 1
+        g = identity
+        for p in primes:
+            if j < len(per_prime[p]):
+                gen, o = per_prime[p][j]
+                f *= o
+                g = mul(g, gen)
+        factors_desc.append(f)
+        gens_desc.append(g)
+    factors = tuple(reversed(factors_desc))
+    gens = tuple(reversed(gens_desc))
+    vec_of = {}
+    for combo in itertools.product(*(range(e) for e in factors)):
+        x = identity
+        for g, c in zip(gens, combo):
+            x = mul(x, power(g, c))
+        vec_of[x] = combo
+    assert len(vec_of) == n, "invariant-factor coordinates are not a bijection"
+    return factors, gens, vec_of
+
+
+def zero(coeffs) -> tuple[int, ...]:
+    """The zero vector of an AbelianGroup."""
+    return (0,) * len(coeffs.invariant_factors)
+
+
+def scalar_mul(coeffs, c, x) -> tuple[int, ...]:
+    """``c * x`` in an AbelianGroup, in tuple arithmetic."""
+    return tuple((c * a) % e for a, e in zip(x, coeffs.invariant_factors))
+
+
 def brute_hom_count_abelian(source, coeffs) -> int:
     """|Hom(B, A)| as the product over B's cyclic generators of #(y : b*y = 0)."""
     count = 1
     for b in source.invariant_factors:
-        count *= sum(1 for v in coeffs.vectors() if coeffs.scalar_mul(b, v) == coeffs.zero())
+        count *= sum(1 for v in coeffs.vectors() if scalar_mul(coeffs, b, v) == zero(coeffs))
     return count
 
 
@@ -146,7 +241,7 @@ def reference_abelian_homs(source, coeffs) -> list[tuple[tuple[int, ...], ...]]:
     image of the order-b generator ranges over the elements of A killed by
     b, and the homomorphisms are every combination, in lexicographic order."""
     per_factor = [
-        [v for v in coeffs.vectors() if coeffs.scalar_mul(b, v) == coeffs.zero()]
+        [v for v in coeffs.vectors() if scalar_mul(coeffs, b, v) == zero(coeffs)]
         for b in source.invariant_factors
     ]
     return [tuple(combo) for combo in itertools.product(*per_factor)]
@@ -160,10 +255,28 @@ def compose(p, q):
 def evaluate_abelian_hom(coeffs, images, vec) -> tuple[int, ...]:
     """Apply a hom given by generator images to a mixed-radix source vector,
     in tuple arithmetic."""
-    out = coeffs.zero()
+    out = zero(coeffs)
     for c, img in zip(vec, images):
-        out = coeffs.add(out, coeffs.scalar_mul(c, img))
+        out = coeffs.add(out, scalar_mul(coeffs, c, img))
     return out
+
+
+def full_images(group, coeffs, hom) -> list:
+    """Image of every group element of a sampled ``WreathHom``, pushed along
+    the stored generator words; ValueError if the generator images do not
+    define a homomorphism."""
+    mul, _ = wreath_ops(coeffs)
+    identity = (tuple(range(hom.n)), (0,) * hom.n)
+    imgs = group.hom_images(mul, identity, list(zip(hom.perms, hom.decors)))
+    if imgs is None:
+        raise ValueError("generator images do not define a homomorphism")
+    return imgs
+
+
+def fold_values(group, coeffs, hom) -> tuple[int, ...]:
+    """Fold (decoration sum) of every element's image, as A-element indices."""
+    _, fold = wreath_ops(coeffs)
+    return tuple(fold(x) for x in full_images(group, coeffs, hom))
 
 
 def probs(table) -> tuple[Fraction, ...]:
@@ -506,7 +619,7 @@ def reference_transfer(group, cls, transversal) -> tuple[tuple[int, ...], ...]:
     inverses = [group.inv(t) for t in transversal]
     values = []
     for g in range(group.order):
-        acc = ab.group.zero()
+        acc = zero(ab.group)
         for t in transversal:
             gt = group.mul(g, t)
             (x,) = [y for y in (group.mul(ti, gt) for ti in inverses) if y in members]

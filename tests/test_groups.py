@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from wreathhom import (
     AbelianGroup,
@@ -19,16 +19,18 @@ from wreathhom import (
     group_from_table,
     subgroup_classes,
 )
-from wreathhom.groups import FiniteGroup
+from wreathhom.groups import FiniteGroup, _abelian_decomposition
 from oracles import (
     brute_subgroups,
     compose,
     invariant_factors_from_counts,
+    reference_abelian_decomposition,
     reference_commutator,
     reference_permutation_group,
     reference_subgroup_classes,
+    zero,
 )
-from strategies import permutation_lists, permutation_lists_6
+from strategies import invariant_factor_chains, permutation_lists, permutation_lists_6
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
@@ -205,15 +207,16 @@ def test_generators_must_generate():
 
 def test_group_spec_roundtrip(tmp_path):
     spec = GroupSpec("V4", table=tuple(tuple(i ^ j for j in range(4)) for i in range(4)))
-    data = spec.to_json()
-    assert data == {"name": "V4", "table": [[i ^ j for j in range(4)] for i in range(4)]}
+    data = {"name": "V4", "table": [[i ^ j for j in range(4)] for i in range(4)]}
     path = tmp_path / "v4.json"
     path.write_text(__import__("json").dumps(data))
+    assert GroupSpec.from_path(path) == spec
     g = build_group(GroupSpec.from_path(path))
     assert g.order == 4
 
-    spec2 = GroupSpec("S3", perm_generators=((1, 0, 2), (1, 2, 0)))
-    g2 = build_group(GroupSpec.from_json(spec2.to_json()))
+    spec2 = GroupSpec.from_json({"name": "S3", "permGenerators": [[1, 0, 2], [1, 2, 0]]})
+    assert spec2 == GroupSpec("S3", perm_generators=((1, 0, 2), (1, 2, 0)))
+    g2 = build_group(spec2)
     assert g2.order == 6
 
 
@@ -418,7 +421,7 @@ def test_abelianization_projection_properties(group):
         for a in members:
             for b in members:
                 assert proj[group.mul(a, b)] == ab.group.add(proj[a], proj[b])
-        kernel = {u for u in members if proj[u] == ab.group.zero()}
+        kernel = {u for u in members if proj[u] == zero(ab.group)}
         assert kernel == set(ab.commutator)
         assert len(members) == ab.group.order * len(ab.commutator)
 
@@ -434,6 +437,78 @@ def test_abelian_subgroup_invariants_vs_counting_oracle(group):
             continue
         expected = invariant_factors_from_counts(members, group.mul, 0)
         assert abelianization(group, cls).group.invariant_factors == expected
+
+
+def cyclic_product(*orders):
+    """C_m1 x C_m2 x ... as a permutation group, one disjoint cycle each."""
+    starts = list(itertools.accumulate(orders, initial=0))
+    gens = [
+        tuple(a + (i - a + 1) % m if a <= i < a + m else i for i in range(starts[-1]))
+        for a, m in zip(starts, orders)
+    ]
+    return group_from_permutations(gens, name="x".join(f"C{m}" for m in orders))
+
+
+def check_decomposition_matches_reference(group):
+    # U/[U, U] labelled as abelianization labels it, each coset by its least
+    # element; the picks decide every sample byte, so they must be the
+    # reference's, and abelianization must read its projection off them
+    for cls in subgroup_classes(group):
+        ab = abelianization(group, cls)
+        rep_of = {u: min(group.mul(u, c) for c in ab.commutator) for u in cls.elements}
+        labels = sorted(set(rep_of.values()))
+
+        def qmul(a, b):
+            return rep_of[group.mul(a, b)]
+
+        got = _abelian_decomposition(labels, qmul, 0)
+        assert got == reference_abelian_decomposition(labels, qmul, 0), cls.elements
+        assert ab.group.invariant_factors == got[0]
+        assert ab.projection == {u: got[2][rep_of[u]] for u in cls.elements}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [builtin_group(n) for n in BUILTINS]
+    + [
+        s4(),
+        group_from_table(s5_table(0), name="S5"),
+        group_from_permutations([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], name="S6"),
+        group_from_permutations([(1, 0, 3, 2, 5, 4, 7, 6), (0, 2, 4, 6, 3, 1, 7, 5)], name="F56"),
+        cyclic_product(2, 6, 3),
+        cyclic_product(9, 3),
+        cyclic_product(5, 10),
+        cyclic_product(4, 8),
+    ],
+    ids=lambda g: g.name,
+)
+def test_abelian_decomposition_matches_reference_on_class_quotients(group):
+    check_decomposition_matches_reference(group)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(permutation_lists_6)
+def test_abelian_decomposition_matches_reference_random_permutation_groups(perms):
+    check_decomposition_matches_reference(group_from_permutations(perms))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(invariant_factor_chains, st.data())
+def test_abelian_decomposition_matches_reference_relabelled_chains(chain, data):
+    # ties between elements of one order are broken by label order, so the
+    # elements of the chain's group get random labels
+    ab = AbelianGroup(chain)
+    vectors = list(ab.vectors())
+    label = data.draw(st.permutations(range(len(vectors))))
+    vec = {label[i]: v for i, v in enumerate(vectors)}
+
+    def mul(a, b):
+        return label[ab.index_of(ab.add(vec[a], vec[b]))]
+
+    labels = range(len(vectors))
+    got = _abelian_decomposition(labels, mul, label[0])
+    assert got == reference_abelian_decomposition(labels, mul, label[0])
+    assert got[0] == chain
 
 
 # --- abelian groups -------------------------------------------------------
@@ -452,14 +527,8 @@ def test_abelian_group_arithmetic():
     a = AbelianGroup((2, 4))
     assert a.add((1, 3), (1, 2)) == (0, 1)
     assert a.neg((1, 3)) == (1, 1)
-    assert a.scalar_mul(3, (1, 2)) == (1, 2)
     for i, vec in enumerate(a.vectors()):
         assert a.index_of(vec) == i
-
-
-def test_abelian_group_json():
-    a = AbelianGroup((2, 6))
-    assert AbelianGroup.from_json(a.to_json()) == a
 
 
 # --- records ----------------------------------------------------------------

@@ -7,7 +7,15 @@ from itertools import accumulate
 import pytest
 from scipy import stats
 
-from oracles import probs, reference_orbit_data, reference_orbit_type, reference_sample_hom, reference_tables
+from oracles import (
+    fold_values,
+    full_images,
+    probs,
+    reference_orbit_data,
+    reference_orbit_type,
+    reference_sample_hom,
+    reference_tables,
+)
 from wreathhom import (
     AbelianGroup,
     InvariantError,
@@ -17,8 +25,6 @@ from wreathhom import (
     builtin_group,
     delta_distribution,
     enumerate_homs,
-    fold_values,
-    full_images,
     hom_group,
     sample_hom,
     sample_orbit_type,
