@@ -8,6 +8,7 @@ Identical arguments and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import codecs
 import errno
 import json
 import math
@@ -51,8 +52,11 @@ EXIT_UNKNOWN_BUILTIN = 5
 EXIT_INVARIANT = 6
 
 CAP_ENV_VAR = "WREATHHOM_CAP"
-SPOOL_CHARS = 2**20  # output text past this size waits in a temporary file
-COPY_CHARS = 2**16  # the temporary file is read back in chunks of this size
+COPY_CHARS = 2**16  # the temporary file is read back in chunks of this many bytes
+# Output text past this size waits in a temporary file.  Such output goes
+# through the file in full, so text held before that decision only raises
+# the peak: hold no more than one copy chunk.
+SPOOL_CHARS = COPY_CHARS
 
 
 class UsageError(Exception):
@@ -107,9 +111,11 @@ def _parse_n_range(text: str, cap: int) -> range:
 def _emit(rows: Iterable[str], out: Optional[str]) -> None:
     """Write each row's JSON text as a line, and nothing unless every row is made.
 
-    The lines wait in memory up to ``SPOOL_CHARS``, then in an unnamed
-    temporary file; stdout or ``--out`` is written only after the last row,
-    from the held lines or from ``COPY_CHARS`` reads of the file."""
+    The lines wait in memory up to ``SPOOL_CHARS``, one 64 KiB chunk of
+    text, then in an unnamed temporary file; stdout or ``--out`` is written
+    only after the last row, from the held lines or from ``COPY_CHARS``
+    reads of the file.  So past the first chunk the emitter holds about one
+    chunk and one row, whatever the size of the output."""
     lines = (line for row in rows for line in (row, "\n"))
     held, size = [], 0
     for line in lines:
@@ -122,12 +128,14 @@ def _emit(rows: Iterable[str], out: Optional[str]) -> None:
         return
     import tempfile
     try:
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-            spool.writelines(held)
+        # bytes, not text: a text file reads each chunk back through about four copies
+        with tempfile.TemporaryFile() as spool:
+            spool.writelines(map(str.encode, held))
             held.clear()
-            spool.writelines(lines)
+            spool.writelines(map(str.encode, lines))
             spool.seek(0)
-            _write(iter(partial(spool.read, COPY_CHARS), ""), out)
+            decode = codecs.getincrementaldecoder("utf-8")().decode  # a chunk may end inside a character
+            _write(map(decode, iter(partial(spool.read, COPY_CHARS), b"")), out)
     except OSError as exc:
         raise UsageError(f"cannot write output through a temporary file: {exc.strerror or exc}") from None
 

@@ -20,6 +20,13 @@ from .counting import counter_for
 from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, SubgroupClass, abelian_index_tables, coset_action
 from .orbits import cocycle_row
 
+# Per class, the sampler keeps the cocycle rows of the u it draws, first come,
+# up to this many row entries (generators x orbit size per row); past it a
+# drawn u's row is built for that orbit only.  A class whose every row fits
+# stays fully cached; one whose Hom(U, A) is far larger than the draws holds
+# a bounded sample of rows, so ``--samples`` does not grow memory.
+ROW_CACHE_ENTRIES = 2**14
+
 
 class WreathHom(NamedTuple):
     """A homomorphism G -> A wr S_n stored as generator images.
@@ -62,7 +69,8 @@ class _ClassAssembly(NamedTuple):
     # |Hom(U, A)|, the range of each orbit's draw of u
     u_count: int
     # rows[u][gen][j]: A-index of u applied to the coset cocycle at (gen, j),
-    # the ``cocycle_row`` of u, built on u's first draw
+    # the ``cocycle_row`` of u, kept from u's first draw while the rows'
+    # entries stay within ``ROW_CACHE_ENTRIES``
     rows: dict[int, tuple[tuple[int, ...], ...]]
 
 
@@ -160,7 +168,9 @@ def sample_hom(
                 u = getrandbits(u_bits)
             row = rows.get(u)
             if row is None:
-                row = rows[u] = cocycle_row(group, coeffs, asm.cls, u)
+                row = cocycle_row(group, coeffs, asm.cls, u)
+                if (len(rows) + 1) * num_gens * k <= ROW_CACHE_ENTRIES:
+                    rows[u] = row
             u_tabs.append(row)
             xs.append(0)
             for _ in range(k - 1):

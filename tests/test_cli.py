@@ -398,6 +398,17 @@ MID_RUN_FAILURES = [
 SPOOL_SIZES = [cli.SPOOL_CHARS, 0]
 
 
+@pytest.mark.parametrize(
+    "argv", [argv for _, _, argv in MID_RUN_FAILURES] + [["count", "--group", "C2", "--n", "1:3"]],
+    ids=["sample", "delta", "count"],
+)
+def test_held_cases_print_within_one_chunk(argv, capsysbinary):
+    # the held case of each SPOOL_SIZES test keeps its rows in memory only
+    # if its output stays within SPOOL_CHARS
+    assert execute(argv) == EXIT_OK
+    assert 0 < len(capsysbinary.readouterr().out) <= cli.SPOOL_CHARS
+
+
 @pytest.mark.parametrize("module, name, argv", MID_RUN_FAILURES, ids=["sample", "delta"])
 def test_failure_mid_run_writes_nothing(module, name, argv, tmp_path, capsys, monkeypatch):
     for spool in SPOOL_SIZES:
@@ -490,7 +501,7 @@ def test_unspoolable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("stdout", ["/dev/full", "closed-pipe"])
 def test_failed_stdout_write_exits_2_with_one_line(stdout, n, monkeypatch):
     # a full device, or a pipe whose reader has gone, with output held in
-    # memory (one row, within stdout's buffer) or past the 1 MiB spool: one
+    # memory (one row, within stdout's buffer) or past the spool: one
     # line naming stdout, exit 2, and no second message when the interpreter
     # flushes stdout at exit, which a buffered stdout still holds
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
@@ -518,14 +529,13 @@ def test_closed_stdout_exits_2_with_one_line(n):
     assert (proc.returncode, proc.stderr) == (EXIT_USAGE, f"error: cannot write to stdout: {os.strerror(errno.EBADF)}\n")
 
 
-def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):
-    # 64 rows of 1 MB: the emitter holds about one row and one encoded copy,
-    # not the 64 MB of output, and stdout and --out get the same bytes
+def _peaks_of_emit(rows, tmp_path, monkeypatch):
+    """The tracemalloc peaks of ``cli._emit(rows())`` printing to stdout
+    (a file in ``tmp_path``) and writing ``--out``, and the two files."""
     tracemalloc = pytest.importorskip("tracemalloc")
-
-    def rows():
-        for i in range(64):
-            yield str(i).rjust(10**6, "7")
+    # the spool's module, imported by _emit on first use where site has not
+    # imported it, allocates about 0.5 MB that the emitter does not hold
+    import tempfile  # noqa: F401
 
     def peak_of_emit(target):
         tracemalloc.start()
@@ -541,11 +551,40 @@ def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):
         printing = peak_of_emit(None)
         monkeypatch.undo()
     writing = peak_of_emit(str(out))
+    assert sorted(tmp_path.iterdir()) == [out, stdout]
+    return printing, writing, stdout, out
+
+
+def test_emit_spools_rows_past_1_mib(tmp_path, monkeypatch):
+    # 64 rows of 1 MB: the emitter holds about one row and one encoded copy,
+    # not the 64 MB of output, and stdout and --out get the same bytes
+    def rows():
+        for i in range(64):
+            yield str(i).rjust(10**6, "7")
+
+    printing, writing, stdout, out = _peaks_of_emit(rows, tmp_path, monkeypatch)
     assert printing < 4 * 10**6 and writing < 4 * 10**6, (printing, writing)
     printed = stdout.read_bytes()
     assert len(printed) == 64 * (10**6 + 1)
     assert out.read_bytes() == printed
-    assert sorted(tmp_path.iterdir()) == [out, stdout]
+
+
+def test_emit_holds_one_chunk(tmp_path, monkeypatch):
+    # 40 rows of 50 KB, the size of a sample row at n = 3000: past the first
+    # 64 KiB the rows go to the spool, so the emitter holds about one chunk
+    # and one row, not the first 1 MiB of output
+    row_chars = 50_000
+
+    def rows():
+        for i in range(40):
+            yield str(i).rjust(row_chars, "7")
+
+    printing, writing, stdout, out = _peaks_of_emit(rows, tmp_path, monkeypatch)
+    bound = 2 * cli.COPY_CHARS + 2 * row_chars
+    assert printing < bound and writing < bound, (printing, writing)
+    printed = stdout.read_bytes()
+    assert len(printed) == 40 * (row_chars + 1)
+    assert out.read_bytes() == printed
 
 
 def test_oracle_check_single_cell(capsys):

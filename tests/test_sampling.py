@@ -25,6 +25,7 @@ from wreathhom import (
     builtin_group,
     delta_distribution,
     enumerate_homs,
+    group_from_permutations,
     hom_group,
     sample_hom,
     sample_orbit_type,
@@ -129,6 +130,43 @@ def test_sample_hom_matches_reference_draws_at_large_n():
         rng, ref_rng = random.Random(3), random.Random(3)
         assert sample_hom(g, coeffs, n, rng) == reference_sample_hom(g, coeffs, n, ref_rng), name
         assert rng.random() == ref_rng.random(), name
+
+
+@pytest.mark.parametrize("entries", [0, 16])
+def test_draws_past_the_row_cache_match_reference_draws(entries, monkeypatch):
+    # a u whose row finds no room is built for its orbit alone: the same
+    # draws, and no class keeps more than its room
+    monkeypatch.setattr(sampling, "ROW_CACHE_ENTRIES", entries)
+    sampling._assemblies.cache_clear()
+    try:
+        for name, coeffs in (("D4", AbelianGroup((2, 4))), ("S3", V4A)):
+            g = builtin_group(name)
+            rng, ref_rng = random.Random(5), random.Random(5)
+            for _ in range(10):
+                assert sample_hom(g, coeffs, 40, rng) == reference_sample_hom(g, coeffs, 40, ref_rng), name
+            for asm in sampling._assemblies(g, coeffs):
+                assert len(asm.rows) * len(g.generators) * asm.k <= entries, name
+    finally:
+        sampling._assemblies.cache_clear()
+
+
+def test_row_cache_stops_growing():
+    # F56 = C2^3 x| C7 with A = C2^8: the C2^3 class draws u below 2^24, and
+    # 5000 draws at n = 30 meet about 20000 distinct u there, rows of 14
+    # entries each; the class keeps the first that fit in ROW_CACHE_ENTRIES
+    g = group_from_permutations([[1, 0, 3, 2, 5, 4, 7, 6], [0, 2, 4, 6, 3, 1, 7, 5]], name="F56")
+    coeffs = AbelianGroup((2,) * 8)
+    sampling._assemblies.cache_clear()  # groups are cached by value
+    rng = random.Random(1)
+    for _ in range(5000):
+        sample_hom(g, coeffs, 30, rng)
+    assemblies = sampling._assemblies(g, coeffs)
+    entries = [len(asm.rows) * len(g.generators) * asm.k for asm in assemblies]
+    assert max(entries) <= sampling.ROW_CACHE_ENTRIES, entries
+    # the C2^3 class filled its room; the classes with one u each keep theirs
+    [c2_cubed] = [asm for asm in assemblies if asm.k == 7]
+    assert (c2_cubed.u_count, len(c2_cubed.rows)) == (2**24, sampling.ROW_CACHE_ENTRIES // 14)
+    assert [len(asm.rows) for asm in assemblies if asm.u_count == 1] == [0, 1, 1]
 
 
 def _exact_walk(monkeypatch, counter):
