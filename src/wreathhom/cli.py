@@ -217,9 +217,11 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
     elif args.group is None:
         raise UsageError("oracle-check --n needs --group")
     if args.group is None:  # the default desk-scale grid
+        if args.A is not None:
+            raise UsageError("oracle-check --A needs --group")
         gnames, a_texts = ("C1", "C2", "C3", "V4", "S3"), ("2", "3")
     else:
-        gnames, a_texts = (args.group,), (args.A,)
+        gnames, a_texts = (args.group,), ("2" if args.A is None else args.A,)
     coeffs_list = [_parse_coeffs(a_text) for a_text in a_texts]
     groups = [_load_group(gname) for gname in gnames]
     cells = [(group, coeffs, n) for group in groups for coeffs in coeffs_list for n in ns]
@@ -336,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="desk-scale verification against brute force")
     p.add_argument("--group", default=None, help="restrict to one group")
-    p.add_argument("--A", default="2")
+    p.add_argument("--A", default=None, help="invariant factors of A (with --group; default 2)")
     p.add_argument("--n", default=None, help="n or range (with --group; default 1:3)")
     p.add_argument("--out", default=None)
     p.add_argument("--cap", type=int, default=None, help=CAP_HELP)

@@ -29,7 +29,6 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SizeCapError,
-    _Record,
     abelianization,
     subgroup_classes,
 )
@@ -51,16 +50,22 @@ WALK_SLACK = 3
 WALK_PRIME = 2**30 - 35
 
 
-class DistributionTable(_Record):
+class _DistributionTableFields(NamedTuple):
+    n: int
+    fiber_counts: tuple[int, ...]
+
+
+class DistributionTable(_DistributionTableFields):
     """Exact fold-value distribution at one n: the homomorphism count per
     fold value, indexed by HomGroup order."""
 
-    __slots__ = ("n", "fiber_counts")
+    __slots__ = ()
 
-    def __init__(self, n: int, fiber_counts: tuple[int, ...]) -> None:
-        super().__init__(n, fiber_counts)
+    def __new__(cls, n: int, fiber_counts: tuple[int, ...]) -> DistributionTable:
+        self = super().__new__(cls, n, fiber_counts)
         if self.total <= 0 or any(f < 0 for f in self.fiber_counts):
             raise InvariantError(f"fold probabilities at n={self.n} are not a distribution")
+        return self
 
     @property
     def total(self) -> int:
@@ -283,17 +288,17 @@ class WreathHomCounter:
         return window[n - self._n - 1]
 
     def stratum_weights(self, s: int) -> list[int]:
-        """Per-class weights L (s-1)_(k-1) b_i t_(s-k), b_i = (k_i // c_i) w_i,
-        of the backward walk at size s, in class order, from the window that
-        ends at t_(s-1) (a cursor at s or past it restarts).  They must sum to
-        L t_s, stepped from the merged terms, with the top bits and the
-        residue the walk tables hold for s.
+        """Per-class weights of the backward walk at size s, in class order:
+        L times the products (s-1)_(k-1) b_i t_(s-k) of ``_scalar_step`` over
+        the class terms b_i = (k_i // c_i) w_i, from the window that ends at
+        t_(s-1) (a cursor at s or past it restarts).  They must sum to L t_s,
+        stepped from the merged terms, with the top bits and the residue the
+        walk tables hold for s.
         """
         if self._n >= s:
             self._restart(1)
         self.extend_to(s - 1)
-        weights = [self.scale * math.perm(s - 1, k - 1) * b * self._windows[0][-k] if k <= s else 0
-                   for k, b in self._class_terms]
+        weights = [self.scale * w for w in self._scalar_step(self._class_terms, self._windows[0], s)]
         total = self.scale * sum(self._scalar_step(self._total_terms, self._windows[0], s))
         if (sum(weights) != total or total % WALK_PRIME != self._walk_residues[s]
                 or total >> self._walk_shift[s] != self._walk_tops[(s + 1) * len(self._runs) - 1]):

@@ -22,8 +22,6 @@ GROUP_SIZE_CAP = 20000
 # (Python 3.11, 2-vCPU VM).
 COEFF_ORDER_CAP = 1024
 
-BUILTIN_GROUP_NAMES = ("C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8")
-
 
 class GroupTableError(ValueError):
     """Input data does not describe a valid finite group."""
@@ -388,62 +386,37 @@ def _quaternion_table() -> list[list[int]]:
     return table
 
 
+_BUILTIN_GROUPS = {
+    "C1": lambda: group_from_table([[0]], name="C1"),
+    "C2": lambda: group_from_table(_cyclic_table(2), name="C2"),
+    "C3": lambda: group_from_table(_cyclic_table(3), name="C3"),
+    "C4": lambda: group_from_table(_cyclic_table(4), name="C4"),
+    "V4": lambda: group_from_table([[i ^ j for j in range(4)] for i in range(4)], name="V4"),
+    "S3": lambda: group_from_permutations([(1, 0, 2), (1, 2, 0)], name="S3"),
+    "D4": lambda: group_from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)], name="D4"),
+    "Q8": lambda: group_from_table(_quaternion_table(), name="Q8", generators=[2, 4]),
+}
+BUILTIN_GROUP_NAMES = tuple(_BUILTIN_GROUPS)
+
+
 @lru_cache(maxsize=None)
 def builtin_group(name: str) -> FiniteGroup:
-    """One of the builtin groups C1, C2, C3, C4, V4, S3, D4, Q8."""
-    key = name.strip().upper()
-    if key == "C1":
-        return group_from_table([[0]], name="C1")
-    if key == "C2":
-        return group_from_table(_cyclic_table(2), name="C2")
-    if key == "C3":
-        return group_from_table(_cyclic_table(3), name="C3")
-    if key == "C4":
-        return group_from_table(_cyclic_table(4), name="C4")
-    if key == "V4":
-        return group_from_table([[i ^ j for j in range(4)] for i in range(4)], name="V4")
-    if key == "S3":
-        return group_from_permutations([(1, 0, 2), (1, 2, 0)], name="S3")
-    if key == "D4":
-        return group_from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)], name="D4")
-    if key == "Q8":
-        return group_from_table(_quaternion_table(), name="Q8", generators=[2, 4])
-    raise UnknownGroupError(f"unknown builtin group {name!r}; known: {', '.join(BUILTIN_GROUP_NAMES)}")
+    """The builtin group of that name, in any case: one of ``BUILTIN_GROUP_NAMES``."""
+    build = _BUILTIN_GROUPS.get(name.strip().upper())
+    if build is None:
+        raise UnknownGroupError(f"unknown builtin group {name!r}; known: {', '.join(BUILTIN_GROUP_NAMES)}")
+    return build()
 
 
 # ---------------------------------------------------------------------------
 # abelian groups by invariant factors
 
 
-class _Record:
-    """An immutable value over ``__slots__``, equal and hashed by its fields:
-    the form of a record that validates itself."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+class _AbelianGroupFields(NamedTuple):
+    invariant_factors: tuple[int, ...]
 
 
-class AbelianGroup(_Record):
+class AbelianGroup(_AbelianGroupFields):
     """Finite abelian group as a chain of invariant factors e1 | e2 | ... | es.
 
     Elements are mixed-radix vectors, addressed big-endian so that
@@ -451,9 +424,9 @@ class AbelianGroup(_Record):
     The empty chain is the trivial group.
     """
 
-    __slots__ = ("invariant_factors",)
+    __slots__ = ()
 
-    def __init__(self, invariant_factors: Iterable[int]) -> None:
+    def __new__(cls, invariant_factors: Iterable[int]) -> AbelianGroup:
         fs = tuple(int(e) for e in invariant_factors)
         for e in fs:
             if e < 2:
@@ -461,7 +434,7 @@ class AbelianGroup(_Record):
         for a, b in zip(fs, fs[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factor {a} does not divide successor {b}")
-        super().__init__(fs)
+        return super().__new__(cls, fs)
 
     @property
     def order(self) -> int:

@@ -54,11 +54,6 @@ def abelian_hom(source: AbelianGroup, coeffs: AbelianGroup, index: int) -> tuple
     return tuple(reversed(images))
 
 
-def abelian_homs(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All homomorphisms between abelian groups, in ``abelian_hom`` order."""
-    return [abelian_hom(source, coeffs, i) for i in range(hom_count_abelian(source, coeffs))]
-
-
 def abelian_hom_basis(source: AbelianGroup, coeffs: AbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Generators of Hom(B, A): ``abelian_hom`` at the place value of each
     gcd cell of order above 1, the homomorphism with digit 1 there alone."""
@@ -148,8 +143,8 @@ def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     if h > HOM_GROUP_CAP:
         raise SizeCapError(f"|Hom(G, A)| = {h} exceeds cap {HOM_GROUP_CAP}")
     homs = set()
-    for images in abelian_homs(ab.group, coeffs):
-        value = abelian_hom_evaluator(coeffs, images)
+    for i in range(h):
+        value = abelian_hom_evaluator(coeffs, abelian_hom(ab.group, coeffs, i))
         homs.add(tuple(value(ab.projection[g]) for g in range(group.order)))
     if len(homs) != h:
         raise InvariantError("distinct abelian homs lift to equal maps on G")

@@ -256,7 +256,7 @@ def test_hom_group_past_cap_refused_before_listing(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work done past the Hom(G, A) cap")
 
-    monkeypatch.setattr(homs, "abelian_homs", no_work)
+    monkeypatch.setattr(homs, "abelian_hom", no_work)
     monkeypatch.setattr(counting, "subgroup_classes", no_work)
     assert execute(["count", "--group", "V4", "--A", ",".join(["2"] * 10), "--n", "0"]) == EXIT_CAP_EXCEEDED
     out, err = capsys.readouterr()
@@ -348,6 +348,14 @@ def test_cap_above_default_reaches_the_recurrence(command, capsys):
 def test_oracle_check_n_needs_group(capsys):
     assert execute(["oracle-check", "--n", "7"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_oracle_check_a_needs_group(capsys):
+    assert execute(["oracle-check", "--A", "4"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: oracle-check --A needs --group\n")
+    # with --group, an empty --A is still the trivial A, not the default C2
+    code, lines = run_lines(capsys, ["oracle-check", "--group", "C2", "--A", "", "--n", "2"])
+    assert code == EXIT_OK and lines[0]["A"] == [] and lines[0]["count"] == "2"
 
 
 def test_sample_negative_samples_is_usage_error(capsys):
@@ -895,6 +903,52 @@ def test_subcommand_bytes_in_fresh_interpreter(argv, digest):
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
+
+
+# The workflow's installed-script steps that no test above pins, with the
+# spec files it writes; a spec argument names one of WORKFLOW_SPECS.
+WORKFLOW_SPECS = {
+    "s6.json": '{"name": "S6", "permGenerators": [[1,2,3,4,5,0],[1,0,2,3,4,5]]}',
+    "c2c4.json": '{"permGenerators": [[1,0,2,3,4,5],[0,1,3,4,5,2]]}',
+    "f56.json": '{"name": "F56", "permGenerators": [[1,0,3,2,5,4,7,6],[0,2,4,6,3,1,7,5]]}',
+    "c2c6c3.json": '{"name": "C2xC6xC3", "permGenerators": '
+                   '[[1,0,2,3,4,5,6,7,8,9,10],[0,1,3,4,5,6,7,2,8,9,10],[0,1,2,3,4,5,6,7,9,10,8]]}',
+}
+WORKFLOW_RUNS = {
+    "delta-Q8-A2,4": (["delta", "--group", "Q8", "--A", "2,4", "--n", "1:40"],
+                      "c01f3295730247bbcfad17658338825048e5e76352a70b182c140057a3ccd0bb"),
+    "delta-C4-A2,4": (["delta", "--group", "C4", "--A", "2,4", "--n", "1:60"],
+                      "e890b9f320093403ecf786e84fabc91b73a71839cffc440eed8909ca4257caa7"),
+    "delta-C2xC4-A2,4": (["delta", "--group", "c2c4.json", "--A", "2,4", "--n", "1:30"],
+                         "54c997870413db8ae30eebc8e40a09bcc125aae83806dcd78a5534c10f1857a1"),
+    "delta-C2xC4-A2,4,4,4": (["delta", "--group", "c2c4.json", "--A", "2,4,4,4", "--n", "1:3"],
+                             "e973842fe9b08c4e9f69ebf5f02f4cce5ead7d6743c216ef39efe5329e918e4f"),
+    "delta-S6": (["delta", "--group", "s6.json", "--n", "1:8"],
+                 "675a26a4a14803b77a8e41a81ba6cada75e53ad85261d0d7ace64178ca39f924"),
+    "weyl-Q8": (["weyl", "--group", "Q8", "--n", "1:40"],
+                "ff4aab4e9739f7920b20ba3aac2700abc3747e9f0b7933de71aa48be84761d22"),
+    "sample-F56-A2^6": (["sample", "--group", "f56.json", "--A", "2,2,2,2,2,2", "--n", "30", "--samples", "5",
+                         "--seed", "1"], "51e0ced152600b376f31e9eb342325069c670bb2e6a46da8c9ddb9d4c31c53b6"),
+    "sample-F56-A2^8": (["sample", "--group", "f56.json", "--A", "2,2,2,2,2,2,2,2", "--n", "30", "--samples", "300",
+                         "--seed", "1"], "4011a9f5ecc2c54b571e403f1831c0dcd79dd0ac0be337d1a22c32332fd8d9ea"),
+    "sample-C2xC6xC3": (["sample", "--group", "c2c6c3.json", "--A", "2,6", "--n", "40", "--samples", "5",
+                         "--seed", "3"], "e31e0aa268b840fb5065e491f8db8b3540c916042cd43623cbae12af306cffef"),
+    "sample-C2-30000": (["sample", "--group", "C2", "--n", "30000", "--samples", "1", "--seed", "0"],
+                        "5ac300c3e0386d356cc172fa1115efc00bb7b570ee27cc2c1c1567a841fca62a"),
+    # the benchmark's sample reference
+    "sample-D4-3000": (["sample", "--group", "D4", "--A", "2", "--n", "3000", "--samples", "100", "--seed", "0"],
+                       "24c7c0dd8626a873da8e0c613e61a2480b1963fad651a0c44b69449cf9ec140d"),
+}
+
+
+@pytest.mark.parametrize("case", WORKFLOW_RUNS)
+def test_workflow_bytes_pinned(case, tmp_path):
+    argv, digest = WORKFLOW_RUNS[case]
+    for name in set(argv) & set(WORKFLOW_SPECS):
+        (tmp_path / name).write_text(WORKFLOW_SPECS[name] + "\n")
+    proc = run_module(*(str(tmp_path / a) if a in WORKFLOW_SPECS else a for a in argv))
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 # Prints, on stderr, the modules that running the CLI added to sys.modules.
 IMPORTS_OF_A_RUN = (
