@@ -16,11 +16,8 @@ with trivial fold (type-D Weyl groups for A = C2).
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -40,14 +37,6 @@ if TYPE_CHECKING:
 
 DEFAULT_RECURRENCE_CAP = 10**5
 DIRECT_CAP = 60
-# How far, in units of the top 64 bits, a draw must sit from an estimated
-# class bound before ``choose_class`` trusts the estimate; see there.
-WALK_SLACK = 3
-# The walk tables also hold L t_s modulo this prime, so the exact scan checks
-# its sum in every bit, not only the top 64.  They step it from the earlier
-# residues, with no remainder of a big integer; the largest prime below 2^30
-# keeps each of a step's products within three CPython digits.
-WALK_PRIME = 2**30 - 35
 
 
 class _DistributionTableFields(NamedTuple):
@@ -128,19 +117,13 @@ class WreathHomCounter:
     the integer sequences of ``fiber_lattice``, one per distinct term
     vector of an element of the lattice of fold subgroups, through the
     same step; each must stay within 0 and the fixed-point-free count,
-    which a fiber query steps too.  ``scale`` = lcm(c_i) is only the
-    sampler's draw denominator.
+    which a fiber query steps too.
 
     A step reads only the last ``max k`` entries, so the tables live in one
     forward cursor: a window of that many entries of each table in use, all
     ending at the same n.  A query ahead of the cursor advances it; a query
     behind the window, or the first query of a table, restarts it from
-    n = 0.  The sampler's backward walk keeps no t_s: its walk tables hold,
-    per s, the bit length of L t_s (``walk_bits``), L t_s modulo
-    ``WALK_PRIME``, and the top 64 bits of the walk's cumulative weight at
-    the end of each orbit size (``choose_class``).  They grow from their own
-    window of L t_s and their own residues, apart from the cursor, and the
-    exact scan checks them against the cursor's totals.
+    n = 0 with every window in use.
     """
 
     def __init__(self, group: FiniteGroup, coeffs: AbelianGroup):
@@ -156,40 +139,16 @@ class WreathHomCounter:
         for od in self.orbit_data:
             if od.k % od.c:
                 raise InvariantError(f"c = {od.c} does not divide k = {od.k} in class {od.class_id}")
-        self.scale = math.lcm(*(od.c for od in self.orbit_data))
         # (k_i, b_i = (k_i // c_i) w_i) per class, in class order: the integer class terms.
         self._class_terms = tuple((od.k, od.k // od.c * od.weight) for od in self.orbit_data)
-        # The walk's runs, one per orbit size k in class order: k, the first
-        # class and the prefix sums 0, b_1, b_1 + b_2, ... of the class terms.
-        # Classes come sorted by subgroup order, so each k is one run.
-        runs: list[tuple[int, int, list[int]]] = []
-        for i, (k, b) in enumerate(self._class_terms):
-            if runs and runs[-1][0] == k:
-                runs[-1][2].append(runs[-1][2][-1] + b)
-            elif any(run[0] == k for run in runs):
-                raise InvariantError(f"the classes of orbit size {k} are not contiguous")
-            else:
-                runs.append((k, i, [0, b]))
-        self._runs = tuple((k, start, tuple(prefix)) for k, start, prefix in runs)
-        self._run_starts = tuple(start for _, start, _ in self._runs)
-        self._run_prefixes = tuple(prefix for _, _, prefix in self._runs)
-        # the merged b_k in run order, each the sum prefix[-1] of its run
-        self._total_terms = tuple((k, prefix[-1]) for k, _, prefix in runs)
+        merged: dict[int, int] = {}  # the merged b_k, each k where it first occurs in class order
+        for k, b in self._class_terms:
+            merged[k] = merged.get(k, 0) + b
+        self._total_terms = tuple(merged.items())
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = tuple(term for term in self._total_terms if term[0] != 1)
         self._width = group.order  # the largest orbit size, that of U = 1
         self._restart(1)
-        # Per s the walk has reached: the bit length of L t_s, its residue
-        # modulo WALK_PRIME, the shift that leaves 64 of its bits, and at
-        # [s * runs + g] the cumulative weight through run g, shifted by it.
-        self.walk_bits = array("Q", [self.scale.bit_length()])
-        self._walk_residues = array("Q", [self.scale % WALK_PRIME])
-        self._walk_shift = array("Q", [0])
-        self._walk_tops = array("Q", [0] * len(self._runs))
-        # The walk's own window, of L t_s up to the last s in its tables, and
-        # the merged b_k modulo WALK_PRIME that step the residues on their own.
-        self._walk_window = deque([self.scale], maxlen=self._width)
-        self._residue_terms = tuple((k, b % WALK_PRIME) for k, b in self._total_terms)
 
     @cached_property
     def fiber_lattice(self) -> FiberLattice:
@@ -245,30 +204,12 @@ class WreathHomCounter:
         0 where k > s; ``prev`` (a list or a window) ends at t_(s-1)."""
         return [math.perm(s - 1, k - 1) * b * prev[-k] if k <= s else 0 for k, b in terms]
 
-    def extend_to(self, n: int, *, free: bool = False, fibers: bool = False, walk: bool = False) -> None:
+    def extend_to(self, n: int, *, free: bool = False, fibers: bool = False) -> None:
         """Move the cursor to n, with the free and fiber windows if asked;
         every window in use advances with the totals, and the fibers' bound
-        needs the free window.  With ``walk``, extend the walk tables to n
-        instead and leave the cursor where it is."""
+        needs the free window."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        if walk:
-            # The unchanged step on the walk's window, seeded with L, so its
-            # running sum is L times the totals' and ends at L t_s; the
-            # residue steps from the residues alone, with the falling
-            # factorials and b_k reduced first, not from L t_s.
-            window, residues, tops = self._walk_window, self._walk_residues, self._walk_tops
-            while (s := len(self.walk_bits)) <= n:
-                bounds = list(accumulate(self._scalar_step(self._total_terms, window, s)))
-                bits = bounds[-1].bit_length()
-                shift = max(0, bits - 64)
-                self.walk_bits.append(bits)
-                self._walk_shift.append(shift)
-                tops.extend([b >> shift for b in bounds])
-                residues.append(sum(math.perm(s - 1, k - 1) % WALK_PRIME * b * residues[s - k]
-                                    for k, b in self._residue_terms if k <= s) % WALK_PRIME)
-                window.append(bounds[-1])
-            return
         width = max(len(self._windows), 2 + len(self.fiber_lattice.seqs) if fibers else 2 if free else 1)
         if width > len(self._windows) or n <= self._n - self._width:
             self._restart(width)
@@ -286,79 +227,6 @@ class WreathHomCounter:
     def _at(self, window: deque, n: int):
         """Entry n of a window whose cursor has just been moved to n or past it."""
         return window[n - self._n - 1]
-
-    def stratum_weights(self, s: int) -> list[int]:
-        """Per-class weights of the backward walk at size s, in class order:
-        L times the products (s-1)_(k-1) b_i t_(s-k) of ``_scalar_step`` over
-        the class terms b_i = (k_i // c_i) w_i, from the window that ends at
-        t_(s-1) (a cursor at s or past it restarts).  They must sum to L t_s,
-        stepped from the merged terms, with the top bits and the residue the
-        walk tables hold for s.
-        """
-        if self._n >= s:
-            self._restart(1)
-        self.extend_to(s - 1)
-        weights = [self.scale * w for w in self._scalar_step(self._class_terms, self._windows[0], s)]
-        total = self.scale * sum(self._scalar_step(self._total_terms, self._windows[0], s))
-        if (sum(weights) != total or total % WALK_PRIME != self._walk_residues[s]
-                or total >> self._walk_shift[s] != self._walk_tops[(s + 1) * len(self._runs) - 1]):
-            raise InvariantError(f"stratum weights do not sum to the count at n={s}")
-        return weights
-
-    def choose_class(self, s: int, r: int) -> int | None:
-        """The class whose stratum holds r at size s: the first i with
-        r < w_0 + ... + w_i over ``stratum_weights(s)``, or None when r is
-        at least their sum L t_s.  The walk draws r below 2 ** ``walk_bits[s]``
-        until it gets a class.  The walk tables must already reach s
-        (``extend_to`` with ``walk``).
-
-        Decided from r's top bits where they suffice.  A bisection over the
-        run tops picks the orbit size; inside the run, every class weight
-        carries the same factor L (s-1)_(k-1) t_(s-k), so a class bound is
-        the run's lower bound plus the run's weight times P / A, where P is
-        the prefix sum of the class terms before it and A the run's sum.
-        At shift 0 the tops are exact, and so is each estimate, as the run's
-        weight is A times that factor: the draw needs no slack.
-
-        Why a slack of 3 is safe.  Put D = 2^shift, and let B' < B be the
-        run's cumulative bounds, so lo = B' >> shift and hi = B >> shift
-        are exact.  A class bound C = B' + (B - B') P / A is estimated as
-        E = lo + (hi - lo) P // A.  As lo > B'/D - 1 and hi > B/D - 1,
-        E > C/D - 2, and E <= C/D: so E is C >> shift or one less.  Then
-        r >> shift >= E + 2 gives r >= ((C >> shift) + 1) D > C, and
-        r >> shift < E gives r < (C >> shift) D <= C.  A draw at a nonzero
-        shift whose top bits are not at least 3 above its class's lower
-        estimate and 3 below its upper one takes the exact scan of
-        ``stratum_weights`` instead.
-        """
-        top = r >> (shift := self._walk_shift[s])
-        tops = self._walk_tops
-        base = s * len(self._runs)
-        end = base + len(self._runs)
-        last = tops[end - 1]  # L t_s >> shift
-        if top >= last:
-            if top > last or not shift:
-                return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s, or r = top >= L t_s
-        else:
-            g = bisect_right(tops, top, base, end)  # r's run is g - base
-            lo = tops[g - 1] if g > base else 0
-            hi = tops[g]  # > lo, as lo <= top < hi
-            start, prefix = self._run_starts[g - base], self._run_prefixes[g - base]
-            if len(prefix) == 2:  # one class: its bounds are the run's
-                if lo + WALK_SLACK <= top <= hi - WALK_SLACK or not shift:
-                    return start
-            else:
-                width, a = hi - lo, prefix[-1]
-                # the last class j with lo + width * prefix[j] // a <= top
-                j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
-                if (lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK
-                        or not shift):
-                    return start + j
-        for i, w in enumerate(self.stratum_weights(s)):
-            if r < w:
-                return i
-            r -= w
-        return None  # r >= L t_s, the weights' sum
 
     def count(self, n: int) -> int:
         self.extend_to(n)

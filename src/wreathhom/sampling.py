@@ -10,16 +10,28 @@ reproducible per seed.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import counter_for
-from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, SubgroupClass, abelian_index_tables, coset_action
+from .counting import WreathHomCounter, counter_for
+from .groups import (COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, SubgroupClass,
+                     abelian_index_tables, coset_action)
 from .orbits import cocycle_row
 
+# How far, in units of the top 64 bits, a draw must sit from an estimated
+# class bound before ``BackwardWalk.choose_class`` trusts the estimate; see there.
+WALK_SLACK = 3
+# The walk tables also hold L t_s modulo this prime, stepped from the earlier
+# residues with no remainder of L t_s, so the exact scan checks them in every
+# bit, not only the top 64; below 2^30, each residue is one CPython digit.
+WALK_PRIME = 2**30 - 35
 # Per class, the sampler keeps the cocycle rows of the u it draws, first come,
 # up to this many row entries (generators x orbit size per row); past it a
 # drawn u's row is built for that orbit only.  A class whose every row fits
@@ -74,6 +86,126 @@ class _ClassAssembly(NamedTuple):
     rows: dict[int, tuple[tuple[int, ...], ...]]
 
 
+class BackwardWalk:
+    """The backward walk's tables for one counter, extended on demand.
+
+    The walk keeps no t_s, only a few machine words per s about L t_s,
+    where L = lcm(c_i) is the draw denominator.  They grow by the counter's
+    ``_scalar_step`` on its merged terms, apart from its cursor; the exact
+    scan (``weights``) checks them against the counter's totals (``count``).
+    """
+
+    def __init__(self, counter: WreathHomCounter):
+        self.counter = counter
+        self.scale = math.lcm(*(od.c for od in counter.orbit_data))
+        # One run per orbit size k, in the order of the merged terms: its first
+        # class and the prefix sums 0, b_1, b_1 + b_2, ... of its class terms.
+        # Classes come sorted by subgroup order, so each k is one run.
+        self.runs: list[tuple[int, list[int]]] = []
+        terms = counter._class_terms
+        for i, (k, b) in enumerate(terms):
+            if i and terms[i - 1][0] == k:
+                self.runs[-1][1].append(self.runs[-1][1][-1] + b)
+            elif any(terms[start][0] == k for start, _ in self.runs):
+                raise InvariantError(f"the classes of orbit size {k} are not contiguous")
+            else:
+                self.runs.append((i, [0, b]))
+        # Per s the walk has reached: the bit length of L t_s, its residue
+        # modulo WALK_PRIME, the shift that leaves 64 of its bits, and at
+        # [s * runs + g] the cumulative weight through run g, shifted by it.
+        self.bits = array("Q", [self.scale.bit_length()])
+        self.residues = array("Q", [self.scale % WALK_PRIME])
+        self.shifts = array("Q", [0])
+        self.tops = array("Q", [0] * len(self.runs))
+        # the walk's own window, of L t_s up to the last s in its tables
+        self.window = deque([self.scale], maxlen=counter.group.order)
+
+    def extend_to(self, n: int) -> None:
+        """Extend the tables to n by the merged terms' step on the walk's
+        window, seeded with L so that its sum ends at L t_s, and on the residues."""
+        step, terms = self.counter._scalar_step, self.counter._total_terms
+        window, residues, tops = self.window, self.residues, self.tops
+        while (s := len(self.bits)) <= n:
+            bounds = list(accumulate(step(terms, window, s)))
+            bits = bounds[-1].bit_length()
+            shift = max(0, bits - 64)
+            self.bits.append(bits)
+            self.shifts.append(shift)
+            tops.extend([b >> shift for b in bounds])
+            residues.append(sum(step(terms, residues, s)) % WALK_PRIME)
+            window.append(bounds[-1])
+
+    def weights(self, s: int) -> list[int]:
+        """Per-class weights at size s, in class order: L times the products
+        (s-1)_(k-1) b_i t_(s-k) of ``_scalar_step`` over the class terms, on
+        the counter's ``count`` at s - |G| .. s - 1.  Their sum, L t_s, must
+        have the top bits and the residue the tables hold for s."""
+        counter = self.counter
+        prev = [counter.count(j) for j in range(max(0, s - counter.group.order), s)]
+        weights = [self.scale * w for w in counter._scalar_step(counter._class_terms, prev, s)]
+        total = sum(weights)
+        if (total % WALK_PRIME != self.residues[s]
+                or total >> self.shifts[s] != self.tops[(s + 1) * len(self.runs) - 1]):
+            raise InvariantError(f"stratum weights do not sum to the count at n={s}")
+        return weights
+
+    def choose_class(self, s: int, r: int) -> int | None:
+        """The class whose stratum holds r at size s: the first i with
+        r < w_0 + ... + w_i over ``weights(s)``, or None when r is at least
+        their sum L t_s.  The walk draws r below 2 ** ``bits[s]`` until it
+        gets a class.  The tables must already reach s (``extend_to``).
+
+        Decided from r's top bits where they suffice.  A bisection over the
+        run tops picks the orbit size; inside the run, every class weight
+        carries the same factor L (s-1)_(k-1) t_(s-k), so a class bound is
+        the run's lower bound plus the run's weight times P / A, where P is
+        the prefix sum of the class terms before it and A the run's sum.
+        At shift 0 the tops are exact, and so is each estimate, as the run's
+        weight is A times that factor: the draw needs no slack.
+
+        Why a slack of 3 is safe.  Put D = 2^shift, and let B' < B be the
+        run's cumulative bounds, so lo = B' >> shift and hi = B >> shift
+        are exact.  A class bound C = B' + (B - B') P / A is estimated as
+        E = lo + (hi - lo) P // A.  As lo > B'/D - 1 and hi > B/D - 1,
+        E > C/D - 2, and E <= C/D: so E is C >> shift or one less.  Then
+        r >> shift >= E + 2 gives r >= ((C >> shift) + 1) D > C, and
+        r >> shift < E gives r < (C >> shift) D <= C.  A draw at a nonzero
+        shift whose top bits are not at least 3 above its class's lower
+        estimate and 3 below its upper one takes the exact scan of
+        ``weights`` instead.
+        """
+        top = r >> (shift := self.shifts[s])
+        tops = self.tops
+        base = s * len(self.runs)
+        end = base + len(self.runs)
+        last = tops[end - 1]  # L t_s >> shift
+        if top >= last:
+            if top > last or not shift:
+                return None  # r >= top D >= ((L t_s >> shift) + 1) D > L t_s, or r = top >= L t_s
+        else:
+            g = bisect_right(tops, top, base, end)  # r's run is g - base
+            lo = tops[g - 1] if g > base else 0
+            hi = tops[g]  # > lo, as lo <= top < hi
+            start, prefix = self.runs[g - base]
+            if len(prefix) == 2:  # one class: its bounds are the run's
+                if lo + WALK_SLACK <= top <= hi - WALK_SLACK or not shift:
+                    return start
+            else:
+                width, a = hi - lo, prefix[-1]
+                # the last class j with lo + width * prefix[j] // a <= top
+                j = bisect_left(prefix, -(-(top - lo + 1) * a // width)) - 1
+                if (lo + width * prefix[j] // a + WALK_SLACK <= top <= lo + width * prefix[j + 1] // a - WALK_SLACK
+                        or not shift):
+                    return start + j
+        bounds = list(accumulate(self.weights(s)))
+        i = bisect_right(bounds, r)
+        return i if i < len(bounds) else None  # None: r >= L t_s, the weights' sum
+
+
+# one walk per counter, built on its first draw and kept, as ``counter_for`` keeps the counter
+_walk_of = lru_cache(maxsize=None)(BackwardWalk)
+
+
 @lru_cache(maxsize=None)
 def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembly, ...]:
     counter = counter_for(group, coeffs)
@@ -90,24 +222,23 @@ def sample_orbit_type(
 
     Backward walk on the counting table: at size s, class i is chosen with
     probability k_i (s-1)_(k_i-1) (w_i / c_i) t_(s-k_i) / t_s, realized by
-    one integer draw over the counter's common denominator, the draw that
-    ``rng.randrange`` would make.  ``WreathHomCounter.choose_class`` turns
-    it into a class, from its top bits where they suffice; the walk tables
-    it reads are built once per counter and s, by ``extend_to`` with ``walk``.
+    one integer draw over the counter's common denominator L, the draw that
+    ``rng.randrange`` would make.  ``BackwardWalk.choose_class`` turns it
+    into a class, from its top bits where they suffice; the ``BackwardWalk``
+    it reads is built once per counter, and its tables once per s.
     """
-    counter = counter_for(group, coeffs)
-    if len(counter.walk_bits) <= n:
-        counter.extend_to(n, walk=True)
-    bits, getrandbits = counter.walk_bits, rng.getrandbits
-    sizes = [od.k for od in counter.orbit_data]
+    walk = _walk_of(counter_for(group, coeffs))
+    walk.extend_to(n)
+    bits, choose_class, getrandbits = walk.bits, walk.choose_class, rng.getrandbits
+    sizes = [od.k for od in walk.counter.orbit_data]
     m = [0] * len(sizes)
     s = n
     while s > 0:
         # _randbelow(L t_s): redraw as many bits until they fall below L t_s
         k = bits[s]
-        i = counter.choose_class(s, getrandbits(k))
+        i = choose_class(s, getrandbits(k))
         while i is None:
-            i = counter.choose_class(s, getrandbits(k))
+            i = choose_class(s, getrandbits(k))
         m[i] += 1
         s -= sizes[i]
     return tuple(m)

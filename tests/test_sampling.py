@@ -34,6 +34,7 @@ from wreathhom import (
 from wreathhom import counting, sampling
 from wreathhom.counting import counter_for
 from wreathhom.groups import BUILTIN_GROUP_NAMES
+from wreathhom.sampling import BackwardWalk
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
@@ -87,26 +88,29 @@ def test_choose_class_at_every_bound(name, coeffs):
     # draw: the top-bit estimates and the exact scan must pick the class an
     # exact bisection does, and refuse every r from the total on
     counter = counter_for(builtin_group(name), coeffs)
-    counter.extend_to(300, walk=True)
+    walk = BackwardWalk(counter)
+    walk.extend_to(300)
     for s in [*range(1, 61), 150, 300]:
-        total = counter.scale * counter.count(s)
-        assert counter.walk_bits[s] == total.bit_length()
-        bounds = list(accumulate(counter.stratum_weights(s)))
+        total = walk.scale * counter.count(s)
+        assert walk.bits[s] == total.bit_length()
+        bounds = list(accumulate(walk.weights(s)))
         assert bounds[-1] == total
-        for r in {max(0, b + d) for b in bounds for d in (-1, 0, 1)} | {2 ** counter.walk_bits[s] - 1}:
+        for r in {max(0, b + d) for b in bounds for d in (-1, 0, 1)} | {2 ** walk.bits[s] - 1}:
             expected = bisect_right(bounds, r) if r < total else None
-            assert counter.choose_class(s, r) == expected, (s, r)
+            assert walk.choose_class(s, r) == expected, (s, r)
 
 
 def test_walk_refuses_classes_of_one_size_apart(monkeypatch):
     # V4's three subgroups of order 2 share k = 2; one moved past the
-    # trivial subgroup (k = 4) would split their run
+    # trivial subgroup (k = 4) would split their run.  The counter merges
+    # its terms by k in any order; the walk needs each k as one run.
     g = builtin_group("V4")
     classes = counting.subgroup_classes(g)
     assert [c.index for c in classes] == [4, 2, 2, 2, 1]
     monkeypatch.setattr(counting, "subgroup_classes", lambda group: (classes[1], classes[0], *classes[2:]))
+    counter = WreathHomCounter(g, C2)
     with pytest.raises(InvariantError, match="the classes of orbit size 2 are not contiguous"):
-        WreathHomCounter(g, C2)
+        BackwardWalk(counter)
 
 
 @pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
@@ -170,26 +174,27 @@ def test_row_cache_stops_growing():
 
 
 def _exact_walk(monkeypatch, counter):
-    """Send every draw of the sampler through ``counter``'s exact scan
+    """Send every draw of the sampler through the exact scan on ``counter``
     where the walk tables hold a shift (at shift 0 the estimates are exact;
     for S3 with A = C2, from s = 18 on)."""
     monkeypatch.setattr(sampling, "counter_for", lambda group, coeffs: counter)
-    monkeypatch.setattr(counting, "WALK_SLACK", 2**64)
+    monkeypatch.setattr(sampling, "WALK_SLACK", 2**64)
 
 
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
-    # the exact scan at s = 20 reads the window that ends at t_19; with t_19
-    # one too large after the walk tables were built, its sum keeps their
-    # top 64 bits but misses their residue
+    # the exact scan at s = 20 reads t_14 .. t_19 through count, from the
+    # totals' window that ends at t_19; with t_19 one too large after the
+    # walk tables were built, its sum keeps their top 64 bits but misses
+    # their residue
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
-    counter.extend_to(30, walk=True)
-    counter._restart(1)
-    counter.extend_to(19)
+    walk = BackwardWalk(counter)
+    walk.extend_to(30)
+    counter.count(19)
     counter._windows[0][-1] += 1  # the totals' window
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
-        counter.choose_class(20, 0)
+        walk.choose_class(20, 0)
 
 
 @pytest.mark.parametrize("table", ["window", "residues"])
@@ -202,22 +207,45 @@ def test_corrupted_walk_window_raises_stratum_error(monkeypatch, table):
     # the window (they are exact to s = 17, so an error there reaches the
     # top 64 bits later), the residue for the residues.
     g = builtin_group("S3")
-    fresh = WreathHomCounter(g, C2)
-    fresh.extend_to(30, walk=True)
+    fresh = BackwardWalk(WreathHomCounter(g, C2))
+    fresh.extend_to(30)
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
-    counter.extend_to(10, walk=True)
+    walk = BackwardWalk(counter)
+    walk.extend_to(10)
     if table == "window":
-        counter._walk_window[-1] += 1
+        walk.window[-1] += 1
     else:
-        counter._walk_residues[-1] = (counter._walk_residues[-1] + 1) % counting.WALK_PRIME
-    counter.extend_to(30, walk=True)
-    at_20 = slice(20 * len(counter._runs), 21 * len(counter._runs))
-    tops_moved = counter._walk_tops[at_20] != fresh._walk_tops[at_20]
-    residue_moved = counter._walk_residues[20] != fresh._walk_residues[20]
+        walk.residues[-1] = (walk.residues[-1] + 1) % sampling.WALK_PRIME
+    walk.extend_to(30)
+    at_20 = slice(20 * len(walk.runs), 21 * len(walk.runs))
+    tops_moved = walk.tops[at_20] != fresh.tops[at_20]
+    residue_moved = walk.residues[20] != fresh.residues[20]
     assert (tops_moved, residue_moved) == ((True, False) if table == "window" else (False, True))
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
-        counter.choose_class(20, 0)
+        walk.choose_class(20, 0)
+
+
+def test_exact_scan_keeps_a_shared_counters_windows(monkeypatch):
+    # The exact scan reads the totals through the counter's count, so a draw
+    # that takes it leaves the cursor's fixed-point-free and fiber windows in
+    # place, and the next fiber query on the shared counter steps on from
+    # where the scan left the cursor instead of restarting from n = 0.
+    g = builtin_group("D4")
+    counter = counter_for(g, C2)
+    counter.fiber_counts(300)
+    assert len(counter._windows) == 4
+    scans = []
+    real_weights = BackwardWalk.weights
+    monkeypatch.setattr(BackwardWalk, "weights", lambda walk, s: scans.append(s) or real_weights(walk, s))
+    monkeypatch.setattr(sampling, "WALK_SLACK", 2**64)
+    sample_orbit_type(g, C2, 250, random.Random(0))
+    assert scans and len(counter._windows) == 4
+    restarts = []
+    real_restart = counter._restart
+    monkeypatch.setattr(counter, "_restart", lambda width: restarts.append(width) or real_restart(width))
+    assert counter.fiber_counts(300) == WreathHomCounter(g, C2).fiber_counts(300)
+    assert restarts == []
 
 
 def test_corrupted_class_term_raises_stratum_error(monkeypatch):
@@ -393,19 +421,21 @@ def test_to_json_renders_decorations_past_n(n, perms, decors):
 
 
 def test_walk_tables_do_not_depend_on_earlier_queries():
-    # a cursor past the first s the walk tables lack restarts; one behind
-    # it advances and appends from there
+    # the walk tables grow apart from the counter's cursor: built on a
+    # counter whose cursor is ahead of them, or extended after the cursor
+    # moved behind them, they match tables built on a fresh counter
     g = builtin_group("S3")
-    fresh = WreathHomCounter(g, C2)
-    fresh.extend_to(60, walk=True)
-    ahead, behind = WreathHomCounter(g, C2), WreathHomCounter(g, C2)
-    ahead.count(50)
-    behind.extend_to(30, walk=True)
-    behind.count(10)
-    for counter in (ahead, behind):
-        counter.extend_to(60, walk=True)
-        assert (counter.walk_bits, counter._walk_residues, counter._walk_shift, counter._walk_tops) == (
-            fresh.walk_bits, fresh._walk_residues, fresh._walk_shift, fresh._walk_tops)
+    fresh = BackwardWalk(WreathHomCounter(g, C2))
+    fresh.extend_to(60)
+    ahead_counter, behind_counter = WreathHomCounter(g, C2), WreathHomCounter(g, C2)
+    ahead_counter.count(50)
+    ahead, behind = BackwardWalk(ahead_counter), BackwardWalk(behind_counter)
+    behind.extend_to(30)
+    behind_counter.count(10)
+    for walk in (ahead, behind):
+        walk.extend_to(60)
+        assert (walk.bits, walk.residues, walk.shifts, walk.tops) == (
+            fresh.bits, fresh.residues, fresh.shifts, fresh.tops)
 
 
 def test_corrupted_run_term_raises_stratum_error(monkeypatch):
@@ -429,14 +459,14 @@ def test_corrupted_run_term_raises_stratum_error(monkeypatch):
 def test_walk_table_matches_class_weights(name, coeffs):
     # the one-pass table against the per-class weights: the bit length of
     # L t_s, and the top 64 bits of the cumulative weight after each run
-    counter = counter_for(builtin_group(name), coeffs)
-    counter.extend_to(300, walk=True)
-    width = len(counter._runs)
+    walk = BackwardWalk(counter_for(builtin_group(name), coeffs))
+    walk.extend_to(300)
+    width = len(walk.runs)
     for s in range(1, 301):
-        bounds = list(accumulate(counter.stratum_weights(s)))
+        bounds = list(accumulate(walk.weights(s)))
         bits = bounds[-1].bit_length()
         shift = max(0, bits - 64)
-        assert counter.walk_bits[s] == bits
-        assert counter._walk_shift[s] == shift
-        ends = [bounds[start + len(prefix) - 2] >> shift for _, start, prefix in counter._runs]
-        assert list(counter._walk_tops[s * width : (s + 1) * width]) == ends, s
+        assert walk.bits[s] == bits
+        assert walk.shifts[s] == shift
+        ends = [bounds[start + len(prefix) - 2] >> shift for start, prefix in walk.runs]
+        assert list(walk.tops[s * width : (s + 1) * width]) == ends, s

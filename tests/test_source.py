@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,29 @@ def test_benchmark_tracer_finds_every_entry_point():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == []
+
+
+def test_benchmark_tracer_times_the_walk(tmp_path):
+    # A traced sample prints the untraced bytes, finds every entry point,
+    # and reports the walk under the sampling layer: its time and the draws.
+    argv = ["sample", "--group", "D4", "--A", "2", "--n", "200", "--samples", "3", "--seed", "7"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    untraced = subprocess.run([sys.executable, "-m", "wreathhom", *argv], env=env,
+                              capture_output=True, timeout=60, check=True).stdout
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv], env=env,
+                            capture_output=True, timeout=60, check=True).stdout
+    assert traced == untraced
+    assert json.loads(spans.read_text())["missing"] == []
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+        "print(json.dumps(tracer.layer_metrics(json.load(open(sys.argv[2])))[0]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"), str(spans)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    metrics = json.loads(proc.stdout)
+    assert metrics["sampling.walk_s"] > 0 and metrics["sampling.draws"] == 3
 
 
 def test_only_the_cli_cap_is_a_parameter():
