@@ -14,12 +14,12 @@ import math
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 GROUP_SIZE_CAP = 20000
-# The largest |A|.  Every query builds |A|^2-entry index tables of A; at
-# this size ``count --n 0`` takes 2-4 s and 47 MB, at 2048 7-10 s and 159 MB
-# (Python 3.11, 2-vCPU VM).
+# The largest |A|.  No query builds a table of A: at this size (1024, 2,512
+# or 32,32) ``count --group C2 --n 0`` takes 0.065 s and 15.7 MB, as with
+# |A| = 1 (Python 3.11, 2-vCPU VM).  ``WreathHom.to_json`` relies on the cap.
 COEFF_ORDER_CAP = 1024
 
 
@@ -420,7 +420,9 @@ class AbelianGroup(_AbelianGroupFields):
     """Finite abelian group as a chain of invariant factors e1 | e2 | ... | es.
 
     Elements are mixed-radix vectors, addressed big-endian so that
-    lexicographic order on vectors equals numeric order on indices.
+    lexicographic order on vectors equals numeric order on indices
+    (``index_of``).  The rest of the package holds elements as indices,
+    and ``add_sub`` and ``total`` add them digit by digit, with no table.
     The empty chain is the trivial group.
     """
 
@@ -440,37 +442,44 @@ class AbelianGroup(_AbelianGroupFields):
     def order(self) -> int:
         return math.prod(self.invariant_factors)
 
-    def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        return tuple((a + b) % e for a, b, e in zip(x, y, self.invariant_factors))
-
-    def neg(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-a) % e for a, e in zip(x, self.invariant_factors))
-
     def index_of(self, x: Sequence[int]) -> int:
         idx = 0
         for a, e in zip(x, self.invariant_factors):
             idx = idx * e + (a % e)
         return idx
 
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        return iter(itertools.product(*(range(e) for e in self.invariant_factors)))
+    def add_sub(self, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]) -> list[int]:
+        """The element indices of x + y - z, entry by entry, for equally long
+        lists of element indices.  Per invariant factor e, with place value
+        v (the product of the factors after it), the digits x // v % e add
+        as x // v + y // v - z // v modulo e: one pass per factor, and for
+        a cyclic A one pass of (x + y - z) % e."""
+        fs = self.invariant_factors
+        if len(fs) == 1:
+            e = fs[0]
+            return [(x + y - z) % e for x, y, z in zip(xs, ys, zs)]
+        if fs and fs[-1] == 2:  # every digit is a bit, and adds as one
+            return [x ^ y ^ z for x, y, z in zip(xs, ys, zs)]
+        out, v = [0] * len(xs), self.order
+        for e in fs:
+            v //= e
+            out = [o + (x // v + y // v - z // v) % e * v for o, x, y, z in zip(out, xs, ys, zs)]
+        return out
+
+    def total(self, xs: Sequence[int]) -> int:
+        """The element index of the sum of the elements xs, digit by digit
+        as in ``add_sub``."""
+        out, v = 0, self.order
+        for e in self.invariant_factors:
+            v //= e
+            out += sum([x // v for x in xs]) % e * v
+        return out
 
 
 def check_coeff_order(coeffs: AbelianGroup) -> None:
-    """Refuse an A whose index tables would pass ``COEFF_ORDER_CAP``."""
+    """Refuse an A past ``COEFF_ORDER_CAP``."""
     if coeffs.order > COEFF_ORDER_CAP:
         raise SizeCapError(f"|A| = {coeffs.order} exceeds cap {COEFF_ORDER_CAP}")
-
-
-@lru_cache(maxsize=None)
-def abelian_index_tables(coeffs: AbelianGroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(add, neg) tables on element indices of a finite abelian group."""
-    check_coeff_order(coeffs)
-    vecs = list(coeffs.vectors())
-    idx = coeffs.index_of
-    add = tuple(tuple(idx(coeffs.add(x, y)) for y in vecs) for x in vecs)
-    neg = tuple(idx(coeffs.neg(x)) for x in vecs)
-    return add, neg
 
 
 # ---------------------------------------------------------------------------

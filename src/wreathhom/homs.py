@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .groups import (
@@ -16,16 +17,16 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SizeCapError,
-    abelian_index_tables,
     abelianization,
+    check_coeff_order,
     full_group_class,
 )
 
 # The largest h = |Hom(G, A)|.  A fiber query builds the fold lattice in
-# O(h |lattice|) additions: ``delta --n 1`` with h = 2048 takes 0.17-0.28 s
-# and 17.4 MB (2.3-3.7 s and 48 MB with |A| = 1024 too, mostly A's addition
-# table).  The cap was set at 0.9-1.5 s, when the set-up was O(h^2) and
-# h = 4096 took 6.5-7.8 s (Python 3.11, 2-vCPU VM).
+# O(h |lattice|) additions: ``delta --n 1`` with h = 2048 takes 0.15 s and
+# 16.6 MB, with |A| = 1024 too (C2 x C4, A = 2,2,2,2,64).  The cap was set
+# at 0.9-1.5 s, when the set-up was O(h^2) and h = 4096 took 6.5-7.8 s
+# (Python 3.11, 2-vCPU VM).
 HOM_GROUP_CAP = 2048
 
 
@@ -65,23 +66,12 @@ def abelian_hom_evaluator(
     coeffs: AbelianGroup, images: Sequence[tuple[int, ...]]
 ) -> Callable[[Sequence[int]], int]:
     """The A-element index of sum_i vec_i images_i, for a hom given by the
-    images of the cyclic generators, read off the index tables: one lookup
-    per coordinate once each image's multiples are listed."""
-    add, _ = abelian_index_tables(coeffs)
-    rows = []
-    for img in images:
-        x = coeffs.index_of(img)
-        row, y = [0], x
-        while y:  # 0, x, 2x, ... up to the order of x
-            row.append(y)
-            y = add[y][x]
-        rows.append(row)
+    images of the cyclic generators: per invariant factor of A, the sum of
+    vec_i times the images' coordinates there, reduced by ``index_of``."""
+    columns = tuple(zip(*images))
 
     def value(vec: Sequence[int]) -> int:
-        acc = 0
-        for c, row in zip(vec, rows):
-            acc = add[acc][row[c % len(row)]]
-        return acc
+        return coeffs.index_of([sum(map(mul, vec, column)) for column in columns])
 
     return value
 
@@ -105,7 +95,7 @@ class HomGroup:
             raise InvariantError("trivial homomorphism missing or not first")
         self._index = {tuple(v[s] for s in group.generators): i for i, v in enumerate(self.elements)}
         self._gen_values = list(self._index)
-        self._add_a, _ = abelian_index_tables(coeffs)
+        self._zeros = (0,) * len(group.generators)
 
     def index_of(self, gen_values: Sequence[int]) -> int:
         """Index of the homomorphism sending ``group.generators[i]`` to the
@@ -114,7 +104,7 @@ class HomGroup:
 
     def add(self, x: int, y: int) -> int:
         """Index of the pointwise sum of elements x and y."""
-        return self._index[tuple(self._add_a[a][b] for a, b in zip(self._gen_values[x], self._gen_values[y]))]
+        return self._index[tuple(self.coeffs.add_sub(self._gen_values[x], self._gen_values[y], self._zeros))]
 
     def span(self, base: Iterable[int], gens: Iterable[int]) -> set[int]:
         """The subgroup generated by the subgroup ``base`` and ``gens``: for
@@ -137,7 +127,9 @@ class HomGroup:
 @lru_cache(maxsize=None)
 def hom_group(group: FiniteGroup, coeffs: AbelianGroup) -> HomGroup:
     """All homomorphisms G -> A, lifted through the abelianization of G,
-    refused before any is listed if there are more than ``HOM_GROUP_CAP``."""
+    refused before any is listed if |A| is past ``COEFF_ORDER_CAP`` or there
+    are more than ``HOM_GROUP_CAP``; a counter asks for it before any class work."""
+    check_coeff_order(coeffs)
     ab = abelianization(group, full_group_class(group))
     h = hom_count_abelian(ab.group, coeffs)
     if h > HOM_GROUP_CAP:

@@ -21,8 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import WreathHomCounter, counter_for
-from .groups import (COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, SubgroupClass,
-                     abelian_index_tables, coset_action)
+from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, SubgroupClass, coset_action
 from .orbits import cocycle_row
 
 # How far, in units of the top 64 bits, a draw must sit from an estimated
@@ -92,7 +91,8 @@ class BackwardWalk:
     The walk keeps no t_s, only a few machine words per s about L t_s,
     where L = lcm(c_i) is the draw denominator.  They grow by the counter's
     ``_scalar_step`` on its merged terms, apart from its cursor; the exact
-    scan (``weights``) checks them against the counter's totals (``count``).
+    scan (``weights``) checks them against the class terms' step on totals
+    it steps itself.
     """
 
     def __init__(self, counter: WreathHomCounter):
@@ -138,11 +138,15 @@ class BackwardWalk:
     def weights(self, s: int) -> list[int]:
         """Per-class weights at size s, in class order: L times the products
         (s-1)_(k-1) b_i t_(s-k) of ``_scalar_step`` over the class terms, on
-        the counter's ``count`` at s - |G| .. s - 1.  Their sum, L t_s, must
+        t_(s-|G|) .. t_(s-1), stepped from t_0 in a window of the scan's own,
+        so the counter's cursor stays where it is.  Their sum, L t_s, must
         have the top bits and the residue the tables hold for s."""
         counter = self.counter
-        prev = [counter.count(j) for j in range(max(0, s - counter.group.order), s)]
-        weights = [self.scale * w for w in counter._scalar_step(counter._class_terms, prev, s)]
+        step, terms = counter._scalar_step, counter._total_terms
+        prev = deque([1], maxlen=counter.group.order)
+        for j in range(1, s):
+            prev.append(sum(step(terms, prev, j)))
+        weights = [self.scale * w for w in step(counter._class_terms, prev, s)]
         total = sum(weights)
         if (total % WALK_PRIME != self.residues[s]
                 or total >> self.shifts[s] != self.tops[(s + 1) * len(self.runs) - 1]):
@@ -256,15 +260,15 @@ def sample_hom(
     CPython's rejection loop, in the same order.
 
     The blocks are consecutive positions of the shuffled list.  Per class,
-    the decorations of all its orbits form one flat list, negated once.
-    Per generator, one strided slice per coset lists each point's image,
-    and its decoration, in position order, and one comprehension over three
-    flat lists forms the coordinates; a gather by the inverse of ``points``
-    puts them in point order.
+    the decorations of all its orbits form one flat list.  Per generator,
+    one strided slice per coset lists each point's image, and its
+    decoration, in position order, and ``AbelianGroup.add_sub`` forms the
+    coordinates from three flat lists, in one comprehension for a cyclic A;
+    a gather by the inverse of ``points`` puts them in point order.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
     assemblies = _assemblies(group, coeffs)
-    add, neg = abelian_index_tables(coeffs)
+    add_sub = coeffs.add_sub
     getrandbits = rng.getrandbits
     num_gens = len(group.generators)
     # rng.shuffle(points): the same swaps, each index drawn by _randbelow(i + 1),
@@ -309,7 +313,6 @@ def sample_hom(
                 while x >= a_order:
                     x = getrandbits(a_bits)
                 xs.append(x)
-        negs = [neg[x] for x in xs]
         for gi, act in enumerate(asm.gen_points):
             image, moved = span[:], xs[:]
             for a, b in enumerate(act):  # slot a of every block gets that block's slot act[a]
@@ -317,8 +320,7 @@ def sample_hom(
                 moved[a::k] = xs[b::k]
             images[gi] += image
             # x[act[a]] + u(cocycle at a) - x[a], the cocycle column of every orbit's u in turn
-            column = chain.from_iterable(map(itemgetter(gi), u_tabs))
-            coords[gi] += [add[add[p][c]][q] for p, c, q in zip(moved, column, negs)]
+            coords[gi] += add_sub(moved, list(chain.from_iterable(map(itemgetter(gi), u_tabs))), xs)
     where = [0] * n
     for q, p in enumerate(points):
         where[p] = q
@@ -334,20 +336,16 @@ def wreath_ops(coeffs: AbelianGroup):
     ``mul`` permutes the left factor's decorations by the right factor's
     permutation; ``fold`` sums the decorations, a homomorphism onto A.
     """
-    add, _ = abelian_index_tables(coeffs)
+    add_sub = coeffs.add_sub
 
     def mul(x, y):
         p1, d1 = x
         p2, d2 = y
-        return tuple([p1[i] for i in p2]), tuple([add[d1[i]][b] for i, b in zip(p2, d2)])
+        # one index makes itemgetter return the item itself, and none is refused
+        moved = itemgetter(*p2) if len(p2) > 1 else tuple
+        return moved(p1), tuple(add_sub(moved(d1), d2, (0,) * len(d2)))
 
-    def fold(x) -> int:
-        acc = 0
-        for digit in x[1]:
-            acc = add[acc][digit]
-        return acc
-
-    return mul, fold
+    return mul, lambda x: coeffs.total(x[1])
 
 
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:

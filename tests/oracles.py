@@ -13,8 +13,10 @@ sampler on ``random``'s own
 that each invariant factor of B kills, the basis of U/[U, U] by the
 search that computes every power again, fold fibers by counting every
 extension u by its fold value, counts at large n by multiplying out
-the exponential formula instead of running its log-derivative, and table
-rows as dicts for ``json.dumps`` instead of the package's text builders.
+the exponential formula instead of running its log-derivative, table
+rows as dicts for ``json.dumps`` instead of the package's text builders,
+and sums in A, the wreath product's included, on the mixed-radix vectors
+of A's elements instead of the package's ``AbelianGroup.add_sub``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from wreathhom import (
     subgroup_classes,
     weyl_hom_count,
 )
-from wreathhom.groups import abelian_index_tables
 from wreathhom.homs import hom_group
-from wreathhom.sampling import wreath_ops
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -228,11 +228,34 @@ def scalar_mul(coeffs, c, x) -> tuple[int, ...]:
     return tuple((c * a) % e for a, e in zip(x, coeffs.invariant_factors))
 
 
+def add(coeffs, x, y) -> tuple[int, ...]:
+    """``x + y`` in an AbelianGroup, in tuple arithmetic."""
+    return tuple((a + b) % e for a, b, e in zip(x, y, coeffs.invariant_factors))
+
+
+@functools.lru_cache(maxsize=None)
+def vectors(coeffs) -> tuple[tuple[int, ...], ...]:
+    """The elements of an AbelianGroup as mixed-radix vectors, in the order
+    of their indices: lexicographic, the last factor fastest."""
+    return tuple(itertools.product(*(range(e) for e in coeffs.invariant_factors)))
+
+
+@functools.lru_cache(maxsize=None)
+def index_sum(coeffs, *terms) -> int:
+    """The A-index of sum c x over the (c, x) in ``terms``, each x an A-index,
+    added as the vectors of ``vectors`` in tuple arithmetic; kept per terms,
+    as the sampler's tests add the few elements of a small A many times."""
+    out = zero(coeffs)
+    for c, x in terms:
+        out = add(coeffs, out, scalar_mul(coeffs, c, vectors(coeffs)[x]))
+    return coeffs.index_of(out)
+
+
 def brute_hom_count_abelian(source, coeffs) -> int:
     """|Hom(B, A)| as the product over B's cyclic generators of #(y : b*y = 0)."""
     count = 1
     for b in source.invariant_factors:
-        count *= sum(1 for v in coeffs.vectors() if scalar_mul(coeffs, b, v) == zero(coeffs))
+        count *= sum(1 for v in vectors(coeffs) if scalar_mul(coeffs, b, v) == zero(coeffs))
     return count
 
 
@@ -241,7 +264,7 @@ def reference_abelian_homs(source, coeffs) -> list[tuple[tuple[int, ...], ...]]:
     image of the order-b generator ranges over the elements of A killed by
     b, and the homomorphisms are every combination, in lexicographic order."""
     per_factor = [
-        [v for v in coeffs.vectors() if scalar_mul(coeffs, b, v) == zero(coeffs)]
+        [v for v in vectors(coeffs) if scalar_mul(coeffs, b, v) == zero(coeffs)]
         for b in source.invariant_factors
     ]
     return [tuple(combo) for combo in itertools.product(*per_factor)]
@@ -257,15 +280,32 @@ def evaluate_abelian_hom(coeffs, images, vec) -> tuple[int, ...]:
     in tuple arithmetic."""
     out = zero(coeffs)
     for c, img in zip(vec, images):
-        out = coeffs.add(out, scalar_mul(coeffs, c, img))
+        out = add(coeffs, out, scalar_mul(coeffs, c, img))
     return out
+
+
+def reference_wreath_ops(coeffs):
+    """(mul, fold) on elements of A wr S_n held as (permutation, decorations)
+    pairs, decorations as A-indices, the format of ``WreathHom``: ``mul``
+    composes the permutations and adds the left factor's decorations, moved
+    by the right factor's permutation, to the right's; ``fold`` sums the
+    decorations.  Every sum goes through ``index_sum``."""
+
+    def mul(x, y):
+        (p1, d1), (p2, d2) = x, y
+        return compose(p1, p2), tuple(index_sum(coeffs, (1, d1[i]), (1, b)) for i, b in zip(p2, d2))
+
+    def fold(x) -> int:
+        return index_sum(coeffs, *((1, d) for d in x[1]))
+
+    return mul, fold
 
 
 def full_images(group, coeffs, hom) -> list:
     """Image of every group element of a sampled ``WreathHom``, pushed along
     the stored generator words; ValueError if the generator images do not
     define a homomorphism."""
-    mul, _ = wreath_ops(coeffs)
+    mul, _ = reference_wreath_ops(coeffs)
     identity = (tuple(range(hom.n)), (0,) * hom.n)
     imgs = group.hom_images(mul, identity, list(zip(hom.perms, hom.decors)))
     if imgs is None:
@@ -275,7 +315,7 @@ def full_images(group, coeffs, hom) -> list:
 
 def fold_values(group, coeffs, hom) -> tuple[int, ...]:
     """Fold (decoration sum) of every element's image, as A-element indices."""
-    _, fold = wreath_ops(coeffs)
+    _, fold = reference_wreath_ops(coeffs)
     return tuple(fold(x) for x in full_images(group, coeffs, hom))
 
 
@@ -336,10 +376,10 @@ def orbit_data_to_json(data: OrbitTypeData) -> dict:
 
 def reference_add_table(homs) -> list[list[int]]:
     """The addition table of Hom(G, A), each sum found by its full values."""
-    add_idx, _ = abelian_index_tables(homs.coeffs)
+    coeffs = homs.coeffs
     by_values = {v: i for i, v in enumerate(homs.elements)}
     return [
-        [by_values[tuple(add_idx[x][y] for x, y in zip(a, b))] for b in homs.elements]
+        [by_values[tuple(index_sum(coeffs, (1, x), (1, y)) for x, y in zip(a, b))] for b in homs.elements]
         for a in homs.elements
     ]
 
@@ -438,11 +478,11 @@ def exponential_formula_counts(orbit_data, homs, n):
     trivial character, whose run gives t_n and free_n.  ``orbit_data`` is
     ``reference_orbit_data``, as for ``reference_tables``.
     """
-    add = reference_add_table(homs)
-    h = len(add)
+    table = reference_add_table(homs)
+    h = len(table)
     chars = [
         chi for chi in itertools.product((1, -1), repeat=h)
-        if all(chi[add[x][y]] == chi[x] * chi[y] for x in range(h) for y in range(h))
+        if all(chi[table[x][y]] == chi[x] * chi[y] for x in range(h) for y in range(h))
     ]
     assert len(chars) == h and set(chars[0]) == {1}
     runs = [exponential_formula(orbit_data, n, lambda od: sum(map(operator.mul, chi, od.fiber))) for chi in chars]
@@ -493,7 +533,6 @@ def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
     orbit_data = reference_orbit_data(group, coeffs)
     totals, _, _ = reference_tables(orbit_data, hom_group(group, coeffs), n)
     m = reference_orbit_type(orbit_data, totals, n, rng)
-    add, neg = abelian_index_tables(coeffs)
     num_gens = len(group.generators)
     perms = [list(range(n)) for _ in range(num_gens)]
     decors = [[0] * n for _ in range(num_gens)]
@@ -514,7 +553,7 @@ def reference_sample_hom(group, coeffs, n, rng) -> WreathHom:
                 for j in range(k):
                     p = block[j]
                     perms[gi][p] = block[act[j]]
-                    decors[gi][p] = add[add[xs[act[j]]][u_tab[gi][j]]][neg[xs[j]]]
+                    decors[gi][p] = index_sum(coeffs, (1, xs[act[j]]), (1, u_tab[gi][j]), (-1, xs[j]))
     return WreathHom(n=n, perms=tuple(tuple(p) for p in perms), decors=tuple(tuple(d) for d in decors))
 
 
@@ -623,7 +662,7 @@ def reference_transfer(group, cls, transversal) -> tuple[tuple[int, ...], ...]:
         for t in transversal:
             gt = group.mul(g, t)
             (x,) = [y for y in (group.mul(ti, gt) for ti in inverses) if y in members]
-            acc = ab.group.add(acc, ab.projection[x])
+            acc = add(ab.group, acc, ab.projection[x])
         values.append(acc)
     return tuple(values)
 
@@ -706,9 +745,8 @@ def centralizer_order(action, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
 
 def is_homomorphism(group, coeffs, v) -> bool:
     """Exhaustive check that v[g*h] = v[g] + v[h] for all pairs, v a value tuple."""
-    add_idx, _ = abelian_index_tables(coeffs)
     return all(
-        v[group.mul(a, b)] == add_idx[v[a]][v[b]]
+        v[group.mul(a, b)] == index_sum(coeffs, (1, v[a]), (1, v[b]))
         for a in range(group.order)
         for b in range(group.order)
     )

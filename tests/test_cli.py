@@ -34,7 +34,7 @@ from wreathhom import (
     hom_count_wreath,
     verify_wreath_hom,
 )
-from wreathhom.groups import COEFF_ORDER_CAP, abelian_index_tables
+from wreathhom.groups import COEFF_ORDER_CAP
 from wreathhom.homs import HOM_GROUP_CAP, hom_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -236,16 +236,16 @@ A_COMMANDS = [argv for argv in N_COMMANDS if argv[0] != "weyl"]  # weyl has no -
 @pytest.mark.parametrize("a, order", [(str(COEFF_ORDER_CAP + 1), COEFF_ORDER_CAP + 1), ("2,1024", 2048)])
 @pytest.mark.parametrize("argv", A_COMMANDS, ids=lambda argv: argv[0])
 def test_a_past_cap_refused_before_any_work(argv, a, order, no_group_loads, capsys):
-    # |A| is checked while --A is parsed, before the group is loaded, so no
-    # |A|^2 index table is built
+    # |A| is checked while --A is parsed, before the group is loaded
     assert execute(argv + ["--A", a, "--n", "1"]) == EXIT_CAP_EXCEEDED
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: |A| = {order} exceeds cap {COEFF_ORDER_CAP}\n"
 
 
 def test_a_past_cap_refused_by_the_library():
-    with pytest.raises(SizeCapError, match="exceeds cap"):
-        abelian_index_tables(AbelianGroup((COEFF_ORDER_CAP + 1,)))
+    # |Hom(C2, C1025)| = 1 is far inside its own cap: hom_group refuses A itself
+    with pytest.raises(SizeCapError, match=f"= {COEFF_ORDER_CAP + 1} exceeds cap {COEFF_ORDER_CAP}"):
+        hom_group(builtin_group("C2"), AbelianGroup((COEFF_ORDER_CAP + 1,)))
     with pytest.raises(SizeCapError, match="exceeds cap"):
         hom_count_wreath(builtin_group("C1"), AbelianGroup((2, 1024)), 0)
 
@@ -282,6 +282,30 @@ def test_a_at_cap_runs_in_100_mb():
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     # 3! [x^3] exp(a_1 x + a_2 x^2), with a_1 = |Hom(C2, A)| = 2 and a_2 = |A| / 2
     assert proc.stdout == f'{{"n": 3, "count": "{2**3 + 6 * 2 * COEFF_ORDER_CAP // 2}"}}\n'
+
+
+# Prints the peak of the memory that tracemalloc sees while a counter is
+# built for C2 with |A| at its cap and counts to n = 3.
+PEAK_OF_A_AT_CAP = (
+    "import tracemalloc\n"
+    "from wreathhom import AbelianGroup, builtin_group\n"
+    "from wreathhom.counting import counter_for\n"
+    "from wreathhom.groups import COEFF_ORDER_CAP\n"
+    "group, coeffs = builtin_group('C2'), AbelianGroup((COEFF_ORDER_CAP,))\n"
+    "tracemalloc.start()\n"
+    "counter_for(group, coeffs).count(3)\n"
+    "print(tracemalloc.get_traced_memory()[1])\n"
+)
+
+
+def test_a_at_cap_builds_nothing_of_size_a_squared():
+    # A fresh process, so that no cache of an earlier test holds what the
+    # counter builds.  An |A|^2-entry table of A-indices at |A| = 1024 would
+    # alone peak at about 32 MiB.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_A_AT_CAP], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert int(proc.stdout) < 2**20
 
 
 F56 = {"name": "F56", "permGenerators": [[1, 0, 3, 2, 5, 4, 7, 6], [0, 2, 4, 6, 3, 1, 7, 5]]}
@@ -935,6 +959,8 @@ WORKFLOW_RUNS = {
                          "--seed", "3"], "e31e0aa268b840fb5065e491f8db8b3540c916042cd43623cbae12af306cffef"),
     "sample-C2-30000": (["sample", "--group", "C2", "--n", "30000", "--samples", "1", "--seed", "0"],
                         "5ac300c3e0386d356cc172fa1115efc00bb7b570ee27cc2c1c1567a841fca62a"),
+    "sample-D4-A2,4,4-3000": (["sample", "--group", "D4", "--A", "2,4,4", "--n", "3000", "--samples", "100",
+                              "--seed", "1"], "4b0c4becb34cd4522cbea49de28632d095ac14fc7bea5d0bb894f86d594356bb"),
     # the benchmark's sample reference
     "sample-D4-3000": (["sample", "--group", "D4", "--A", "2", "--n", "3000", "--samples", "100", "--seed", "0"],
                        "24c7c0dd8626a873da8e0c613e61a2480b1963fad651a0c44b69449cf9ec140d"),

@@ -21,13 +21,17 @@ from wreathhom import (
 )
 from wreathhom.groups import FiniteGroup, _abelian_decomposition
 from oracles import (
+    add,
     brute_subgroups,
     compose,
     invariant_factors_from_counts,
+    index_sum,
     reference_abelian_decomposition,
     reference_commutator,
     reference_permutation_group,
     reference_subgroup_classes,
+    scalar_mul,
+    vectors,
     zero,
 )
 from strategies import invariant_factor_chains, permutation_lists, permutation_lists_6
@@ -417,10 +421,10 @@ def test_abelianization_projection_properties(group):
         proj = ab.projection
         members = list(cls.elements)
         # surjective homomorphism with kernel the commutator subgroup
-        assert set(proj.values()) == set(ab.group.vectors())
+        assert set(proj.values()) == set(vectors(ab.group))
         for a in members:
             for b in members:
-                assert proj[group.mul(a, b)] == ab.group.add(proj[a], proj[b])
+                assert proj[group.mul(a, b)] == add(ab.group, proj[a], proj[b])
         kernel = {u for u in members if proj[u] == zero(ab.group)}
         assert kernel == set(ab.commutator)
         assert len(members) == ab.group.order * len(ab.commutator)
@@ -498,14 +502,14 @@ def test_abelian_decomposition_matches_reference_relabelled_chains(chain, data):
     # ties between elements of one order are broken by label order, so the
     # elements of the chain's group get random labels
     ab = AbelianGroup(chain)
-    vectors = list(ab.vectors())
-    label = data.draw(st.permutations(range(len(vectors))))
-    vec = {label[i]: v for i, v in enumerate(vectors)}
+    elements = vectors(ab)
+    label = data.draw(st.permutations(range(len(elements))))
+    vec = {label[i]: v for i, v in enumerate(elements)}
 
     def mul(a, b):
-        return label[ab.index_of(ab.add(vec[a], vec[b]))]
+        return label[ab.index_of(add(ab, vec[a], vec[b]))]
 
-    labels = range(len(vectors))
+    labels = range(len(elements))
     got = _abelian_decomposition(labels, mul, label[0])
     assert got == reference_abelian_decomposition(labels, mul, label[0])
     assert got[0] == chain
@@ -525,10 +529,27 @@ def test_abelian_group_validation():
 
 def test_abelian_group_arithmetic():
     a = AbelianGroup((2, 4))
-    assert a.add((1, 3), (1, 2)) == (0, 1)
-    assert a.neg((1, 3)) == (1, 1)
-    for i, vec in enumerate(a.vectors()):
+    assert add(a, (1, 3), (1, 2)) == (0, 1)
+    assert scalar_mul(a, -1, (1, 3)) == (1, 1)
+    for i, vec in enumerate(vectors(a)):
         assert a.index_of(vec) == i
+    # (1, 3) + (1, 2) - 0 and (1, 1) + (0, 2) - (0, 3), as indices
+    assert a.add_sub([7, 5], [6, 2], [0, 3]) == [1, 4]
+    assert a.total([7, 6, 5]) == 6  # (1, 3) + (1, 2) + (1, 1)
+    assert AbelianGroup(()).add_sub([0, 0], [0, 0], [0, 0]) == [0, 0]
+    assert AbelianGroup(()).total([0, 0]) == 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(invariant_factor_chains, st.data())
+def test_abelian_group_index_arithmetic_matches_tuple_arithmetic(chain, data):
+    # add_sub and total on element indices against sums of their vectors
+    a = AbelianGroup(chain)
+    indices = st.lists(st.integers(0, a.order - 1), min_size=5, max_size=5)
+    xs, ys, zs = (data.draw(indices) for _ in range(3))
+    expected = [index_sum(a, (1, x), (1, y), (-1, z)) for x, y, z in zip(xs, ys, zs)]
+    assert a.add_sub(xs, ys, zs) == expected
+    assert a.total(xs) == index_sum(a, *((1, x) for x in xs))
 
 
 # --- records ----------------------------------------------------------------

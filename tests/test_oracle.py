@@ -17,9 +17,8 @@ from wreathhom import (
     oracle_delta,
     subgroup_classes,
 )
-from oracles import TableTarget, centralizer_order, reference_enumerate_homs
+from oracles import TableTarget, centralizer_order, index_sum, reference_enumerate_homs, reference_wreath_ops
 from strategies import permutation_lists_4
-from wreathhom.groups import abelian_index_tables
 
 C2 = AbelianGroup((2,))
 C3A = AbelianGroup((3,))
@@ -52,12 +51,22 @@ def test_wreath_group_axioms_small():
 
 def test_wreath_projection_and_fold_are_homomorphisms():
     w = build_wreath_group(C2, 3)
-    add, _ = abelian_index_tables(C2)
     for x in w.elements:
         for y in w.elements:
             xy = w.mul(x, y)
             assert xy[0] == tuple(x[0][i] for i in y[0])
-            assert w.fold(xy) == add[w.fold(x)][w.fold(y)]
+            assert w.fold(xy) == index_sum(C2, (1, w.fold(x)), (1, w.fold(y)))
+
+
+@pytest.mark.parametrize("factors, degree", [((), 3), ((3,), 2), ((2, 4), 2), ((2, 2, 2), 2)])
+def test_wreath_mul_and_fold_match_tuple_arithmetic(factors, degree):
+    coeffs = AbelianGroup(factors)
+    w = build_wreath_group(coeffs, degree)
+    mul, fold = reference_wreath_ops(coeffs)
+    for x in w.elements:
+        assert w.fold(x) == fold(x)
+        for y in w.elements:
+            assert w.mul(x, y) == mul(x, y)
 
 
 def test_wreath_elements_listed_once_in_order():

@@ -182,16 +182,17 @@ def _exact_walk(monkeypatch, counter):
 
 
 def test_corrupted_totals_raise_stratum_error(monkeypatch):
-    # the exact scan at s = 20 reads t_14 .. t_19 through count, from the
-    # totals' window that ends at t_19; with t_19 one too large after the
-    # walk tables were built, its sum keeps their top 64 bits but misses
-    # their residue
+    # the exact scan at s = 20 steps t_0 .. t_19 on the merged terms; with
+    # the term of k = |G| one too large after the walk tables were built,
+    # t_6 .. t_19 come out too large, and the class weights at s = 20 no
+    # longer sum to the L t_20 of the tables
     g = builtin_group("S3")
     counter = WreathHomCounter(g, C2)  # not the cached counter_for one
     walk = BackwardWalk(counter)
     walk.extend_to(30)
-    counter.count(19)
-    counter._windows[0][-1] += 1  # the totals' window
+    terms = dict(counter._total_terms)
+    terms[g.order] += 1
+    counter._total_terms = tuple(terms.items())
     _exact_walk(monkeypatch, counter)
     with pytest.raises(InvariantError, match="stratum weights do not sum to the count at n=20"):
         walk.choose_class(20, 0)
@@ -227,23 +228,23 @@ def test_corrupted_walk_window_raises_stratum_error(monkeypatch, table):
 
 
 def test_exact_scan_keeps_a_shared_counters_windows(monkeypatch):
-    # The exact scan reads the totals through the counter's count, so a draw
-    # that takes it leaves the cursor's fixed-point-free and fiber windows in
-    # place, and the next fiber query on the shared counter steps on from
-    # where the scan left the cursor instead of restarting from n = 0.
+    # The exact scan steps the totals it reads in a window of its own, so a
+    # draw that takes it leaves the shared counter's cursor where it was,
+    # with its fixed-point-free and fiber windows, and restarts nothing;
+    # the next fiber query is read off the windows as they stand.
     g = builtin_group("D4")
     counter = counter_for(g, C2)
     counter.fiber_counts(300)
     assert len(counter._windows) == 4
-    scans = []
+    scans, restarts = [], []
     real_weights = BackwardWalk.weights
     monkeypatch.setattr(BackwardWalk, "weights", lambda walk, s: scans.append(s) or real_weights(walk, s))
     monkeypatch.setattr(sampling, "WALK_SLACK", 2**64)
-    sample_orbit_type(g, C2, 250, random.Random(0))
-    assert scans and len(counter._windows) == 4
-    restarts = []
     real_restart = counter._restart
     monkeypatch.setattr(counter, "_restart", lambda width: restarts.append(width) or real_restart(width))
+    sample_orbit_type(g, C2, 250, random.Random(0))
+    assert scans and counter._n == 300 and len(counter._windows) == 4
+    assert restarts == []
     assert counter.fiber_counts(300) == WreathHomCounter(g, C2).fiber_counts(300)
     assert restarts == []
 
