@@ -448,31 +448,31 @@ class AbelianGroup(_AbelianGroupFields):
             idx = idx * e + (a % e)
         return idx
 
-    def add_sub(self, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]) -> list[int]:
+    def add_sub(self, xs: Sequence[int], ys: Iterable[int], zs: Sequence[int]) -> list[int]:
         """The element indices of x + y - z, entry by entry, for equally long
-        lists of element indices.  Per invariant factor e, with place value
-        v (the product of the factors after it), the digits x // v % e add
-        as x // v + y // v - z // v modulo e: one pass per factor, and for
-        a cyclic A one pass of (x + y - z) % e."""
-        fs = self.invariant_factors
-        if len(fs) == 1:
-            e = fs[0]
-            return [(x + y - z) % e for x, y, z in zip(xs, ys, zs)]
-        if fs and fs[-1] == 2:  # every digit is a bit, and adds as one
+        lists of element indices (ys may be any iterable).  The last digit
+        is (x + y - z) % e, for the last invariant factor e; each digit
+        before it, with place value v, is x // v + y // v - z // v modulo
+        its factor: one pass per factor, and for a cyclic A one pass."""
+        *high, e = self.invariant_factors or (1,)
+        if e == 2:  # A = C2^r: the digits are bits, and one exclusive or adds them all
             return [x ^ y ^ z for x, y, z in zip(xs, ys, zs)]
-        out, v = [0] * len(xs), self.order
-        for e in fs:
-            v //= e
+        if high:  # the passes below read ys again
+            ys = list(ys)
+        out, v = [(x + y - z) % e for x, y, z in zip(xs, ys, zs)], e
+        for e in reversed(high):
             out = [o + (x // v + y // v - z // v) % e * v for o, x, y, z in zip(out, xs, ys, zs)]
+            v *= e
         return out
 
     def total(self, xs: Sequence[int]) -> int:
         """The element index of the sum of the elements xs, digit by digit
         as in ``add_sub``."""
-        out, v = 0, self.order
-        for e in self.invariant_factors:
-            v //= e
+        *high, e = self.invariant_factors or (1,)
+        out, v = sum(xs) % e, e
+        for e in reversed(high):
             out += sum([x // v for x in xs]) % e * v
+            v *= e
         return out
 
 

@@ -262,9 +262,9 @@ def sample_hom(
     The blocks are consecutive positions of the shuffled list.  Per class,
     the decorations of all its orbits form one flat list.  Per generator,
     one strided slice per coset lists each point's image, and its
-    decoration, in position order, and ``AbelianGroup.add_sub`` forms the
-    coordinates from three flat lists, in one comprehension for a cyclic A;
-    a gather by the inverse of ``points`` puts them in point order.
+    decoration, in position order; ``AbelianGroup.add_sub`` adds the chained
+    cocycle column and subtracts the decorations (one comprehension for a
+    cyclic A), and a gather by the inverse of ``points`` orders them by point.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
     assemblies = _assemblies(group, coeffs)
@@ -320,7 +320,7 @@ def sample_hom(
                 moved[a::k] = xs[b::k]
             images[gi] += image
             # x[act[a]] + u(cocycle at a) - x[a], the cocycle column of every orbit's u in turn
-            coords[gi] += add_sub(moved, list(chain.from_iterable(map(itemgetter(gi), u_tabs))), xs)
+            coords[gi] += add_sub(moved, chain.from_iterable(map(itemgetter(gi), u_tabs)), xs)
     where = [0] * n
     for q, p in enumerate(points):
         where[p] = q

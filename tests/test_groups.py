@@ -549,6 +549,7 @@ def test_abelian_group_index_arithmetic_matches_tuple_arithmetic(chain, data):
     xs, ys, zs = (data.draw(indices) for _ in range(3))
     expected = [index_sum(a, (1, x), (1, y), (-1, z)) for x, y, z in zip(xs, ys, zs)]
     assert a.add_sub(xs, ys, zs) == expected
+    assert a.add_sub(xs, iter(ys), zs) == expected  # the sampler chains its ys
     assert a.total(xs) == index_sum(a, *((1, x) for x in xs))
 
 
