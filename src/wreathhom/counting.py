@@ -141,10 +141,20 @@ class WreathHomCounter:
                 raise InvariantError(f"c = {od.c} does not divide k = {od.k} in class {od.class_id}")
         # (k_i, b_i = (k_i // c_i) w_i) per class, in class order: the integer class terms.
         self._class_terms = tuple((od.k, od.k // od.c * od.weight) for od in self.orbit_data)
-        merged: dict[int, int] = {}  # the merged b_k, each k where it first occurs in class order
-        for k, b in self._class_terms:
-            merged[k] = merged.get(k, 0) + b
-        self._total_terms = tuple(merged.items())
+        # One run per orbit size k, in class order: its first class and the
+        # prefix sums 0, b_1, b_1 + b_2, ... of its class terms, which the
+        # sampler's walk bisects.  Classes come sorted by subgroup order, so
+        # each k is one run.
+        self.runs: list[tuple[int, list[int]]] = []
+        for i, (k, b) in enumerate(self._class_terms):
+            if i and self._class_terms[i - 1][0] == k:
+                self.runs[-1][1].append(self.runs[-1][1][-1] + b)
+            elif any(self._class_terms[start][0] == k for start, _ in self.runs):
+                raise InvariantError(f"the classes of orbit size {k} are not contiguous")
+            else:
+                self.runs.append((i, [0, b]))
+        # the merged b_k, one per run: its k and the run's sum
+        self._total_terms = tuple((self._class_terms[start][0], prefix[-1]) for start, prefix in self.runs)
         # Only U = G has orbit size 1, so this drops exactly the fixed points.
         self._free_terms = tuple(term for term in self._total_terms if term[0] != 1)
         self._width = group.order  # the largest orbit size, that of U = 1

@@ -122,11 +122,14 @@ class FiniteGroup:
         pushed along the generator words, or None if it is not a homomorphism.
         It is one iff every Cayley edge x -> x s goes to right multiplication
         by the image of s (induction on word length).  Only ``closing_edges``
-        need checking: fewer than |G| |S| products, not |G|^2."""
+        need checking: fewer than |G| |S| products, not |G|^2.  The words
+        start at the identity 0, so an element whose parent is 0 is a
+        generator, and its image is taken as given, not multiplied by the
+        identity's."""
         img = [identity] * self.order
         for x in self.eval_order[1:]:
             parent, gi = self.parent_word[x]
-            img[x] = mul(img[parent], gen_images[gi])
+            img[x] = mul(img[parent], gen_images[gi]) if parent else gen_images[gi]
         for x, y, gi in self.closing_edges:
             if img[y] != mul(img[x], gen_images[gi]):
                 return None

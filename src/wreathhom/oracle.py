@@ -12,7 +12,7 @@ import itertools
 import math
 
 from .groups import AbelianGroup, FiniteGroup, SizeCapError
-from .homs import hom_group
+from .homs import HomGroup, hom_group
 from .counting import DistributionTable
 from .sampling import wreath_ops
 
@@ -83,12 +83,12 @@ def oracle_delta(
     group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs: list
 ) -> DistributionTable:
     """Exact fold-value distribution of the enumerated ``homs`` into ``target``."""
-    return DistributionTable(n=target.degree, fiber_counts=_fold_fibers(group, coeffs, target, homs))
+    fibers = _fold_fibers(group, hom_group(group, coeffs), target, homs)
+    return DistributionTable(n=target.degree, fiber_counts=fibers)
 
 
-def _fold_fibers(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs) -> tuple[int, ...]:
-    """How many of ``homs`` have each fold value, in HomGroup order."""
-    hg = hom_group(group, coeffs)
+def _fold_fibers(group: FiniteGroup, hg: HomGroup, target: ExplicitWreath, homs) -> tuple[int, ...]:
+    """How many of ``homs`` have each fold value, in the order of ``hg``, Hom(G, A)."""
     fibers = [0] * hg.size
     for img in homs:
         fibers[hg.index_of([target.fold(img[s]) for s in group.generators])] += 1
@@ -103,17 +103,19 @@ def fixed_point_strata_uniform(
     Homomorphisms are stratified by their active part; a stratum counts as
     fixed-point if some point is fixed by every generator image.  Within
     such a stratum the fold values must hit each element of Hom(G, A)
-    equally often.
+    equally often.  Each member of such a stratum is folded once, and
+    Hom(G, A) is looked up once per call.
     """
     strata: dict[tuple, list] = {}
     for img in homs:
         key = tuple(img[g][0] for g in group.generators)
         strata.setdefault(key, []).append(img)
+    hg = hom_group(group, coeffs)
     for key, members in strata.items():
         has_fixed = any(all(p[i] == i for p in key) for i in range(target.degree))
         if not has_fixed:
             continue
-        if len(set(_fold_fibers(group, coeffs, target, members))) != 1:
+        if len(set(_fold_fibers(group, hg, target, members))) != 1:
             return False
     return True
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import WreathHomCounter, counter_for
-from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, SubgroupClass, coset_action
+from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, coset_action
 from .orbits import cocycle_row
 
 # How far, in units of the top 64 bits, a draw must sit from an estimated
@@ -70,23 +70,9 @@ def _decimals(size: int) -> tuple[str, ...]:
     return tuple(map(str, range(size)))
 
 
-class _ClassAssembly(NamedTuple):
-    """Per-class data for decorating one orbit."""
-
-    cls: SubgroupClass
-    k: int
-    # gen_points[gen][j]: the coset point that generator gen sends j to
-    gen_points: tuple[tuple[int, ...], ...]
-    # |Hom(U, A)|, the range of each orbit's draw of u
-    u_count: int
-    # rows[u][gen][j]: A-index of u applied to the coset cocycle at (gen, j),
-    # the ``cocycle_row`` of u, kept from u's first draw while the rows'
-    # entries stay within ``ROW_CACHE_ENTRIES``
-    rows: dict[int, tuple[tuple[int, ...], ...]]
-
-
 class BackwardWalk:
-    """The backward walk's tables for one counter, extended on demand.
+    """The backward walk's tables for one counter, extended on demand, and
+    per class what ``sample_hom`` reads to decorate its orbits.
 
     The walk keeps no t_s, only a few machine words per s about L t_s,
     where L = lcm(c_i) is the draw denominator.  They grow by the counter's
@@ -98,18 +84,18 @@ class BackwardWalk:
     def __init__(self, counter: WreathHomCounter):
         self.counter = counter
         self.scale = math.lcm(*(od.c for od in counter.orbit_data))
-        # One run per orbit size k, in the order of the merged terms: its first
-        # class and the prefix sums 0, b_1, b_1 + b_2, ... of its class terms.
-        # Classes come sorted by subgroup order, so each k is one run.
-        self.runs: list[tuple[int, list[int]]] = []
-        terms = counter._class_terms
-        for i, (k, b) in enumerate(terms):
-            if i and terms[i - 1][0] == k:
-                self.runs[-1][1].append(self.runs[-1][1][-1] + b)
-            elif any(terms[start][0] == k for start, _ in self.runs):
-                raise InvariantError(f"the classes of orbit size {k} are not contiguous")
-            else:
-                self.runs.append((i, [0, b]))
+        self.runs = counter.runs  # the class terms by orbit size, for choose_class
+        group, coeffs = counter.group, counter.coeffs
+        # Per class, in class order, what decorating one of its orbits reads:
+        # (k, gen_points, u_count, rows, cls).  gen_points[gen][j] is the coset
+        # point that generator gen sends j to; u_count is |Hom(U, A)|, the range
+        # of each orbit's draw of u, as an orbit's weight is |A|^(k-1) |Hom(U, A)|;
+        # rows[u][gen][j] is the ``cocycle_row`` of u, kept from u's first draw
+        # while the rows' entries stay within ``ROW_CACHE_ENTRIES``.
+        self.classes = [
+            (od.k, coset_action(group, cls).perms, od.weight // coeffs.order ** (od.k - 1), {}, cls)
+            for cls, od in zip(counter.classes, counter.orbit_data)
+        ]
         # Per s the walk has reached: the bit length of L t_s, its residue
         # modulo WALK_PRIME, the shift that leaves 64 of its bits, and at
         # [s * runs + g] the cumulative weight through run g, shifted by it.
@@ -210,15 +196,6 @@ class BackwardWalk:
 _walk_of = lru_cache(maxsize=None)(BackwardWalk)
 
 
-@lru_cache(maxsize=None)
-def _assemblies(group: FiniteGroup, coeffs: AbelianGroup) -> tuple[_ClassAssembly, ...]:
-    counter = counter_for(group, coeffs)
-    return tuple(  # an orbit's weight is |A|^(k-1) |Hom(U, A)|
-        _ClassAssembly(cls, od.k, coset_action(group, cls).perms, od.weight // coeffs.order ** (od.k - 1), {})
-        for cls, od in zip(counter.classes, counter.orbit_data)
-    )
-
-
 def sample_orbit_type(
     group: FiniteGroup, coeffs: AbelianGroup, n: int, rng: random.Random
 ) -> tuple[int, ...]:
@@ -234,7 +211,7 @@ def sample_orbit_type(
     walk = _walk_of(counter_for(group, coeffs))
     walk.extend_to(n)
     bits, choose_class, getrandbits = walk.bits, walk.choose_class, rng.getrandbits
-    sizes = [od.k for od in walk.counter.orbit_data]
+    sizes = [k for k, *_ in walk.classes]
     m = [0] * len(sizes)
     s = n
     while s > 0:
@@ -267,7 +244,7 @@ def sample_hom(
     cyclic A), and a gather by the inverse of ``points`` orders them by point.
     """
     m = sample_orbit_type(group, coeffs, n, rng)
-    assemblies = _assemblies(group, coeffs)
+    walk = _walk_of(counter_for(group, coeffs))
     add_sub = coeffs.add_sub
     getrandbits = rng.getrandbits
     num_gens = len(group.generators)
@@ -286,16 +263,14 @@ def sample_hom(
     a_order = coeffs.order
     a_bits = a_order.bit_length()
     pos = 0
-    for asm, count in zip(assemblies, m):
+    for (k, gen_points, u_count, rows, cls), count in zip(walk.classes, m):
         if not count:
             continue
-        k = asm.k
         span = points[pos : pos + count * k]  # the class's blocks, one after another
         pos += count * k
         # per orbit, in this order: u, then the k - 1 free decorations, which
         # go into one flat list aligned with span, 0 at each block's first slot
         u_tabs, xs = [], []
-        rows, u_count = asm.rows, asm.u_count
         u_bits = u_count.bit_length()
         for _ in range(count):
             u = getrandbits(u_bits)  # _randbelow(u_count), written out
@@ -303,7 +278,7 @@ def sample_hom(
                 u = getrandbits(u_bits)
             row = rows.get(u)
             if row is None:
-                row = cocycle_row(group, coeffs, asm.cls, u)
+                row = cocycle_row(group, coeffs, cls, u)
                 if (len(rows) + 1) * num_gens * k <= ROW_CACHE_ENTRIES:
                     rows[u] = row
             u_tabs.append(row)
@@ -313,7 +288,7 @@ def sample_hom(
                 while x >= a_order:
                     x = getrandbits(a_bits)
                 xs.append(x)
-        for gi, act in enumerate(asm.gen_points):
+        for gi, act in enumerate(gen_points):
             image, moved = span[:], xs[:]
             for a, b in enumerate(act):  # slot a of every block gets that block's slot act[a]
                 image[a::k] = span[b::k]

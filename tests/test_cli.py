@@ -1,8 +1,10 @@
+import ast
 import errno
 import hashlib
 import itertools
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -975,6 +977,23 @@ def test_workflow_bytes_pinned(case, tmp_path):
     proc = run_module(*(str(tmp_path / a) if a in WORKFLOW_SPECS else a for a in argv))
     assert proc.returncode == EXIT_OK, proc.stderr[-500:]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_every_workflow_digest_is_pinned_here():
+    # CI alone checks these bytes on Python 3.10 to 3.13, and tier-1 alone
+    # runs on every change, so each sha256 a workflow step compares against
+    # must be a string in this module's code (comments are not read).  The
+    # one exception is the count at the recurrence cap, which takes about 10 s.
+    workflow = (SRC.parent / ".github" / "workflows" / "tests.yml").read_text()
+    lines = [line for line in workflow.splitlines() if "sha256sum" in line]
+    digests = [re.fullmatch(r'.*" = ([0-9a-f]{64})', line) for line in lines]
+    assert all(digests), lines  # each compared step ends in its digest
+    in_ci = {m[1] for line, m in zip(lines, digests) if "wreathhom count --group C2 --n 100000 " not in line}
+    assert len(in_ci) == len({m[1] for m in digests}) - 1  # the exception is a step of its own
+    code = ast.walk(ast.parse(Path(__file__).read_text()))
+    pinned = {node.value for node in code if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(in_ci - pinned) == []
+
 
 # Prints, on stderr, the modules that running the CLI added to sys.modules.
 IMPORTS_OF_A_RUN = (

@@ -206,13 +206,13 @@ def test_one_coset_walk_per_class(monkeypatch):
 
     monkeypatch.setattr(orbits, "coset_action", counted)
     # groups are cached by value, and a hypothesis test may have drawn this one
-    for cache in (orbits._transfer_factors, counter_for, sampling._assemblies):
+    for cache in (orbits._transfer_factors, counter_for, sampling._walk_of):
         cache.cache_clear()
     g, a = group_from_permutations([[1, 0, 2, 3], [0, 1, 3, 2], [2, 3, 0, 1]]), AbelianGroup((2,))
     for seed in range(3):  # these draws build rows in every class
         sampling.sample_hom(g, a, 40, random.Random(seed))
     classes = counter_for(g, a).classes
-    assert all(asm.rows for asm in sampling._assemblies(g, a))
+    assert all(rows for _, _, _, rows, _ in sampling._walk_of(counter_for(g, a)).classes)
     assert len(classes) == 8 and sorted(walks) == sorted(classes)
 
 

@@ -100,17 +100,19 @@ def test_choose_class_at_every_bound(name, coeffs):
             assert walk.choose_class(s, r) == expected, (s, r)
 
 
-def test_walk_refuses_classes_of_one_size_apart(monkeypatch):
+def test_counter_refuses_classes_of_one_size_apart(monkeypatch):
     # V4's three subgroups of order 2 share k = 2; one moved past the
-    # trivial subgroup (k = 4) would split their run.  The counter merges
-    # its terms by k in any order; the walk needs each k as one run.
+    # trivial subgroup (k = 4) would split their run.  The counter groups
+    # its terms by k once, as the runs the walk bisects, so it refuses when
+    # it is built: a count refuses as well as a draw.
     g = builtin_group("V4")
     classes = counting.subgroup_classes(g)
     assert [c.index for c in classes] == [4, 2, 2, 2, 1]
     monkeypatch.setattr(counting, "subgroup_classes", lambda group: (classes[1], classes[0], *classes[2:]))
-    counter = WreathHomCounter(g, C2)
-    with pytest.raises(InvariantError, match="the classes of orbit size 2 are not contiguous"):
-        BackwardWalk(counter)
+    counter_for.cache_clear()  # groups are cached by value
+    for query in (lambda: counter_for(g, C2).count(5), lambda: sample_hom(g, C2, 5, random.Random(0))):
+        with pytest.raises(InvariantError, match="the classes of orbit size 2 are not contiguous"):
+            query()
 
 
 @pytest.mark.parametrize("coeffs", [C2, C3A, V4A], ids=["C2", "C3", "V4"])
@@ -141,17 +143,17 @@ def test_draws_past_the_row_cache_match_reference_draws(entries, monkeypatch):
     # a u whose row finds no room is built for its orbit alone: the same
     # draws, and no class keeps more than its room
     monkeypatch.setattr(sampling, "ROW_CACHE_ENTRIES", entries)
-    sampling._assemblies.cache_clear()
+    sampling._walk_of.cache_clear()
     try:
         for name, coeffs in (("D4", AbelianGroup((2, 4))), ("S3", V4A)):
             g = builtin_group(name)
             rng, ref_rng = random.Random(5), random.Random(5)
             for _ in range(10):
                 assert sample_hom(g, coeffs, 40, rng) == reference_sample_hom(g, coeffs, 40, ref_rng), name
-            for asm in sampling._assemblies(g, coeffs):
-                assert len(asm.rows) * len(g.generators) * asm.k <= entries, name
+            for k, _, _, rows, _ in sampling._walk_of(counter_for(g, coeffs)).classes:
+                assert len(rows) * len(g.generators) * k <= entries, name
     finally:
-        sampling._assemblies.cache_clear()
+        sampling._walk_of.cache_clear()
 
 
 def test_row_cache_stops_growing():
@@ -160,17 +162,17 @@ def test_row_cache_stops_growing():
     # entries each; the class keeps the first that fit in ROW_CACHE_ENTRIES
     g = group_from_permutations([[1, 0, 3, 2, 5, 4, 7, 6], [0, 2, 4, 6, 3, 1, 7, 5]], name="F56")
     coeffs = AbelianGroup((2,) * 8)
-    sampling._assemblies.cache_clear()  # groups are cached by value
+    sampling._walk_of.cache_clear()  # groups are cached by value
     rng = random.Random(1)
     for _ in range(5000):
         sample_hom(g, coeffs, 30, rng)
-    assemblies = sampling._assemblies(g, coeffs)
-    entries = [len(asm.rows) * len(g.generators) * asm.k for asm in assemblies]
+    classes = sampling._walk_of(counter_for(g, coeffs)).classes
+    entries = [len(rows) * len(g.generators) * k for k, _, _, rows, _ in classes]
     assert max(entries) <= sampling.ROW_CACHE_ENTRIES, entries
     # the C2^3 class filled its room; the classes with one u each keep theirs
-    [c2_cubed] = [asm for asm in assemblies if asm.k == 7]
-    assert (c2_cubed.u_count, len(c2_cubed.rows)) == (2**24, sampling.ROW_CACHE_ENTRIES // 14)
-    assert [len(asm.rows) for asm in assemblies if asm.u_count == 1] == [0, 1, 1]
+    [(_, _, u_count, rows, _)] = [record for record in classes if record[0] == 7]
+    assert (u_count, len(rows)) == (2**24, sampling.ROW_CACHE_ENTRIES // 14)
+    assert [len(rows) for _, _, u_count, rows, _ in classes if u_count == 1] == [0, 1, 1]
 
 
 def _exact_walk(monkeypatch, counter):
