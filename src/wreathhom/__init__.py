@@ -37,7 +37,8 @@ from .counting import (
     weyl_limit_ratio,
 )
 
-_ORACLE = ("ExplicitWreath", "build_wreath_group", "enumerate_homs", "fixed_point_strata_uniform", "oracle_delta")
+_ORACLE = ("ExplicitWreath", "build_wreath_group", "enumerate_homs", "fixed_point_strata_uniform", "fold_indices",
+           "oracle_delta")
 _SAMPLING = ("WreathHom", "sample_hom", "sample_orbit_type", "verify_wreath_hom")
 
 
@@ -83,6 +84,7 @@ __all__ = [
     "enumerate_homs",
     "fixed_point_free_probability",
     "fixed_point_strata_uniform",
+    "fold_indices",
     "full_group_class",
     "group_from_permutations",
     "group_from_table",

@@ -211,7 +211,7 @@ def _cmd_sample(args, ns: range, cap: int) -> int:
 
 
 def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
-    from .oracle import build_wreath_group, enumerate_homs, fixed_point_strata_uniform, oracle_delta
+    from .oracle import build_wreath_group, enumerate_homs, fixed_point_strata_uniform, fold_indices, oracle_delta
     if ns is None:
         ns = _parse_n_range("1:3", cap)
     elif args.group is None:
@@ -233,9 +233,10 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
         count_rec = hom_count_wreath(group, coeffs, n)
         count_dir = hom_count_direct(group, coeffs, n)
         engine_delta = delta_distribution(group, coeffs, n)
-        brute_delta = oracle_delta(group, coeffs, wreath, homs)
+        folds = fold_indices(group, coeffs, wreath, homs)
+        brute_delta = oracle_delta(group, coeffs, wreath, folds)
         delta_match = engine_delta.fiber_counts == brute_delta.fiber_counts
-        strata_uniform = fixed_point_strata_uniform(group, coeffs, wreath, homs)
+        strata_uniform = fixed_point_strata_uniform(group, coeffs, wreath, homs, folds)
         ok = count_rec == count_dir == len(homs) and delta_match and strata_uniform
         all_ok = all_ok and ok
         lines.append(

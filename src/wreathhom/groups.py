@@ -90,49 +90,60 @@ class FiniteGroup:
         return order
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by ``seed`` (closure of words, identity included)."""
-        gens = sorted(set(seed) | {0})
-        elems = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = self.mul_table[x]
-                for s in gens:
-                    y = row[s]
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(elems)
+        """Subgroup generated by ``seed``: the trivial subgroup extended by
+        each element of the seed not yet inside (``_extension``)."""
+        elems = frozenset({0})
+        for g in seed:
+            if g not in elems:
+                elems = _extension(self.mul_table, tuple(elems), g)
+        return elems
 
     @cached_property
-    def closing_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """Cayley edges (x, x s, index of s) off the BFS tree of the generator
-        words; the tree's own edges hold for any map pushed along the words."""
-        return tuple(
-            (x, row[s], gi)
-            for x, row in enumerate(self.mul_table)
-            for gi, s in enumerate(self.generators)
-            if self.parent_word[row[s]] != (x, gi)
-        )
+    def _hom_plan(self) -> tuple[list, list]:
+        """``hom_images``' schedule: the generator elements with their
+        generator index, then blocks (edges, pushes).  The edges (x, x s,
+        index of s) are the Cayley edges off the tree of the generator words,
+        whose own edges hold for any pushed map; each sits in the first block
+        at which both of its ends have images.  The pushes (x, parent, index
+        of s), x = parent s, follow eval order."""
+        generators, pushes, ready = [], [], [0] * self.order  # ready[x]: the pushes until x has its image
+        for x in self.eval_order[1:]:
+            parent, gi = self.parent_word[x]
+            if parent:
+                pushes.append((x, parent, gi))
+                ready[x] = len(pushes)
+            else:  # the words start at 0, so x is the generator itself
+                generators.append((x, gi))
+        edges_at: list[list[tuple[int, int, int]]] = [[] for _ in range(len(pushes) + 1)]
+        for x, row in enumerate(self.mul_table):
+            for gi, s in enumerate(self.generators):
+                if self.parent_word[row[s]] != (x, gi):
+                    edges_at[max(ready[x], ready[row[s]])].append((x, row[s], gi))
+        blocks: list[tuple[list, list]] = []
+        for i, edges in enumerate(edges_at):
+            if edges or not blocks:
+                blocks.append((edges, []))
+            blocks[-1][1].extend(pushes[i : i + 1])
+        return generators, blocks
 
     def hom_images(self, mul, identity, gen_images: Sequence) -> Optional[list]:
         """Images of all elements under the map with these generator images,
         pushed along the generator words, or None if it is not a homomorphism.
         It is one iff every Cayley edge x -> x s goes to right multiplication
-        by the image of s (induction on word length).  Only ``closing_edges``
-        need checking: fewer than |G| |S| products, not |G|^2.  The words
-        start at the identity 0, so an element whose parent is 0 is a
-        generator, and its image is taken as given, not multiplied by the
-        identity's."""
+        by the image of s (induction on word length); only the edges off the
+        words' tree need checking, fewer than |G| |S| products, not |G|^2.
+        Each is checked as soon as both of its ends have images, so a tuple
+        that fails stops there.  The generators' images are taken as given."""
+        generators, blocks = self._hom_plan
         img = [identity] * self.order
-        for x in self.eval_order[1:]:
-            parent, gi = self.parent_word[x]
-            img[x] = mul(img[parent], gen_images[gi]) if parent else gen_images[gi]
-        for x, y, gi in self.closing_edges:
-            if img[y] != mul(img[x], gen_images[gi]):
-                return None
+        for x, gi in generators:
+            img[x] = gen_images[gi]
+        for edges, pushes in blocks:
+            for x, y, gi in edges:
+                if img[y] != mul(img[x], gen_images[gi]):
+                    return None
+            for x, parent, gi in pushes:
+                img[x] = mul(img[parent], gen_images[gi])
         return img
 
     def __repr__(self) -> str:
@@ -504,14 +515,14 @@ class SubgroupClass(NamedTuple):
         return len(self.elements)
 
 
-def _conjugation_orbit(group: FiniteGroup, subgroup: frozenset[int]) -> set[frozenset[int]]:
-    """The conjugates of ``subgroup``: its closure under conjugation by the generators."""
+def _conjugation_orbit(conjugations: list[tuple[int, ...]], subgroup: frozenset[int]) -> set[frozenset[int]]:
+    """The conjugates of ``subgroup``: its closure under the conjugation
+    maps u -> s u s^-1 of the generators s, each a tuple indexed by u."""
     orbit, todo = {subgroup}, [subgroup]
     while todo:
         conjugate = todo.pop()
-        for s in group.generators:
-            si = group.inv(s)
-            image = frozenset(group.mul(group.mul(s, u), si) for u in conjugate)
+        for conj in conjugations:
+            image = frozenset(map(conj.__getitem__, conjugate))
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -523,11 +534,16 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
     """All subgroups up to conjugacy, ordered by size with the full group last.
 
     Cyclic extension over class representatives: from the trivial subgroup,
-    each new class's representative R is extended by one element g of each
-    double coset RgR outside R, since <R, g> is the same for all of them.
-    Extension commutes with conjugation, so every class is reached.  Each
-    class's orbit is computed once; orbit-stabilizer gives |N(U)|.
+    each new class's representative R is extended by elements g of prime
+    power order, which generate every subgroup, one g for all the double
+    cosets R g^j R, j prime to ord(g), outside R: <R, g^j> = <R, g>, and
+    <R, x> is the same for every x in R g^j R.  Extension commutes with
+    conjugation, so every class is reached.  Each class's orbit is computed
+    once; orbit-stabilizer gives |N(U)|.
     """
+    table = group.mul_table
+    cyclic_generators = _prime_power_cyclic_generators(table)
+    conjugations = [tuple(table[y][group.inv(s)] for y in table[s]) for s in group.generators]
     seen: set[frozenset[int]] = set()
     classes: list[SubgroupClass] = []
     todo = {frozenset({0})}
@@ -535,7 +551,7 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
         subgroup = todo.pop()
         if subgroup in seen:
             continue
-        orbit = _conjugation_orbit(group, subgroup)
+        orbit = _conjugation_orbit(conjugations, subgroup)
         seen |= orbit
         rep = min(orbit, key=sorted)
         normalizer = group.order // len(orbit)
@@ -549,13 +565,52 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
                 is_full_group=len(rep) == group.order,
             )
         )
-        covered = set(rep)
-        for g in range(group.order):
-            if g not in covered:
-                todo.add(group.subgroup_closure(rep | {g}))
-                covered.update(group.mul(group.mul(r, g), q) for r in rep for q in rep)
+        members = tuple(rep)
+        covered = set(members)  # a union of left cosets y R
+        for g, generators in cyclic_generators.items():
+            if g in covered:
+                continue
+            todo.add(_extension(table, members, g))
+            for x in generators:
+                if x not in covered:  # R x R, left coset by left coset
+                    for r in members:
+                        y = table[r][x]
+                        if y not in covered:
+                            row = table[y]
+                            covered.update([row[q] for q in members])
     classes.sort(key=lambda c: (c.order, c.elements))
     return tuple(classes)
+
+
+def _extension(table: tuple[tuple[int, ...], ...], members: tuple[int, ...], g: int) -> frozenset[int]:
+    """<R, g> for the subgroup R with these members: the union of the left
+    cosets y R that closing R under right multiplication by g reaches, since
+    a union of left cosets is closed under R.  That is 2 |<R, g>| products,
+    not |<R, g>| (|R| + 1) as closing under every element of R and g."""
+    elems, todo = set(members), list(members)
+    while todo:
+        y = table[todo.pop()][g]
+        if y not in elems:
+            row = table[y]
+            coset = [row[r] for r in members]
+            elems.update(coset)
+            todo += coset
+    return frozenset(elems)
+
+
+def _prime_power_cyclic_generators(table: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
+    """For each element g of prime power order p^a, in label order, the
+    generators g^j (j prime to p) of its cyclic group <g>."""
+    out: dict[int, tuple[int, ...]] = {}
+    for g in range(1, len(table)):
+        powers = [0, g]  # g^0, g^1, ... up to g^(o-1)
+        while (x := table[powers[-1]][g]) != 0:
+            powers.append(x)
+        o = len(powers)
+        p = next(q for q in range(2, o + 1) if o % q == 0)
+        if pow(p, o, o) == 0:  # o divides a power of its least prime p: o = p^a
+            out[g] = tuple(x for j, x in enumerate(powers) if j % p)
+    return out
 
 
 def full_group_class(group: FiniteGroup) -> SubgroupClass:

@@ -304,28 +304,11 @@ def sample_hom(
     return WreathHom(n=n, perms=tuple(map(gather, images)), decors=tuple(map(gather, coords)))
 
 
-def wreath_ops(coeffs: AbelianGroup):
-    """(mul, fold) on elements of A wr S_n held as (permutation, decorations)
-    pairs, with decorations as A-element indices, the format of ``WreathHom``.
-
-    ``mul`` permutes the left factor's decorations by the right factor's
-    permutation; ``fold`` sums the decorations, a homomorphism onto A.
-    """
-    add_sub = coeffs.add_sub
-
-    def mul(x, y):
-        p1, d1 = x
-        p2, d2 = y
-        # one index makes itemgetter return the item itself, and none is refused
-        moved = itemgetter(*p2) if len(p2) > 1 else tuple
-        return moved(p1), tuple(add_sub(moved(d1), d2, (0,) * len(d2)))
-
-    return mul, lambda x: coeffs.total(x[1])
-
-
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:
     """Check the generator images satisfy every relation of the group, by
     the Cayley edges of ``FiniteGroup.hom_images``."""
+    from .oracle import wreath_ops
+
     mul, _ = wreath_ops(coeffs)
     identity = (tuple(range(hom.n)), (0,) * hom.n)
     return group.hom_images(mul, identity, list(zip(hom.perms, hom.decors))) is not None

@@ -763,25 +763,42 @@ class TableTarget:
         self.mul = group.mul
 
 
+def reference_pushed_map(group, target, images) -> tuple[tuple, int]:
+    """The image of every element under the generator images, extended by a
+    breadth-first walk of its own from the identity and checked on nothing,
+    and the element that walk reached last."""
+    img = {0: target.identity}
+    frontier, last = [0], 0
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, t in zip(group.generators, images):
+                y = group.mul(x, s)
+                if y not in img:
+                    img[y] = target.mul(img[x], t)
+                    nxt.append(y)
+                    last = y
+        frontier = nxt
+    return tuple(img[x] for x in range(group.order)), last
+
+
+def reference_hom_images(group, target, images):
+    """The full map of these generator images if it is a homomorphism,
+    checked on all |G|^2 products, else None."""
+    full, _ = reference_pushed_map(group, target, images)
+    d = group.order
+    if all(target.mul(full[a], full[b]) == full[group.mul(a, b)] for a in range(d) for b in range(d)):
+        return full
+    return None
+
+
 def reference_enumerate_homs(group, target) -> set[tuple]:
     """All homomorphisms into a target with ``elements``, as full maps: every
     tuple of target elements as generator images, no order pruning, each
-    extended by its own breadth-first walk and checked on all |G|^2 products."""
-    d = group.order
+    accepted by ``reference_hom_images``."""
     homs = set()
     for images in itertools.product(target.elements, repeat=len(group.generators)):
-        img = {0: target.identity}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, t in zip(group.generators, images):
-                    y = group.mul(x, s)
-                    if y not in img:
-                        img[y] = target.mul(img[x], t)
-                        nxt.append(y)
-            frontier = nxt
-        full = tuple(img[x] for x in range(d))
-        if all(target.mul(full[a], full[b]) == full[group.mul(a, b)] for a in range(d) for b in range(d)):
+        full = reference_hom_images(group, target, images)
+        if full is not None:
             homs.add(full)
     return homs

@@ -24,6 +24,7 @@ from wreathhom import (
     enumerate_homs,
     fixed_point_free_probability,
     fixed_point_strata_uniform,
+    fold_indices,
     hom_count_direct,
     hom_count_wreath,
     hom_group,
@@ -66,13 +67,14 @@ def _cells():
             for n in _grid_ns(coeffs):
                 target = build_wreath_group(coeffs, n)
                 homs = enumerate_homs(group, target)
+                folds = fold_indices(group, coeffs, target, homs)
                 _cells_cache[(gname, factors, n)] = {
                     "group": group,
                     "coeffs": coeffs,
                     "n": n,
                     "oracle_count": len(homs),
-                    "oracle_fibers": oracle_delta(group, coeffs, target, homs).fiber_counts,
-                    "strata_uniform": fixed_point_strata_uniform(group, coeffs, target, homs),
+                    "oracle_fibers": oracle_delta(group, coeffs, target, folds).fiber_counts,
+                    "strata_uniform": fixed_point_strata_uniform(group, coeffs, target, homs, folds),
                 }
     return _cells_cache
 

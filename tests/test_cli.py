@@ -934,6 +934,7 @@ def test_subcommand_bytes_in_fresh_interpreter(argv, digest):
 # The workflow's installed-script steps that no test above pins, with the
 # spec files it writes; a spec argument names one of WORKFLOW_SPECS.
 WORKFLOW_SPECS = {
+    "s4.json": '{"name": "S4", "permGenerators": [[1,2,3,0],[1,0,2,3]]}',
     "s6.json": '{"name": "S6", "permGenerators": [[1,2,3,4,5,0],[1,0,2,3,4,5]]}',
     "c2c4.json": '{"permGenerators": [[1,0,2,3,4,5],[0,1,3,4,5,2]]}',
     "f56.json": '{"name": "F56", "permGenerators": [[1,0,3,2,5,4,7,6],[0,2,4,6,3,1,7,5]]}',
@@ -963,6 +964,8 @@ WORKFLOW_RUNS = {
                         "5ac300c3e0386d356cc172fa1115efc00bb7b570ee27cc2c1c1567a841fca62a"),
     "sample-D4-A2,4,4-3000": (["sample", "--group", "D4", "--A", "2,4,4", "--n", "3000", "--samples", "100",
                               "--seed", "1"], "4b0c4becb34cd4522cbea49de28632d095ac14fc7bea5d0bb894f86d594356bb"),
+    "oracle-check-S4-A2,2": (["oracle-check", "--group", "s4.json", "--A", "2,2", "--n", "1:3"],
+                             "26c2a85907ce0b1dae05797fd714b13c98ad8868a7f4b0124a82f9576a9e43b4"),
     # the benchmark's sample reference
     "sample-D4-3000": (["sample", "--group", "D4", "--A", "2", "--n", "3000", "--samples", "100", "--seed", "0"],
                        "24c7c0dd8626a873da8e0c613e61a2480b1963fad651a0c44b69449cf9ec140d"),
@@ -1023,6 +1026,18 @@ def test_oracle_check_does_not_import_fractions():
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "wreathhom.oracle" in loaded
     assert "fractions" not in loaded
+
+
+def test_oracle_check_does_not_import_the_sampler():
+    # the oracle multiplies wreath elements with its own wreath_ops; the
+    # sampler is compiled for sample alone
+    argv = ["oracle-check", "--group", "S3", "--A", "2,2", "--n", "1:2"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_RUN, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "wreathhom.oracle" in loaded
+    assert "wreathhom.sampling" not in loaded
 
 
 @pytest.mark.parametrize("command", UNUSED_MODULES)

@@ -293,10 +293,20 @@ def test_subgroup_classes_vs_subset_oracle(name):
     assert_classes_partition_subgroups(g, subgroup_classes(g))
 
 
+# groups with elements of composite order, which the class worklist does not
+# extend by: C6 x C2, C12, and D8, the dihedral group of order 16
+COMPOSITE_ORDER_GROUPS = {
+    "C6xC2": [(1, 2, 3, 4, 5, 0, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)],
+    "C12": [(*range(1, 12), 0)],
+    "D8": [(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)],
+}
+
+
 @pytest.mark.parametrize(
     "group",
     [builtin_group(n) for n in BUILTINS]
-    + [s4(), a5(), c2_4(), group_from_table(s5_table(0), name="S5")],
+    + [s4(), a5(), c2_4(), group_from_table(s5_table(0), name="S5")]
+    + [group_from_permutations(perms, name=name) for name, perms in COMPOSITE_ORDER_GROUPS.items()],
     ids=lambda g: g.name,
 )
 def test_subgroup_classes_vs_pairwise_join_reference(group):

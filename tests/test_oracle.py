@@ -1,5 +1,8 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wreathhom import (
     AbelianGroup,
@@ -11,13 +14,22 @@ from wreathhom import (
     delta_distribution,
     enumerate_homs,
     fixed_point_strata_uniform,
+    fold_indices,
     group_from_permutations,
     hom_count_direct,
     hom_count_wreath,
     oracle_delta,
     subgroup_classes,
 )
-from oracles import TableTarget, centralizer_order, index_sum, reference_enumerate_homs, reference_wreath_ops
+from oracles import (
+    TableTarget,
+    centralizer_order,
+    index_sum,
+    reference_enumerate_homs,
+    reference_hom_images,
+    reference_pushed_map,
+    reference_wreath_ops,
+)
 from strategies import permutation_lists_4
 
 C2 = AbelianGroup((2,))
@@ -112,6 +124,68 @@ def test_enumerate_homs_matches_reference(name, target):
     assert set(homs) == reference_enumerate_homs(g, t)
 
 
+BUILTINS = ("C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8")
+# small explicit targets (A, n): cyclic, elementary and mixed A, degrees 1 to 3
+SMALL_WREATHS = (((2,), 2), ((2,), 3), ((3,), 2), ((2, 2), 2), ((4,), 2), ((2, 4), 1))
+
+
+@lru_cache(maxsize=None)
+def _small_wreath(factors, degree):
+    return build_wreath_group(AbelianGroup(factors), degree)
+
+
+def _divides_order(target, t, m):
+    x = target.identity
+    for _ in range(m):
+        x = target.mul(x, t)
+    return x == target.identity
+
+
+@lru_cache(maxsize=None)
+def _failing_only_last(name, factors, degree):
+    """The tuples of generator images whose pushed map breaks only Cayley
+    edges x -> x s at the element the pushing reaches last."""
+    group, target = builtin_group(name), _small_wreath(factors, degree)
+    found = []
+    for images in product(target.elements, repeat=len(group.generators)):
+        full, last = reference_pushed_map(group, target, images)
+        failing = [
+            (x, group.mul(x, s))
+            for x in range(group.order)
+            for s, t in zip(group.generators, images)
+            if full[group.mul(x, s)] != target.mul(full[x], t)
+        ]
+        if failing and all(last in edge for edge in failing):
+            found.append(images)
+    return found
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(BUILTINS), st.sampled_from(SMALL_WREATHS), st.sampled_from(["any", "pruned", "fails last"]),
+       st.data())
+def test_hom_images_refuses_exactly_what_the_reference_rejects(name, wreath, kind, data):
+    # hom_images checks each closing edge as soon as both its ends have
+    # images and stops at the first that fails: random tuples, tuples
+    # pruned by generator order as enumerate_homs draws them, and tuples
+    # that break only edges at the element pushed last
+    group, target = builtin_group(name), _small_wreath(*wreath)
+    if kind == "fails last":
+        pool = _failing_only_last(name, *wreath)
+        assume(pool)
+        images = data.draw(st.sampled_from(pool))
+    else:
+        pools = [
+            [t for t in target.elements if kind == "any" or _divides_order(target, t, group.element_order(g))]
+            for g in group.generators
+        ]
+        images = tuple(data.draw(st.sampled_from(pool)) for pool in pools)
+    got = group.hom_images(target.mul, target.identity, images)
+    expected = reference_hom_images(group, target, images)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert tuple(got) == expected
+
+
 def test_enumerate_homs_cap():
     with pytest.raises(SizeCapError, match="cap"):
         # two generators into an order-46080 target: 46080^2 tuples, past 10^8
@@ -120,7 +194,8 @@ def test_enumerate_homs_cap():
 
 def brute_delta(group, coeffs, n):
     target = build_wreath_group(coeffs, n)
-    return oracle_delta(group, coeffs, target, enumerate_homs(group, target))
+    homs = enumerate_homs(group, target)
+    return oracle_delta(group, coeffs, target, fold_indices(group, coeffs, target, homs))
 
 
 def test_oracle_delta_examples():
@@ -167,7 +242,7 @@ def test_fixed_point_strata_uniform_small():
     g = builtin_group("C2")
     w = build_wreath_group(C2, 3)
     homs = enumerate_homs(g, w)
-    assert fixed_point_strata_uniform(g, C2, w, homs)
+    assert fixed_point_strata_uniform(g, C2, w, homs, fold_indices(g, C2, w, homs))
 
 
 def test_centralizer_examples():
@@ -221,4 +296,5 @@ def _check_three_counts(g, coeffs, n):
     homs = enumerate_homs(g, target)
     assert hom_count_direct(g, coeffs, n) == hom_count_wreath(g, coeffs, n) == len(homs)
     # and the fold fibers of the lattice sequences, by the same enumeration
-    assert WreathHomCounter(g, coeffs).fiber_counts(n) == oracle_delta(g, coeffs, target, homs).fiber_counts
+    folds = fold_indices(g, coeffs, target, homs)
+    assert WreathHomCounter(g, coeffs).fiber_counts(n) == oracle_delta(g, coeffs, target, folds).fiber_counts
