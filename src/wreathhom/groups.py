@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -97,54 +97,6 @@ class FiniteGroup:
             if g not in elems:
                 elems = _extension(self.mul_table, tuple(elems), g)
         return elems
-
-    @cached_property
-    def _hom_plan(self) -> tuple[list, list]:
-        """``hom_images``' schedule: the generator elements with their
-        generator index, then blocks (edges, pushes).  The edges (x, x s,
-        index of s) are the Cayley edges off the tree of the generator words,
-        whose own edges hold for any pushed map; each sits in the first block
-        at which both of its ends have images.  The pushes (x, parent, index
-        of s), x = parent s, follow eval order."""
-        generators, pushes, ready = [], [], [0] * self.order  # ready[x]: the pushes until x has its image
-        for x in self.eval_order[1:]:
-            parent, gi = self.parent_word[x]
-            if parent:
-                pushes.append((x, parent, gi))
-                ready[x] = len(pushes)
-            else:  # the words start at 0, so x is the generator itself
-                generators.append((x, gi))
-        edges_at: list[list[tuple[int, int, int]]] = [[] for _ in range(len(pushes) + 1)]
-        for x, row in enumerate(self.mul_table):
-            for gi, s in enumerate(self.generators):
-                if self.parent_word[row[s]] != (x, gi):
-                    edges_at[max(ready[x], ready[row[s]])].append((x, row[s], gi))
-        blocks: list[tuple[list, list]] = []
-        for i, edges in enumerate(edges_at):
-            if edges or not blocks:
-                blocks.append((edges, []))
-            blocks[-1][1].extend(pushes[i : i + 1])
-        return generators, blocks
-
-    def hom_images(self, mul, identity, gen_images: Sequence) -> Optional[list]:
-        """Images of all elements under the map with these generator images,
-        pushed along the generator words, or None if it is not a homomorphism.
-        It is one iff every Cayley edge x -> x s goes to right multiplication
-        by the image of s (induction on word length); only the edges off the
-        words' tree need checking, fewer than |G| |S| products, not |G|^2.
-        Each is checked as soon as both of its ends have images, so a tuple
-        that fails stops there.  The generators' images are taken as given."""
-        generators, blocks = self._hom_plan
-        img = [identity] * self.order
-        for x, gi in generators:
-            img[x] = gen_images[gi]
-        for edges, pushes in blocks:
-            for x, y, gi in edges:
-                if img[y] != mul(img[x], gen_images[gi]):
-                    return None
-            for x, parent, gi in pushes:
-                img[x] = mul(img[parent], gen_images[gi])
-        return img
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"

@@ -2,8 +2,9 @@
 
 Explicit construction of A wr S_n as a list of (permutation, decorations)
 pairs, the format ``sample`` emits, and exhaustive enumeration of
-homomorphisms by generator images.  Everything here is a verifier for the
-counting engine, not a production path.
+homomorphisms, each kept as its generator images and accepted by its Cayley
+edges.  Everything here is a verifier for the counting engine, not a
+production path.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 from functools import cache, partial
 from operator import itemgetter, xor
+from typing import Optional, Sequence
 
 from .groups import AbelianGroup, FiniteGroup, SizeCapError
 from .homs import hom_group
@@ -80,37 +82,86 @@ def _fn_power(mul, identity: int, a: int, m: int) -> int:
     return x
 
 
+def _hom_plan(group: FiniteGroup) -> tuple[list, list]:
+    """``hom_images``' schedule: the generator elements with their generator
+    index, then blocks (edges, pushes).  The edges (x, x s, index of s) are
+    the Cayley edges off the tree of the generator words, whose own edges
+    hold for any pushed map; each sits in the first block at which both of
+    its ends have images.  The pushes (x, parent, index of s), x = parent s,
+    follow eval order."""
+    generators, pushes, ready = [], [], [0] * group.order  # ready[x]: the pushes until x has its image
+    for x in group.eval_order[1:]:
+        parent, gi = group.parent_word[x]
+        if parent:
+            pushes.append((x, parent, gi))
+            ready[x] = len(pushes)
+        else:  # the words start at 0, so x is the generator itself
+            generators.append((x, gi))
+    edges_at: list[list[tuple[int, int, int]]] = [[] for _ in range(len(pushes) + 1)]
+    for x, row in enumerate(group.mul_table):
+        for gi, s in enumerate(group.generators):
+            if group.parent_word[row[s]] != (x, gi):
+                edges_at[max(ready[x], ready[row[s]])].append((x, row[s], gi))
+    blocks: list[tuple[list, list]] = []
+    for i, edges in enumerate(edges_at):
+        if edges or not blocks:
+            blocks.append((edges, []))
+        blocks[-1][1].extend(pushes[i : i + 1])
+    return generators, blocks
+
+
+def hom_images(group: FiniteGroup, mul, identity, gen_images: Sequence) -> Optional[list]:
+    """Images of all elements of the group under the map with these generator
+    images, pushed along the generator words, or None if it is not a
+    homomorphism.  It is one iff every Cayley edge x -> x s goes to right
+    multiplication by the image of s (induction on word length); only the edges
+    off the words' tree need checking, fewer than |G| |S| products, not |G|^2.
+    Each is checked as soon as both of its ends have images, so a tuple that
+    fails stops there.  The generators' images are taken as given."""
+    return _pushed(_hom_plan(group), group.order, mul, identity, gen_images)
+
+
+def _pushed(plan: tuple[list, list], order: int, mul, identity, gen_images: Sequence) -> Optional[list]:
+    generators, blocks = plan
+    img = [identity] * order
+    for x, gi in generators:
+        img[x] = gen_images[gi]
+    for edges, pushes in blocks:
+        for x, y, gi in edges:
+            if img[y] != mul(img[x], gen_images[gi]):
+                return None
+        for x, parent, gi in pushes:
+            img[x] = mul(img[parent], gen_images[gi])
+    return img
+
+
 def enumerate_homs(group: FiniteGroup, target) -> list[tuple]:
     """All homomorphisms from ``group`` into a target with ``elements``,
-    ``mul``, ``identity`` and ``order``, as full maps.
+    ``mul``, ``identity`` and ``order``, each as its tuple of generator
+    images in ``group.generators`` order: for a wreath target, the
+    (permutation, decorations) pairs of a ``WreathHom``.
 
     Every tuple of generator images, pruned by element order, is pushed
     along the generator words and refused at its first failing Cayley edge
-    (``FiniteGroup.hom_images``).
+    (``hom_images``); no full map is kept.
     """
     gens = group.generators
     if target.order ** len(gens) > TUPLE_CAP:
-        raise SizeCapError(
-            f"search space {target.order}^{len(gens)} exceeds cap {TUPLE_CAP}"
-        )
+        raise SizeCapError(f"search space {target.order}^{len(gens)} exceeds cap {TUPLE_CAP}")
     mul, e = target.mul, target.identity
     candidates = []
     for g in gens:
         o = group.element_order(g)
         candidates.append([t for t in target.elements if _fn_power(mul, e, t, o) == e])
-    homs: list[tuple] = []
-    for images in itertools.product(*candidates):
-        img = group.hom_images(mul, e, images)
-        if img is not None:
-            homs.append(tuple(img))
-    return homs
+    plan, order = _hom_plan(group), group.order
+    return [images for images in itertools.product(*candidates) if _pushed(plan, order, mul, e, images) is not None]
 
 
 def fold_indices(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs: list) -> list[int]:
-    """The index in Hom(G, A) of each of ``homs`` folded, read on the
-    generators; each generator image is folded once."""
-    index_of, fold, gens = hom_group(group, coeffs).index_of, cache(target.fold), group.generators
-    return [index_of([fold(img[s]) for s in gens]) for img in homs]
+    """The index in Hom(G, A) of each of ``homs`` folded, read on its
+    generator images; each distinct image is folded once."""
+    index_of, fold = hom_group(group, coeffs).index_of, cache(target.fold)
+    return [index_of(tuple(map(fold, images))) for images in homs]
 
 
 def oracle_delta(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, folds: list) -> DistributionTable:
@@ -138,14 +189,11 @@ def fixed_point_strata_uniform(
     must hit each element of Hom(G, A) equally often.
     """
     strata: dict[tuple, list[int]] = {}
-    for img, f in zip(homs, folds):
-        key = tuple(img[g][0] for g in group.generators)
-        strata.setdefault(key, []).append(f)
+    for images, f in zip(homs, folds):
+        strata.setdefault(tuple(p for p, _ in images), []).append(f)
     h = hom_group(group, coeffs).size
-    for key, members in strata.items():
-        has_fixed = any(all(p[i] == i for p in key) for i in range(target.degree))
-        if not has_fixed:
-            continue
-        if len(set(_fibers(h, members))) != 1:
-            return False
-    return True
+    return all(
+        len(set(_fibers(h, members))) == 1
+        for key, members in strata.items()
+        if any(all(p[i] == i for p in key) for i in range(target.degree))
+    )

@@ -305,10 +305,19 @@ def sample_hom(
 
 
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:
-    """Check the generator images satisfy every relation of the group, by
-    the Cayley edges of ``FiniteGroup.hom_images``."""
-    from .oracle import wreath_ops
+    """Whether ``hom`` holds, per generator, n points of 0..n-1 and n
+    A-element indices, and these images satisfy every relation of the group,
+    by the Cayley edges of ``oracle.hom_images``; a map of the points that
+    is not a permutation has no power equal to the identity, so it fails."""
+    from .oracle import hom_images, wreath_ops
 
+    points, indices = range(hom.n), range(coeffs.order)
+    shaped = len(hom.perms) == len(hom.decors) == len(group.generators) and all(
+        len(p) == len(d) == hom.n and all(i in points for i in p) and all(x in indices for x in d)
+        for p, d in zip(hom.perms, hom.decors)
+    )
+    if not shaped:
+        return False
     mul, _ = wreath_ops(coeffs)
-    identity = (tuple(range(hom.n)), (0,) * hom.n)
-    return group.hom_images(mul, identity, list(zip(hom.perms, hom.decors))) is not None
+    identity = (tuple(points), (0,) * hom.n)
+    return hom_images(group, mul, identity, list(zip(hom.perms, hom.decors))) is not None

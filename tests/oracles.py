@@ -26,6 +26,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from wreathhom import (
@@ -301,16 +302,23 @@ def reference_wreath_ops(coeffs):
     return mul, fold
 
 
-def full_images(group, coeffs, hom) -> list:
-    """Image of every group element of a sampled ``WreathHom``, pushed along
-    the stored generator words; ValueError if the generator images do not
+def full_images(group, coeffs, hom) -> tuple:
+    """Image of every group element of a sampled ``WreathHom``, extended by
+    ``reference_pushed_map`` and accepted on all |G|^2 products, as in
+    ``reference_hom_images``; ValueError unless there is one permutation of
+    0..n-1 and one vector of n A-indices per generator, and together they
     define a homomorphism."""
+    n = hom.n
+    shaped = len(hom.perms) == len(hom.decors) == len(group.generators) and all(
+        sorted(p) == list(range(n)) and len(d) == n and all(0 <= x < coeffs.order for x in d)
+        for p, d in zip(hom.perms, hom.decors)
+    )
     mul, _ = reference_wreath_ops(coeffs)
-    identity = (tuple(range(hom.n)), (0,) * hom.n)
-    imgs = group.hom_images(mul, identity, list(zip(hom.perms, hom.decors)))
-    if imgs is None:
+    target = SimpleNamespace(mul=mul, identity=(tuple(range(n)), (0,) * n))
+    full = reference_hom_images(group, target, tuple(zip(hom.perms, hom.decors))) if shaped else None
+    if full is None:
         raise ValueError("generator images do not define a homomorphism")
-    return imgs
+    return full
 
 
 def fold_values(group, coeffs, hom) -> tuple[int, ...]:
@@ -793,12 +801,11 @@ def reference_hom_images(group, target, images):
 
 
 def reference_enumerate_homs(group, target) -> set[tuple]:
-    """All homomorphisms into a target with ``elements``, as full maps: every
-    tuple of target elements as generator images, no order pruning, each
-    accepted by ``reference_hom_images``."""
-    homs = set()
-    for images in itertools.product(target.elements, repeat=len(group.generators)):
-        full = reference_hom_images(group, target, images)
-        if full is not None:
-            homs.add(full)
-    return homs
+    """All homomorphisms into a target with ``elements``, as tuples of
+    generator images: every tuple of target elements, no order pruning,
+    each accepted by ``reference_hom_images``."""
+    return {
+        images
+        for images in itertools.product(target.elements, repeat=len(group.generators))
+        if reference_hom_images(group, target, images) is not None
+    }

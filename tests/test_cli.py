@@ -881,6 +881,23 @@ def test_sample_bytes_in_100_mb(n, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+def test_oracle_check_bytes_in_50_mb():
+    # enumerate_homs keeps each homomorphism as its generator images; when it
+    # kept the full map of V4 for each of the C2^2 wr S4 homomorphisms, this
+    # run peaked at 62 MB and ran out of memory under this limit (exit 4)
+    resource = pytest.importorskip("resource")
+    limit = 50 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("oracle-check", "--group", "V4", "--A", "2,2", "--n", "4", preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "8c3347a687d522f72fdade26c3a32a598f7327c1cac3d892a4678d040020949d"
+    )
+
+
 def test_python_m_entry_point():
     proc = run_module("count", "--group", "C2", "--A", "2", "--n", "3")
     assert proc.returncode == EXIT_OK, proc.stderr

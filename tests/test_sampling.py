@@ -298,6 +298,11 @@ def test_samples_are_homomorphisms(name, coeffs, n):
         ("C2", (1, 0), (1, 0)),  # squares to decorations (1, 1), not the identity
         ("C3", (1, 2, 0), (1, 0, 0)),  # cubes to decorations (1, 1, 1)
         ("C3", (1, 0, 2), (0, 0, 0)),  # a transposition cubes to itself
+        ("C2", (0,), (3,)),  # a decoration past A = C2
+        ("C2", (0,), (-2,)),  # a negative decoration
+        ("D4", (0, 1), (0, 0)),  # one image for two generators
+        ("C2", (0, 1), (0,)),  # a decoration vector shorter than n
+        ("C2", (0, 2), (0, 0)),  # a point outside 0..n-1
     ],
 )
 def test_verify_rejects_broken_relation(name, perm, decor):
@@ -313,14 +318,13 @@ def test_sampler_uniform_over_all_homs_c2_n2():
     target = build_wreath_group(C2, 2)
     all_homs = enumerate_homs(g, target)
     assert len(all_homs) == 6
-    gen = g.generators[0]
     rng = random.Random(99)
     draws = Counter()
     total = 30000
     for _ in range(total):
         hom = sample_hom(g, C2, 2, rng)
         draws[hom.perms[0], hom.decors[0]] += 1
-    observed = [draws[img[gen]] for img in all_homs]
+    observed = [draws[images[0]] for images in all_homs]
     assert sum(observed) == total
     result = stats.chisquare(observed)
     assert result.pvalue > 0.001
@@ -336,7 +340,7 @@ def test_sampler_uniform_over_all_homs_s3_n3():
     counts = [0] * len(all_homs)
     for _ in range(total):
         hom = sample_hom(g, C2, 3, rng)
-        counts[index[tuple(full_images(g, C2, hom))]] += 1
+        counts[index[tuple(zip(hom.perms, hom.decors))]] += 1
     assert sum(counts) == total
     result = stats.chisquare(counts)
     assert result.pvalue > 0.001
@@ -348,7 +352,7 @@ def test_sampled_images_are_oracle_homs(seed):
     g = builtin_group("S3")
     homs = set(enumerate_homs(g, build_wreath_group(C2, 3)))
     hom = sample_hom(g, C2, 3, random.Random(seed))
-    assert tuple(full_images(g, C2, hom)) in homs
+    assert tuple(zip(hom.perms, hom.decors)) in homs
 
 
 def test_sampler_fold_matches_exact_distribution():
