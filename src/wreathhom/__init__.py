@@ -56,48 +56,8 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "Abelianization",
-    "DecayConstant",
-    "DistributionTable",
-    "ExplicitWreath",
-    "FiniteGroup",
-    "GroupSpec",
-    "GroupTableError",
-    "HomGroup",
-    "InvariantError",
-    "OrbitTypeData",
-    "PermutationAction",
-    "SizeCapError",
-    "SubgroupClass",
-    "UnknownGroupError",
-    "WreathHom",
-    "WreathHomCounter",
-    "abelianization",
-    "build_group",
-    "build_wreath_group",
-    "builtin_group",
-    "coset_action",
-    "decay_constant",
-    "delta_distribution",
-    "enumerate_homs",
-    "fixed_point_free_probability",
-    "fixed_point_strata_uniform",
-    "fold_indices",
-    "full_group_class",
-    "group_from_permutations",
-    "group_from_table",
-    "hom_count_abelian",
-    "hom_count_direct",
-    "hom_count_wreath",
-    "hom_group",
-    "oracle_delta",
-    "orbit_type_data",
-    "sample_hom",
-    "sample_orbit_type",
-    "subgroup_classes",
-    "verify_wreath_hom",
-    "weyl_hom_count",
-    "weyl_limit_ratio",
-]
+# every name imported above from a submodule, and the lazy ones
+__all__ = sorted(
+    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith("wreathhom.")]
+    + [*_ORACLE, *_SAMPLING]
+)

@@ -1,10 +1,10 @@
 """Ground truth at desk scale.
 
-Explicit construction of A wr S_n as a list of (permutation, decorations)
-pairs, the format ``sample`` emits, and exhaustive enumeration of
-homomorphisms, each kept as its generator images and accepted by its Cayley
-edges.  Everything here is a verifier for the counting engine, not a
-production path.
+A wr S_n on (permutation, decorations) pairs, the format ``sample`` emits,
+with the elements of each order listed by their cycles, and exhaustive
+enumeration of homomorphisms, each kept as its generator images and
+accepted by its Cayley edges.  Everything here is a verifier for the
+counting engine, not a production path.
 """
 
 from __future__ import annotations
@@ -49,12 +49,8 @@ def wreath_ops(coeffs: AbelianGroup):
 
 
 class ExplicitWreath:
-    """A wr S_n with every element listed as a (permutation, decorations) pair.
-
-    ``elements`` runs over permutations in lexicographic order and, within
-    each, decorations (A-element indices) big-endian, so the identity comes
-    first.  ``mul`` and ``fold`` are those of ``wreath_ops``.
-    """
+    """A wr S_n on (permutation, decorations) pairs; ``mul`` and ``fold`` are
+    those of ``wreath_ops``, and the order cap bounds what ``roots`` visits."""
 
     def __init__(self, coeffs: AbelianGroup, degree: int):
         a = coeffs.order
@@ -63,23 +59,26 @@ class ExplicitWreath:
             raise SizeCapError(
                 f"wreath product order {order} = {a}^{degree} * {degree}! exceeds cap {WREATH_ORDER_CAP}"
             )
-        self.degree = degree
-        self.order = order
-        decors = tuple(itertools.product(range(a), repeat=degree))
-        self.elements = tuple((p, d) for p in itertools.permutations(range(degree)) for d in decors)
-        self.identity = self.elements[0]
+        self.coeffs, self.degree, self.order = coeffs, degree, order
+        self.identity = (tuple(range(degree)), (0,) * degree)
         self.mul, self.fold = wreath_ops(coeffs)
+
+    def roots(self, o: int) -> list[tuple]:
+        """The elements x with x^o the identity: permutations in lexicographic
+        order and, within each, decorations (A-element indices) big-endian.
+        (p, d)^o is the identity iff every cycle length l of p divides o and,
+        on each cycle, o/l times the sum of its decorations is 0 in A."""
+        found, total, n = [], self.coeffs.total, self.degree
+        for p in itertools.permutations(range(n)):
+            cycles = {frozenset(itertools.accumulate(p, lambda j, _: p[j], initial=i)) for i in p}
+            if all(o % len(c) == 0 for c in cycles):
+                decors = itertools.product(range(self.coeffs.order), repeat=n)
+                found += [(p, d) for d in decors if all(total([d[i] for i in c] * (o // len(c))) == 0 for c in cycles)]
+        return found
 
 
 def build_wreath_group(coeffs: AbelianGroup, degree: int) -> ExplicitWreath:
     return ExplicitWreath(coeffs, degree)
-
-
-def _fn_power(mul, identity: int, a: int, m: int) -> int:
-    x = identity
-    for _ in range(m):
-        x = mul(x, a)
-    return x
 
 
 def _hom_plan(group: FiniteGroup) -> tuple[list, list]:
@@ -136,24 +135,21 @@ def _pushed(plan: tuple[list, list], order: int, mul, identity, gen_images: Sequ
 
 
 def enumerate_homs(group: FiniteGroup, target) -> list[tuple]:
-    """All homomorphisms from ``group`` into a target with ``elements``,
+    """All homomorphisms from ``group`` into a target with ``roots``,
     ``mul``, ``identity`` and ``order``, each as its tuple of generator
     images in ``group.generators`` order: for a wreath target, the
     (permutation, decorations) pairs of a ``WreathHom``.
 
-    Every tuple of generator images, pruned by element order, is pushed
-    along the generator words and refused at its first failing Cayley edge
-    (``hom_images``); no full map is kept.
+    Every tuple of generator images, each a root of its generator's order,
+    is pushed along the generator words and refused at its first failing
+    Cayley edge (``hom_images``); no full map is kept.
     """
     gens = group.generators
     if target.order ** len(gens) > TUPLE_CAP:
         raise SizeCapError(f"search space {target.order}^{len(gens)} exceeds cap {TUPLE_CAP}")
+    roots, plan, order = cache(target.roots), _hom_plan(group), group.order
+    candidates = [roots(group.element_order(g)) for g in gens]
     mul, e = target.mul, target.identity
-    candidates = []
-    for g in gens:
-        o = group.element_order(g)
-        candidates.append([t for t in target.elements if _fn_power(mul, e, t, o) == e])
-    plan, order = _hom_plan(group), group.order
     return [images for images in itertools.product(*candidates) if _pushed(plan, order, mul, e, images) is not None]
 
 

@@ -6,9 +6,10 @@ solution counting, the counting recurrence class by class in Fraction,
 subgroup classes by joining pairs of subgroups until nothing new appears,
 the transfer evaluated on every element of G, centralizers by trying
 every permutation, homomorphisms by trying every tuple of generator
-images against every product, group tables by composing every pair of
-permutations, commutator subgroups from every pair of elements, the
-sampler on ``random``'s own
+images against every product, the elements of A wr S_n of each order by
+listing them all and taking each one's power, group tables by composing
+every pair of permutations, commutator subgroups from every pair of
+elements, the sampler on ``random``'s own
 ``randrange`` and ``shuffle``, Hom(B, A) by listing the elements of A
 that each invariant factor of B kills, the basis of U/[U, U] by the
 search that computes every power again, fold fibers by counting every
@@ -300,6 +301,22 @@ def reference_wreath_ops(coeffs):
         return index_sum(coeffs, *((1, d) for d in x[1]))
 
     return mul, fold
+
+
+def reference_wreath_elements(coeffs, n) -> tuple:
+    """Every element of A wr S_n: permutations in lexicographic order and,
+    within each, decorations (A-element indices) big-endian, so the identity
+    comes first."""
+    decors = tuple(itertools.product(range(coeffs.order), repeat=n))
+    return tuple((p, d) for p in itertools.permutations(range(n)) for d in decors)
+
+
+def fn_power(mul, identity, x, m):
+    """x^m by m multiplications."""
+    y = identity
+    for _ in range(m):
+        y = mul(y, x)
+    return y
 
 
 def full_images(group, coeffs, hom) -> tuple:
@@ -761,14 +778,18 @@ def is_homomorphism(group, coeffs, v) -> bool:
 
 
 class TableTarget:
-    """A FiniteGroup as a homomorphism target, with ``elements`` 0..order-1
-    in the place of an ExplicitWreath's pairs."""
+    """A FiniteGroup as a homomorphism target for ``enumerate_homs``, with
+    ``elements`` 0..order-1 and ``roots`` by the power of each."""
 
     def __init__(self, group):
         self.order = group.order
         self.elements = range(group.order)
         self.identity = group.identity
         self.mul = group.mul
+
+    def roots(self, o: int) -> list[int]:
+        """The elements x with x^o the identity."""
+        return [x for x in self.elements if fn_power(self.mul, self.identity, x, o) == self.identity]
 
 
 def reference_pushed_map(group, target, images) -> tuple[tuple, int]:
@@ -800,12 +821,12 @@ def reference_hom_images(group, target, images):
     return None
 
 
-def reference_enumerate_homs(group, target) -> set[tuple]:
-    """All homomorphisms into a target with ``elements``, as tuples of
-    generator images: every tuple of target elements, no order pruning,
-    each accepted by ``reference_hom_images``."""
+def reference_enumerate_homs(group, target, elements) -> set[tuple]:
+    """All homomorphisms into a target listed by ``elements``, as tuples of
+    generator images: every tuple of those elements, no order pruning, each
+    accepted by ``reference_hom_images``."""
     return {
         images
-        for images in itertools.product(target.elements, repeat=len(group.generators))
+        for images in itertools.product(elements, repeat=len(group.generators))
         if reference_hom_images(group, target, images) is not None
     }

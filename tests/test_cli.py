@@ -898,6 +898,30 @@ def test_oracle_check_bytes_in_50_mb():
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--n", "7"), "9ab27e6a318a9f8466c07a6e7e90072b3dedeaf95bb463df36b6e6aa256a9688"),
+        (("--A", "14", "--n", "4"), "e494faf3e32ca58e175ea900e49a29ee02d2855285d5b3f123258a4ecd64363b"),
+    ],
+    ids=["C2-wr-S7", "C14-wr-S4"],
+)
+def test_oracle_check_near_wreath_cap_in_40_mb(args, digest):
+    # C2 wr S7 has 645120 elements and C14 wr S4 921984, near the 10^6 cap;
+    # the oracle lists only the roots of each generator's order.  When it
+    # listed every element, these runs peaked at 61 and 84 MB and ran out
+    # of memory under this limit (exit 4)
+    resource = pytest.importorskip("resource")
+    limit = 40 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("oracle-check", "--group", "C2", *args, preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_python_m_entry_point():
     proc = run_module("count", "--group", "C2", "--A", "2", "--n", "3")
     assert proc.returncode == EXIT_OK, proc.stderr

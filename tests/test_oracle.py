@@ -25,10 +25,12 @@ from wreathhom.oracle import hom_images
 from oracles import (
     TableTarget,
     centralizer_order,
+    fn_power,
     index_sum,
     reference_enumerate_homs,
     reference_hom_images,
     reference_pushed_map,
+    reference_wreath_elements,
     reference_wreath_ops,
 )
 from strategies import permutation_lists_4
@@ -51,21 +53,21 @@ def test_wreath_size_cap():
 
 
 def test_wreath_group_axioms_small():
-    w = build_wreath_group(C2, 2)
-    for x in w.elements:
+    w, elements = build_wreath_group(C2, 2), reference_wreath_elements(C2, 2)
+    for x in elements:
         assert w.mul(x, w.identity) == x
         assert w.mul(w.identity, x) == x
-        assert sum(w.mul(x, y) == w.identity for y in w.elements) == 1
-    for x in w.elements:
-        for y in w.elements:
-            for z in w.elements:
+        assert sum(w.mul(x, y) == w.identity for y in elements) == 1
+    for x in elements:
+        for y in elements:
+            for z in elements:
                 assert w.mul(w.mul(x, y), z) == w.mul(x, w.mul(y, z))
 
 
 def test_wreath_projection_and_fold_are_homomorphisms():
-    w = build_wreath_group(C2, 3)
-    for x in w.elements:
-        for y in w.elements:
+    w, elements = build_wreath_group(C2, 3), reference_wreath_elements(C2, 3)
+    for x in elements:
+        for y in elements:
             xy = w.mul(x, y)
             assert xy[0] == tuple(x[0][i] for i in y[0])
             assert w.fold(xy) == index_sum(C2, (1, w.fold(x)), (1, w.fold(y)))
@@ -76,22 +78,26 @@ def test_wreath_mul_and_fold_match_tuple_arithmetic(factors, degree):
     coeffs = AbelianGroup(factors)
     w = build_wreath_group(coeffs, degree)
     mul, fold = reference_wreath_ops(coeffs)
-    for x in w.elements:
+    elements = reference_wreath_elements(coeffs, degree)
+    for x in elements:
         assert w.fold(x) == fold(x)
-        for y in w.elements:
+        for y in elements:
             assert w.mul(x, y) == mul(x, y)
 
 
 def test_wreath_elements_listed_once_in_order():
+    # every element of C2^2 wr S3 has order dividing 12, so roots(12) lists
+    # them all
     w = build_wreath_group(AbelianGroup((2, 2)), 3)
-    assert len(w.elements) == w.order == 384
-    assert len(set(w.elements)) == w.order
-    assert w.elements[0] == w.identity == ((0, 1, 2), (0, 0, 0))
+    roots = w.roots(12)
+    assert len(roots) == w.order == 384
+    assert len(set(roots)) == w.order
+    assert roots[0] == w.identity == ((0, 1, 2), (0, 0, 0))
     # permutations lexicographic, then decorations big-endian: the order
     # in which enumerate_homs tries candidates
-    assert w.elements[1] == ((0, 1, 2), (0, 0, 1))
-    assert w.elements[17] == ((0, 1, 2), (1, 0, 1))
-    assert w.elements[-1] == ((2, 1, 0), (3, 3, 3))
+    assert roots[1] == ((0, 1, 2), (0, 0, 1))
+    assert roots[17] == ((0, 1, 2), (1, 0, 1))
+    assert roots[-1] == ((2, 1, 0), (3, 3, 3))
 
 
 def test_enumerate_homs_examples():
@@ -119,13 +125,15 @@ def test_enumerate_homs_matches_reference(name, target):
     g = builtin_group(name)
     if "wr" in target:
         a, n = target.split("wrS")
-        t = build_wreath_group(AbelianGroup((int(a[1:]),)), int(n))
+        coeffs = AbelianGroup((int(a[1:]),))
+        t, elements = build_wreath_group(coeffs, int(n)), reference_wreath_elements(coeffs, int(n))
     else:
         t = TableTarget(builtin_group(target))
+        elements = t.elements
     homs = enumerate_homs(g, t)
     assert all(len(images) == len(g.generators) for images in homs)
     assert len(set(homs)) == len(homs)
-    assert set(homs) == reference_enumerate_homs(g, t)
+    assert set(homs) == reference_enumerate_homs(g, t, elements)
 
 
 BUILTINS = ("C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8")
@@ -138,11 +146,22 @@ def _small_wreath(factors, degree):
     return build_wreath_group(AbelianGroup(factors), degree)
 
 
-def _divides_order(target, t, m):
-    x = target.identity
-    for _ in range(m):
-        x = target.mul(x, t)
-    return x == target.identity
+@lru_cache(maxsize=None)
+def _small_listing(factors, degree):
+    return reference_wreath_elements(AbelianGroup(factors), degree)
+
+
+# the roots of 1 to 12 against the power filter: every small wreath above,
+# degree 0, trivial A, and A = C2 x C4 and C6 at higher degree
+ROOT_WREATHS = SMALL_WREATHS + (((2,), 0), ((), 4), ((2, 4), 2), ((6,), 3), ((2,), 4), ((3,), 3))
+
+
+@pytest.mark.parametrize("factors, degree", ROOT_WREATHS)
+def test_roots_equal_power_filter_in_listing_order(factors, degree):
+    w = _small_wreath(factors, degree)
+    for o in range(1, 13):
+        expected = [x for x in _small_listing(factors, degree) if fn_power(w.mul, w.identity, x, o) == w.identity]
+        assert w.roots(o) == expected, o
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +170,7 @@ def _failing_only_last(name, factors, degree):
     edges x -> x s at the element the pushing reaches last."""
     group, target = builtin_group(name), _small_wreath(factors, degree)
     found = []
-    for images in product(target.elements, repeat=len(group.generators)):
+    for images in product(_small_listing(factors, degree), repeat=len(group.generators)):
         full, last = reference_pushed_map(group, target, images)
         failing = [
             (x, group.mul(x, s))
@@ -179,7 +198,11 @@ def test_hom_images_refuses_exactly_what_the_reference_rejects(name, wreath, kin
         images = data.draw(st.sampled_from(pool))
     else:
         pools = [
-            [t for t in target.elements if kind == "any" or _divides_order(target, t, group.element_order(g))]
+            [
+                t
+                for t in _small_listing(*wreath)
+                if kind == "any" or fn_power(target.mul, target.identity, t, group.element_order(g)) == target.identity
+            ]
             for g in group.generators
         ]
         images = tuple(data.draw(st.sampled_from(pool)) for pool in pools)

@@ -6,7 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import add, orbit_data_to_json, reference_cocycle_table, reference_orbit_type_data, reference_transfer
+from oracles import (
+    add,
+    fn_power,
+    orbit_data_to_json,
+    reference_cocycle_table,
+    reference_orbit_type_data,
+    reference_transfer,
+)
 from strategies import permutation_lists
 from wreathhom import (
     AbelianGroup,
@@ -23,7 +30,6 @@ from wreathhom import (
 from wreathhom import orbits, sampling
 from wreathhom.counting import counter_for
 from wreathhom.groups import abelianization
-from wreathhom.oracle import _fn_power
 
 BUILTINS = ["C1", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 COEFFS = [AbelianGroup((2,)), AbelianGroup((3,)), AbelianGroup((2, 2))]
@@ -230,7 +236,7 @@ def _extensions_of_coset_action(group, coeffs, cls):
             [
                 (sigma, d)
                 for d in itertools.product(range(coeffs.order), repeat=k)
-                if _fn_power(target.mul, target.identity, (sigma, d), order) == target.identity
+                if fn_power(target.mul, target.identity, (sigma, d), order) == target.identity
             ]
         )
     homs = []

@@ -37,6 +37,43 @@ def test_no_dataclasses_in_package():
     assert found == []
 
 
+# The public names of ``wreathhom``, which its __init__.py states once each:
+# in its imports, or in the tuples of the lazily imported oracle and sampler.
+PUBLIC_NAMES = [
+    "AbelianGroup", "Abelianization", "DecayConstant", "DistributionTable", "ExplicitWreath", "FiniteGroup",
+    "GroupSpec", "GroupTableError", "HomGroup", "InvariantError", "OrbitTypeData", "PermutationAction",
+    "SizeCapError", "SubgroupClass", "UnknownGroupError", "WreathHom", "WreathHomCounter", "abelianization",
+    "build_group", "build_wreath_group", "builtin_group", "coset_action", "decay_constant", "delta_distribution",
+    "enumerate_homs", "fixed_point_free_probability", "fixed_point_strata_uniform", "fold_indices",
+    "full_group_class", "group_from_permutations", "group_from_table", "hom_count_abelian", "hom_count_direct",
+    "hom_count_wreath", "hom_group", "oracle_delta", "orbit_type_data", "sample_hom", "sample_orbit_type",
+    "subgroup_classes", "verify_wreath_hom", "weyl_hom_count", "weyl_limit_ratio",
+]
+
+# Prints __all__, the lazy modules that a bare import loaded, and the names
+# that a star import then binds.
+PUBLIC_SURFACE = (
+    "import json, sys, wreathhom\n"
+    "lazy = [m for m in ('wreathhom.oracle', 'wreathhom.sampling') if m in sys.modules]\n"
+    "ns = {}\n"
+    "exec('from wreathhom import *', ns)\n"
+    "print(json.dumps([wreathhom.__all__, lazy, sorted(set(ns) - {'__builtins__'})]))\n"
+)
+
+
+def test_public_names_stated_once():
+    # A fresh process, so that no earlier test has imported the oracle or
+    # the sampler.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PUBLIC_SURFACE], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    names, lazy, starred = json.loads(proc.stdout)
+    assert len(PUBLIC_NAMES) == 43
+    assert names == PUBLIC_NAMES
+    assert lazy == []
+    assert starred == PUBLIC_NAMES
+
+
 def test_benchmark_tracer_finds_every_entry_point():
     # perfbench/tracer.py wraps layer entry points by name; a renamed or
     # removed one silently drops out of the per-layer metrics
