@@ -226,7 +226,6 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
     groups = [_load_group(gname) for gname in gnames]
     cells = [(group, coeffs, n) for group in groups for coeffs in coeffs_list for n in ns]
     lines = []
-    all_ok = True
     for group, coeffs, n in cells:
         wreath = build_wreath_group(coeffs, n)
         homs = enumerate_homs(group, wreath)
@@ -238,7 +237,6 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
         delta_match = engine_delta.fiber_counts == brute_delta.fiber_counts
         strata_uniform = fixed_point_strata_uniform(group, coeffs, wreath, homs, folds)
         ok = count_rec == count_dir == len(homs) and delta_match and strata_uniform
-        all_ok = all_ok and ok
         lines.append(
             {
                 "group": group.name,
@@ -252,6 +250,7 @@ def _cmd_oracle_check(args, ns: Optional[range], cap: int) -> int:
                 "ok": ok,
             }
         )
+    all_ok = all(line["ok"] for line in lines)
     lines.append({"ok": all_ok, "cells": len(lines)})
     _emit(map(json.dumps, lines), args.out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

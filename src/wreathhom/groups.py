@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -37,6 +37,12 @@ class SizeCapError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """An exact identity the algorithms guarantee failed to hold."""
+
+
+def gather(idx: Sequence[int]):
+    """seq -> tuple(seq[i] for i in idx); ``itemgetter`` alone would return a
+    bare item for one index and refuse none."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda seq: tuple(seq[i] for i in idx)
 
 
 class FiniteGroup:
@@ -164,11 +170,10 @@ def _validate_associativity(table: tuple[tuple[int, ...], ...], generators: tupl
     """
     for s in generators:
         row_s = table[s]
-        # one index makes itemgetter return a bare item; the one row is (0,)
-        gather = itemgetter(*row_s) if len(row_s) > 1 else tuple
+        by_row_s = gather(row_s)
         for x, row_x in enumerate(table):
             row_xs = table[row_x[s]]
-            if row_xs != gather(row_x):
+            if row_xs != by_row_s(row_x):
                 y = next(y for y, sy in enumerate(row_s) if row_xs[y] != row_x[sy])
                 raise GroupTableError(f"table is not associative at ({x},{s},{y})")
 
@@ -609,10 +614,7 @@ def coset_action(group: FiniteGroup, cls: SubgroupClass) -> PermutationAction:
             point_of[group.mul(rep, u)] = j
 
     add_coset(0)
-    head = 0
-    while head < len(transversal):
-        t = transversal[head]
-        head += 1
+    for t in transversal:  # transversal grows as cosets are found
         for g in group.generators:
             x = group.mul(g, t)
             if x not in point_of:
@@ -691,10 +693,7 @@ def _abelian_decomposition(
             y = mul(y, x)
         powers[x] = run
     n = len(labels)
-    primes: list[int] = []
-    for p in range(2, n + 1):
-        if n % p == 0 and all(p % q for q in primes):
-            primes.append(p)
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
     per_prime = []
     for p in primes:
         # the elements of p-power order, the identity among them
@@ -709,13 +708,7 @@ def _abelian_decomposition(
             picked.append(best)
             span = {mul(s, t) for s in span for t in powers[best]}
         per_prime.append(picked)
-    gens_desc = []
-    for j in range(max(map(len, per_prime), default=0)):
-        g = identity
-        for picked in per_prime:
-            if j < len(picked):
-                g = mul(g, picked[j])
-        gens_desc.append(g)
+    gens_desc = [reduce(mul, picks, identity) for picks in itertools.zip_longest(*per_prime, fillvalue=identity)]
     gens = tuple(reversed(gens_desc))
     vec_of: dict[int, tuple[int, ...]] = {identity: ()}
     for g in gens:

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cache, partial
-from operator import itemgetter, xor
+from operator import xor
 from typing import Optional, Sequence
 
-from .groups import AbelianGroup, FiniteGroup, SizeCapError
+from .groups import AbelianGroup, FiniteGroup, SizeCapError, gather
 from .homs import hom_group
 from .counting import DistributionTable
 
-WREATH_ORDER_CAP = 10**6
-TUPLE_CAP = 10**8
+ORACLE_CAP = 2 * 10**6
 
 
 def wreath_ops(coeffs: AbelianGroup):
@@ -41,25 +41,28 @@ def wreath_ops(coeffs: AbelianGroup):
     def mul(x, y):
         p1, d1 = x
         p2, d2 = y
-        # one index makes itemgetter return the item itself, and none is refused
-        moved = itemgetter(*p2) if len(p2) > 1 else tuple
+        moved = gather(p2)
         return moved(p1), tuple(add(moved(d1), d2))
 
     return mul, lambda x: coeffs.total(x[1])
 
 
+def _egf_count(m: int, o: int, weight) -> int:
+    """m! [x^m] exp(sum over l | o of weight(l) x^l / l) by f_s = sum over l
+    of (s-1)!/(s-l)! weight(l) f_(s-l), or the first f_s past ORACLE_CAP:
+    with weight(1) >= 1, no f_s is below the one before."""
+    f = [1]
+    while len(f) <= m and f[-1] <= ORACLE_CAP:
+        s = len(f)
+        f.append(sum(math.perm(s - 1, l - 1) * weight(l) * f[s - l] for l in range(1, min(o, s) + 1) if o % l == 0))
+    return f[-1]
+
+
 class ExplicitWreath:
-    """A wr S_n on (permutation, decorations) pairs; ``mul`` and ``fold`` are
-    those of ``wreath_ops``, and the order cap bounds what ``roots`` visits."""
+    """A wr S_n on (permutation, decorations) pairs, with ``wreath_ops``."""
 
     def __init__(self, coeffs: AbelianGroup, degree: int):
-        a = coeffs.order
-        order = a**degree * math.factorial(degree)
-        if order > WREATH_ORDER_CAP:
-            raise SizeCapError(
-                f"wreath product order {order} = {a}^{degree} * {degree}! exceeds cap {WREATH_ORDER_CAP}"
-            )
-        self.coeffs, self.degree, self.order = coeffs, degree, order
+        self.coeffs, self.degree, self.order = coeffs, degree, coeffs.order**degree * math.factorial(degree)
         self.identity = (tuple(range(degree)), (0,) * degree)
         self.mul, self.fold = wreath_ops(coeffs)
 
@@ -75,6 +78,15 @@ class ExplicitWreath:
                 decors = itertools.product(range(self.coeffs.order), repeat=n)
                 found += [(p, d) for d in decors if all(total([d[i] for i in c] * (o // len(c))) == 0 for c in cycles)]
         return found
+
+    def counts(self, o: int) -> tuple[int, int]:
+        """(elements ``roots(o)`` visits, how many it lists), each exact or past
+        ORACLE_CAP: n! permutations, plus |A|^n decorations for each whose cycle
+        lengths l all divide o; a cycle weighs 1 as a permutation and
+        |A|^(l-1) |A[o/l]| as a root, |A[m]| being the product of gcd(m, e_i)."""
+        a, n, factors = self.coeffs.order, self.degree, self.coeffs.invariant_factors
+        roots = _egf_count(n, o, lambda l: a ** (l - 1) * math.prod(math.gcd(o // l, e) for e in factors))
+        return math.factorial(n) + a**n * _egf_count(n, o, lambda l: 1), roots
 
 
 def build_wreath_group(coeffs: AbelianGroup, degree: int) -> ExplicitWreath:
@@ -136,21 +148,23 @@ def _pushed(plan: tuple[list, list], order: int, mul, identity, gen_images: Sequ
 
 def enumerate_homs(group: FiniteGroup, target) -> list[tuple]:
     """All homomorphisms from ``group`` into a target with ``roots``,
-    ``mul``, ``identity`` and ``order``, each as its tuple of generator
+    ``counts``, ``mul`` and ``identity``, each as its tuple of generator
     images in ``group.generators`` order: for a wreath target, the
     (permutation, decorations) pairs of a ``WreathHom``.
 
     Every tuple of generator images, each a root of its generator's order,
     is pushed along the generator words and refused at its first failing
-    Cayley edge (``hom_images``); no full map is kept.
+    Cayley edge (``hom_images``); no full map is kept.  Refused before any
+    root is listed past ORACLE_CAP elements visited plus tuples tried.
     """
-    gens = group.generators
-    if target.order ** len(gens) > TUPLE_CAP:
-        raise SizeCapError(f"search space {target.order}^{len(gens)} exceeds cap {TUPLE_CAP}")
-    roots, plan, order = cache(target.roots), _hom_plan(group), group.order
-    candidates = [roots(group.element_order(g)) for g in gens]
-    mul, e = target.mul, target.identity
-    return [images for images in itertools.product(*candidates) if _pushed(plan, order, mul, e, images) is not None]
+    orders = [group.element_order(g) for g in group.generators]
+    counts = {o: target.counts(o) for o in orders}
+    if sum(visited for visited, _ in counts.values()) + math.prod(counts[o][1] for o in orders) > ORACLE_CAP:
+        raise SizeCapError(f"oracle work (elements visited for roots, plus tuples of them) exceeds cap {ORACLE_CAP}")
+    roots = {o: target.roots(o) for o in counts}
+    plan, order, mul, e = _hom_plan(group), group.order, target.mul, target.identity
+    candidates = itertools.product(*(roots[o] for o in orders))
+    return [images for images in candidates if _pushed(plan, order, mul, e, images) is not None]
 
 
 def fold_indices(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, homs: list) -> list[int]:
@@ -162,16 +176,12 @@ def fold_indices(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreat
 
 def oracle_delta(group: FiniteGroup, coeffs: AbelianGroup, target: ExplicitWreath, folds: list) -> DistributionTable:
     """Exact fold-value distribution of the enumerated homs, from their ``fold_indices``."""
-    fibers = _fibers(hom_group(group, coeffs).size, folds)
-    return DistributionTable(n=target.degree, fiber_counts=tuple(fibers))
+    return DistributionTable(n=target.degree, fiber_counts=tuple(_fibers(hom_group(group, coeffs).size, folds)))
 
 
 def _fibers(h: int, folds) -> list[int]:
     """How many of ``folds`` are each index 0 .. h-1 of Hom(G, A)."""
-    fibers = [0] * h
-    for f in folds:
-        fibers[f] += 1
-    return fibers
+    return list(map(Counter(folds).__getitem__, range(h)))
 
 
 def fixed_point_strata_uniform(

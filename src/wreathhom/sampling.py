@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import WreathHomCounter, counter_for
-from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, coset_action
+from .groups import COEFF_ORDER_CAP, AbelianGroup, FiniteGroup, InvariantError, coset_action, gather
 from .orbits import cocycle_row
 
 # How far, in units of the top 64 bits, a draw must sit from an estimated
@@ -58,8 +58,7 @@ class WreathHom(NamedTuple):
         names = _decimals(max(self.n, COEFF_ORDER_CAP))
 
         def vector(v) -> str:
-            # one index makes itemgetter return a bare item, and none is refused
-            return "[" + ", ".join(itemgetter(*v)(names) if len(v) > 1 else [names[i] for i in v]) + "]"
+            return "[" + ", ".join(gather(v)(names)) + "]"
 
         perm, decor = ", ".join(map(vector, self.perms)), ", ".join(map(vector, self.decors))
         return '{"perm": [' + perm + '], "decor": [' + decor + "]}"
@@ -299,9 +298,8 @@ def sample_hom(
     where = [0] * n
     for q, p in enumerate(points):
         where[p] = q
-    # one index makes itemgetter return the item itself, and none is refused
-    gather = itemgetter(*where) if n > 1 else tuple
-    return WreathHom(n=n, perms=tuple(map(gather, images)), decors=tuple(map(gather, coords)))
+    by_point = gather(where)
+    return WreathHom(n=n, perms=tuple(map(by_point, images)), decors=tuple(map(by_point, coords)))
 
 
 def verify_wreath_hom(group: FiniteGroup, coeffs: AbelianGroup, hom: WreathHom) -> bool:

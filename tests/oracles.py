@@ -714,6 +714,59 @@ def reference_cocycle_table(group, coeffs, cls) -> tuple:
     )
 
 
+def reference_merged_terms(orbit_data) -> dict[int, int]:
+    """b_k, the sum of k w / c over the classes of orbit size k in
+    ``reference_orbit_data``, each sum checked to be an integer."""
+    b: dict[int, Fraction] = {}
+    for od in orbit_data:
+        b[od.k] = b.get(od.k, 0) + Fraction(od.k * od.weight, od.c)
+    assert all(x.denominator == 1 for x in b.values())
+    return {k: int(x) for k, x in sorted(b.items())}
+
+
+def binary_splitting_count(b: dict[int, int], n: int, leaf: int = 32) -> int:
+    """t_n of t_s = sum_k (s-1)_(k-1) b_k t_(s-k), t_0 = 1, as the first
+    entry of M(n) ... M(1) e_1, where the companion matrix M(s) has first row
+    (s-1)_(k-1) b_k at column k - 1 and ones below its diagonal (Haible and
+    Papanikolaou 1998; Brent and Zimmermann, *Modern Computer Arithmetic*,
+    section 4.9).  t_n is the first row of M(n) ... M(n/2 + 1) times the
+    column M(n/2) ... M(1) e_1.  Each half splits again into a vector and a
+    matrix, and each matrix is multiplied out as a balanced tree, so the
+    largest products join halves of a range.  Runs of ``leaf`` steps or
+    fewer are applied one M(s) at a time."""
+    m = max(b)
+
+    def stepped(lo, hi, rows):  # M(hi) ... M(lo) rows, one step at a time
+        for s in range(lo, hi + 1):
+            first = [(math.perm(s - 1, k - 1) * bk, rows[k - 1]) for k, bk in b.items()]
+            rows = [[sum(c * row[j] for c, row in first) for j in range(len(rows[0]))]] + rows[:-1]
+        return rows
+
+    def times(x, y):  # x y, for rows x of m entries and an m-row y
+        cols = list(zip(*y))
+        return [[sum(a * c for a, c in zip(row, col) if a and c) for col in cols] for row in x]
+
+    def product(lo, hi):  # M(hi) ... M(lo)
+        if hi - lo < leaf:
+            return stepped(lo, hi, [[int(i == j) for j in range(m)] for i in range(m)])
+        mid = (lo + hi) // 2
+        return times(product(mid + 1, hi), product(lo, mid))
+
+    def first_row(lo, hi):  # of M(hi) ... M(lo)
+        if hi - lo < leaf:
+            return product(lo, hi)[:1]
+        mid = (lo + hi) // 2
+        return times(first_row(mid + 1, hi), product(lo, mid))
+
+    def column(lo, hi):  # M(hi) ... M(lo) e_1, as m rows of one entry
+        if hi - lo < leaf:
+            return stepped(lo, hi, [[int(i == 0)] for i in range(m)])
+        mid = (lo + hi) // 2
+        return times(product(mid + 1, hi), column(lo, mid))
+
+    return times(first_row(n // 2 + 1, n), column(1, n // 2))[0][0]
+
+
 class ReferenceOrbitData(NamedTuple):
     """One class's orbit data with its whole fiber vector: ``fiber[psi]``
     counts the decorated extensions over one orbit whose fold is psi."""
@@ -790,6 +843,10 @@ class TableTarget:
     def roots(self, o: int) -> list[int]:
         """The elements x with x^o the identity."""
         return [x for x in self.elements if fn_power(self.mul, self.identity, x, o) == self.identity]
+
+    def counts(self, o: int) -> tuple[int, int]:
+        """(elements ``roots(o)`` visits, how many it lists), from its listing."""
+        return self.order, len(self.roots(o))
 
 
 def reference_pushed_map(group, target, images) -> tuple[tuple, int]:

@@ -922,6 +922,24 @@ def test_oracle_check_near_wreath_cap_in_40_mb(args, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+def test_oracle_check_past_the_old_wreath_cap_in_64_mb():
+    # C2 wr S8 has 10321920 elements, past the wreath-order cap of 10^6 that
+    # refused this run (exit 4); the roots of 2 visit 235904 of them and list
+    # 32400, inside the single cap on the oracle's work
+    resource = pytest.importorskip("resource")
+    limit = 64 * 2**20
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module("oracle-check", "--group", "C2", "--n", "8", preexec_fn=limit_address_space)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"ok": True, "cells": 1}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "26210450ba77d0d50d5dc7954cbc1e2a635e2c397bb8bdd0cde892276509722f"
+    )
+
+
 def test_python_m_entry_point():
     proc = run_module("count", "--group", "C2", "--A", "2", "--n", "3")
     assert proc.returncode == EXIT_OK, proc.stderr

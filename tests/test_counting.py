@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    binary_splitting_count,
     exponential_formula_counts,
     probs,
+    reference_merged_terms,
     reference_orbit_data,
     reference_tables,
     sup_distance_to_uniform,
@@ -480,6 +482,27 @@ def test_character_term_seen_only_by_the_second_route():
         total, _, fibers = _exponential_formula_counts("D4", coeffs, n)
         assert sum(corrupted) == total
         assert corrupted != fibers
+
+
+@pytest.mark.parametrize("name, n", [("C2", 20000), ("S3", 20000), ("D4", 20000)])
+def test_kernel_matches_binary_splitting_at_large_n(name, n):
+    # a second exact route where the exponential formula is too slow: t_n as
+    # a balanced product of the recurrence's companion matrices, with the b_k
+    # summed from the reference orbit data; about 5 s in all
+    group = builtin_group(name)
+    b = reference_merged_terms(reference_orbit_data(group, C2))
+    assert binary_splitting_count(b, n) == hom_count_wreath(group, C2, n)
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
+def test_binary_splitting_at_small_n_and_with_one_term_off(name):
+    # every n up to several leaves, where halves and leaves meet; and t_n
+    # moves when any one b_k is off by one
+    group = builtin_group(name)
+    b = reference_merged_terms(reference_orbit_data(group, C2))
+    assert [binary_splitting_count(b, n) for n in range(100)] == [hom_count_wreath(group, C2, n) for n in range(100)]
+    for k in b:
+        assert binary_splitting_count({**b, k: b[k] + 1}, 300) != hom_count_wreath(group, C2, 300)
 
 
 def test_distribution_table_rejects_non_distribution():

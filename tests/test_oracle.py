@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +21,8 @@ from wreathhom import (
     oracle_delta,
     subgroup_classes,
 )
-from wreathhom.oracle import hom_images
+from wreathhom.cli import EXIT_CAP_EXCEEDED, execute
+from wreathhom.oracle import ORACLE_CAP, ExplicitWreath, hom_images
 from oracles import (
     TableTarget,
     centralizer_order,
@@ -47,9 +48,12 @@ def test_wreath_orders():
 
 
 def test_wreath_size_cap():
-    # 2^10 * 10! is past the 10^6 wreath-order limit
+    # C2 wr S10 is built, but listing the roots of 2 would visit its 10!
+    # permutations and more, past the oracle's cap (oracle-check exits 4:
+    # test_refused_before_any_root_is_listed)
+    target = build_wreath_group(C2, 10)
     with pytest.raises(SizeCapError, match="cap"):
-        build_wreath_group(C2, 10)
+        enumerate_homs(builtin_group("C2"), target)
 
 
 def test_wreath_group_axioms_small():
@@ -214,9 +218,50 @@ def test_hom_images_refuses_exactly_what_the_reference_rejects(name, wreath, kin
 
 
 def test_enumerate_homs_cap():
+    # two generators of order 2 into C2 wr S7: 6512^2 tuples of roots, past
+    # the oracle's cap (oracle-check exits 4: the test below)
     with pytest.raises(SizeCapError, match="cap"):
-        # two generators into an order-46080 target: 46080^2 tuples, past 10^8
-        enumerate_homs(builtin_group("V4"), build_wreath_group(C2, 6))
+        enumerate_homs(builtin_group("V4"), build_wreath_group(C2, 7))
+
+
+def _visits_by_permutations(w, o):
+    """What ``roots(o)`` visits, counted over itertools.permutations: each
+    permutation, and every decoration of each whose cycle lengths divide o."""
+    visits = 0
+    for p in permutations(range(w.degree)):
+        cycles = {frozenset(accumulate(p, lambda j, _: p[j], initial=i)) for i in p}
+        visits += 1 + (w.coeffs.order**w.degree if all(o % len(c) == 0 for c in cycles) else 0)
+    return visits
+
+
+@pytest.mark.parametrize("factors, degree", ROOT_WREATHS)
+def test_counts_equal_roots_and_visits_without_listing(factors, degree):
+    w = _small_wreath(factors, degree)
+    for o in range(1, 13):
+        assert w.counts(o) == (_visits_by_permutations(w, o), len(w.roots(o))), o
+
+
+def test_counts_stop_past_the_cap():
+    # C2 wr S_100000: both counts pass the cap within a few steps of the
+    # recurrence, not 100000 steps on numbers of a million bits
+    visits, roots = build_wreath_group(C2, 100000).counts(2)
+    assert visits > ORACLE_CAP and roots > ORACLE_CAP
+    # just inside it, exact: 9! permutations, 2^9 decorations for each of the
+    # 2620 whose cycles have length 1 or 2, and |Hom(C2, C2 wr S9)| roots
+    assert build_wreath_group(C2, 9).counts(2) == (362880 + 2**9 * 2620, 168992)
+
+
+@pytest.mark.parametrize("name, n", [("V4", 7), ("C2", 10), ("S3", 7)])
+def test_refused_before_any_root_is_listed(name, n, capsys, monkeypatch):
+    def listed(self, o):
+        raise AssertionError("a root was listed past the cap")
+
+    monkeypatch.setattr(ExplicitWreath, "roots", listed)
+    with pytest.raises(SizeCapError, match=f"exceeds cap {ORACLE_CAP}"):
+        enumerate_homs(builtin_group(name), build_wreath_group(C2, n))
+    assert execute(["oracle-check", "--group", name, "--n", str(n)]) == EXIT_CAP_EXCEEDED
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: oracle work") and f"exceeds cap {ORACLE_CAP}" in err
 
 
 def brute_delta(group, coeffs, n):
