@@ -26,10 +26,9 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SizeCapError,
-    abelianization,
     subgroup_classes,
 )
-from .homs import HomGroup, hom_count_abelian, hom_group
+from .homs import HomGroup, hom_group
 from .orbits import OrbitTypeData, orbit_type_data
 
 if TYPE_CHECKING:
@@ -356,16 +355,17 @@ def weyl_limit_ratio(group: FiniteGroup) -> Fraction:
 
 
 def decay_constant(group: FiniteGroup, coeffs: AbelianGroup) -> DecayConstant:
-    """Decay rate of the fixed-point-free probability in exp(-c n^(1/d))."""
+    """Decay rate of the fixed-point-free probability in exp(-c n^(1/d)).
+
+    It reads the class count and the largest |Hom(U, A)|, an orbit's weight
+    |A|^(k-1) |Hom(U, A)| over |A|^(k-1), off ``counter_for(group, coeffs)``,
+    which it builds if no query has, so it shares the counter's caps.
+    """
     from fractions import Fraction
-    classes = subgroup_classes(group)
-    d = group.order
-    num_classes = len(classes)
-    max_homs = max(
-        hom_count_abelian(abelianization(group, cls).group, coeffs) for cls in classes
-    )
-    a = max(coeffs.order, 1)
-    denominator = d * num_classes * a * max_homs
+    counter = counter_for(group, coeffs)
+    a = coeffs.order
+    max_homs = max(od.weight // a ** (od.k - 1) for od in counter.orbit_data)
+    denominator = group.order * len(counter.classes) * a * max_homs
     return DecayConstant(
         conservative=Fraction(1, 3 * denominator),
         reference_value=1.0 / (math.e * denominator),

@@ -70,7 +70,6 @@ class FiniteGroup:
         self.order = len(rows)
         _validate_identity(rows)
         self.inv_table = _inverse_table(rows)
-        _validate_latin(rows)
         if generators is None:
             generators = _greedy_generators(self, range(self.order))
         self.generators = tuple(dict.fromkeys(int(g) for g in generators))
@@ -88,12 +87,13 @@ class FiniteGroup:
         return self.inv_table[a]
 
     def element_order(self, a: int) -> int:
-        order = 1
+        """The least k with a^k = 0; a table not yet validated may have none."""
         x = a
-        while x != 0:
+        for order in range(1, self.order + 1):
+            if x == 0:
+                return order
             x = self.mul_table[x][a]
-            order += 1
-        return order
+        raise GroupTableError(f"powers of element {a} never reach the identity")
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by ``seed``: the trivial subgroup extended by
@@ -140,25 +140,15 @@ def _validate_identity(table: tuple[tuple[int, ...], ...]) -> None:
 
 
 def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """inv[a], the first x with a x = x a = 0, scanned for if row a's first 0 is not it."""
+    """inv[a], the first x with a x = 0, which must also have x a = 0: in a
+    group row a holds 0 once."""
     inv = []
     for a, row in enumerate(table):
         b = row.index(0) if 0 in row else None
         if b is None or table[b][a]:
-            b = next((x for x, ax in enumerate(row) if ax == 0 and table[x][a] == 0), None)
-            if b is None:
-                raise GroupTableError(f"no inverse for element {a}")
+            raise GroupTableError(f"no inverse for element {a}")
         inv.append(b)
     return tuple(inv)
-
-
-def _validate_latin(table: tuple[tuple[int, ...], ...]) -> None:
-    """Rows and columns are permutations: with two-sided inverses, a repeated
-    entry breaks cancellation, so the table cannot be associative."""
-    for kind, lines in (("row", table), ("column", zip(*table))):
-        for i, line in enumerate(lines):
-            if len(set(line)) != len(table):
-                raise GroupTableError(f"table is not associative: {kind} {i} repeats an entry")
 
 
 def _validate_associativity(table: tuple[tuple[int, ...], ...], generators: tuple[int, ...]) -> None:
@@ -166,7 +156,8 @@ def _validate_associativity(table: tuple[tuple[int, ...], ...], generators: tupl
     as row x s against row x gathered by row s.
 
     The s that pass are closed under products, and the BFS has shown that the
-    generators reach every element, so passing for them suffices.
+    generators reach every element, so passing for them suffices.  With the
+    identity at 0 and two-sided inverses the table is then a group.
     """
     for s in generators:
         row_s = table[s]

@@ -8,7 +8,8 @@ the transfer evaluated on every element of G, centralizers by trying
 every permutation, homomorphisms by trying every tuple of generator
 images against every product, the elements of A wr S_n of each order by
 listing them all and taking each one's power, group tables by composing
-every pair of permutations, commutator subgroups from every pair of
+every pair of permutations, whether a table is a group by its axioms on
+every element and every triple, commutator subgroups from every pair of
 elements, the sampler on ``random``'s own
 ``randrange`` and ``shuffle``, Hom(B, A) by listing the elements of A
 that each invariant factor of B kills, the basis of U/[U, U] by the
@@ -613,6 +614,21 @@ def reference_permutation_group(perms):
                 parent[y] = (x, gi)
                 order.append(y)
     return table, inv, tuple(order), tuple(parent)
+
+
+def reference_is_group(table) -> bool:
+    """The group axioms on a square table over 0..d-1, by brute force:
+    0 is a two-sided identity, every a has some x with a x = x a = 0, and
+    (a b) c = a (b c) for all d^3 triples."""
+    d = len(table)
+    return (
+        all(table[0][a] == a == table[a][0] for a in range(d))
+        and all(any(table[a][x] == 0 == table[x][a] for x in range(d)) for a in range(d))
+        and all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a, b, c in itertools.product(range(d), repeat=3)
+        )
+    )
 
 
 def reference_commutator(group, elements) -> frozenset[int]:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wreathhom import (
     AbelianGroup,
@@ -28,6 +28,7 @@ from oracles import (
     index_sum,
     reference_abelian_decomposition,
     reference_commutator,
+    reference_is_group,
     reference_permutation_group,
     reference_subgroup_classes,
     scalar_mul,
@@ -115,14 +116,23 @@ def test_missing_identity_error():
 
 
 def test_non_associative_error():
-    with pytest.raises(GroupTableError, match="associative"):
-        group_from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    # identity 0 and 1 * 2 = 2 * 1 = 0, but 1 * 1 = 1: the powers of 1 never
+    # reach 0, so picking generators refuses it, and given both generators
+    # Light's test does
+    table = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
+    for build in (group_from_table, FiniteGroup):
+        with pytest.raises(GroupTableError, match="^powers of element 1 never reach the identity$"):
+            build(table)
+    with pytest.raises(GroupTableError, match="associative at"):
+        FiniteGroup(table, generators=[1, 2])
 
 
 def test_repeated_column_entry_is_not_associative():
-    # rows are permutations and every element is its own inverse
-    with pytest.raises(GroupTableError, match="associative: column 1"):
-        group_from_table([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+    # rows are permutations and every element is its own inverse; column 1
+    # repeats 1, and Light's test finds (2 1) 1 = 0 but 2 (1 1) = 2
+    for build in (group_from_table, FiniteGroup):
+        with pytest.raises(GroupTableError, match=r"^table is not associative at \(2,1,1\)$"):
+            build([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
 
 
 def test_latin_loop_fails_light_test():
@@ -134,7 +144,7 @@ def test_latin_loop_fails_light_test():
         FiniteGroup(loop, generators=range(5))
 
 
-# Every message the row checks reach through their per-entry scans.
+# Every message the table checks give, with no generators passed.
 @pytest.mark.parametrize(
     "table, message",
     [
@@ -143,11 +153,16 @@ def test_latin_loop_fails_light_test():
         ([[0, 1], [1]], "row 1 has length 1, expected 2"),
         # row 1 holds 0 only at x = 2, and 2 * 1 = 1
         ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "no inverse for element 1"),
-        # row 2's first 0 has 1 * 2 = 2, but its second is a two-sided
-        # inverse, so the repeated 0 is what fails
-        ([[0, 1, 2], [1, 0, 2], [2, 0, 0]], "table is not associative: row 2 repeats an entry"),
+        # row 2's first 0 is at x = 1, and 1 * 2 = 2; its second, at x = 2, is
+        # a two-sided inverse, but in a group a row holds 0 once
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 0]], "no inverse for element 2"),
         ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
          "table is not associative at (1,1,2)"),
+        # identity 0 and each row's first 0 a two-sided inverse, but the
+        # powers of 1 run 1, 2, 3, 2, 3, ...: picking generators asks for the
+        # order of every element, and 1 has none
+        ([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 0, 1, 4], [3, 2, 1, 0, 4], [4, 0, 1, 2, 3]],
+         "powers of element 1 never reach the identity"),
     ],
 )
 @pytest.mark.parametrize("build", [group_from_table, FiniteGroup], ids=["group_from_table", "FiniteGroup"])
@@ -155,6 +170,75 @@ def test_table_check_messages_are_pinned(build, table, message):
     with pytest.raises(GroupTableError) as info:
         build(table)
     assert str(info.value) == message
+
+
+def reduced_latin_squares(d):
+    """Every Latin square on 0..d-1 whose row 0 and column 0 are 0..d-1:
+    the loops with identity 0, the groups among them."""
+    squares = []
+
+    def extend(rows):
+        if len(rows) == d:
+            squares.append(tuple(rows))
+            return
+        a = len(rows)
+        for rest in itertools.permutations([x for x in range(d) if x != a]):
+            row = (a, *rest)
+            if all(row[j] != r[j] for r in rows for j in range(d)):
+                extend(rows + [row])
+
+    extend([tuple(range(d))])
+    return squares
+
+
+LATIN_LOOPS = [loop for d in range(1, 6) for loop in reduced_latin_squares(d)]
+
+
+@st.composite
+def planted_tables(draw):
+    """A table on 0..d-1, d <= 5, with row 0 and column 0 the identity:
+    random entries elsewhere, or a Latin loop relabelled with 0 fixed; then
+    at most one entry off row 0 and column 0 changed."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 5))
+        cells = st.lists(st.integers(0, d - 1), min_size=d - 1, max_size=d - 1)
+        table = [list(range(d))] + [[a, *draw(cells)] for a in range(1, d)]
+    else:
+        loop = draw(st.sampled_from(LATIN_LOOPS))
+        d = len(loop)
+        label = [0, *draw(st.permutations(range(1, d)))]
+        table = [[0] * d for _ in range(d)]
+        for a, b in itertools.product(range(d), repeat=2):
+            table[label[a]][label[b]] = label[loop[a][b]]
+    if d > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(1, d - 1)), draw(st.integers(1, d - 1))
+        table[a][b] = draw(st.integers(0, d - 1))
+    return table
+
+
+def test_latin_loops_listed():
+    # 1, 1, 1, 4 and 56 reduced Latin squares of orders 1 to 5; C5 in 6 of
+    # them, and each of order 4 a group
+    assert [len(reduced_latin_squares(d)) for d in range(1, 6)] == [1, 1, 1, 4, 56]
+    assert sum(map(reference_is_group, reduced_latin_squares(5))) == 6
+    assert all(map(reference_is_group, reduced_latin_squares(4)))
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(planted_tables())
+@example([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+def test_exactly_the_group_tables_are_accepted(table):
+    # group_from_table and FiniteGroup accept a table exactly when the brute
+    # force axioms do, and then keep it as given
+    is_group = reference_is_group(table)
+    for build in (group_from_table, FiniteGroup):
+        try:
+            group = build(table)
+        except GroupTableError:
+            assert not is_group
+        else:
+            assert is_group
+            assert group.mul_table == tuple(map(tuple, table))
 
 
 @settings(max_examples=25, deadline=None, database=None)
